@@ -3,8 +3,11 @@
 The experiment pipeline has two stages.  Stage A is per-recording signal
 work (conditioning, motion handling, source separation) and is independent
 of how windows are cut; stage B segments, balances, normalizes and trains.
-Sweeps over stride or class ratio therefore reuse stage A products, while a
-motion ablation reruns stage A.
+A window's features depend only on its recording and start, so stage B
+extracts them once per recording and every fold picks its rows by index.
+Sweeps over stride or class ratio reuse stage A products and extract each
+distinct window once for all sweep values, while a motion ablation reruns
+stage A.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ import numpy as np
 from scipy.signal import welch
 
 from .emd import separate_recording_emd
+# balance_epochs is unused here but stays importable from this module:
+# perfbench's tracer wraps the stage-B names it finds in this namespace.
 from .features import (
+    WINDOW_S,
     LabeledEpoch,
     WindowSpec,
     apply_normalizer,
     balance_epochs,
+    balance_indices,
     features_for_epochs,
     fit_normalizer,
     segment_recording,
@@ -262,62 +269,139 @@ def _fold_seed(master_seed: int, purpose: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, purpose, index]).generate_state(1)[0])
 
 
+def _check_sample_rates(recordings: list[Recording]) -> None:
+    rates = sorted({float(rec.sample_rate) for rec in recordings})
+    if len(rates) > 1:
+        raise ValueError(
+            f"recordings have different sample rates {rates} Hz; their features "
+            "are not comparable, so resample them to one rate first"
+        )
+
+
+def _prepare_all(
+    recordings: list[Recording], cfg: ExperimentConfig, templates: TemplateBank | None
+) -> list[Recording]:
+    _check_sample_rates(recordings)
+    return [prepare_recording(r, cfg, templates) for r in recordings]
+
+
+@dataclass(frozen=True)
+class PatientWindows:
+    """One patient's windows in recording and time order.
+
+    ``features`` holds one row per window, or is None for models that read
+    the raw windows.
+    """
+
+    epochs: list[LabeledEpoch]
+    labels: np.ndarray
+    features: np.ndarray | None
+
+
+def window_tables(
+    separated: list[Recording], strides: list[int], with_features: bool = True
+) -> list[dict[str, PatientWindows]]:
+    """Per-patient windows (and feature rows) of ``separated`` at each stride.
+
+    Each recording is cut at every stride, the features of the union of
+    those window starts are extracted in one :func:`features_for_epochs`
+    call, and each stride's table indexes its rows from that matrix, so no
+    window is extracted twice.  Returns one ``patient -> PatientWindows``
+    table per stride, in the order given.
+    """
+    _check_sample_rates(separated)
+    pieces: list[dict[str, list]] = [{} for _ in strides]
+    for rec in separated:
+        cuts = [segment_recording(rec, WindowSpec(stride_s=s)) for s in strides]
+        # first cut wins, so the union mostly views one copy of the recording
+        distinct: dict[float, LabeledEpoch] = {}
+        for cut in cuts:
+            for e in cut:
+                distinct.setdefault(e.start_s, e)
+        union = [distinct[t] for t in sorted(distinct)]
+        row_of = {e.start_s: i for i, e in enumerate(union)}
+        x = features_for_epochs(union, rec.sample_rate) if with_features else None
+        for table, cut in zip(pieces, cuts):
+            idx = [row_of[e.start_s] for e in cut]
+            rows = None if x is None else x[idx]
+            table.setdefault(rec.patient_id, []).append(([union[i] for i in idx], rows))
+
+    tables = []
+    for table in pieces:
+        out = {}
+        for patient, parts in table.items():
+            epochs = [e for cut, _ in parts for e in cut]
+            if not epochs:
+                raise ValueError(
+                    f"patient {patient} has no full {WINDOW_S:.0f} s window to score; "
+                    "drop the patient or supply a longer recording"
+                )
+            out[patient] = PatientWindows(
+                epochs=epochs,
+                labels=np.array([e.label for e in epochs]),
+                features=np.concatenate([rows for _, rows in parts]) if with_features else None,
+            )
+        tables.append(out)
+    return tables
+
+
 def run_experiment(
     recordings: list[Recording],
     cfg: ExperimentConfig = ExperimentConfig(),
     templates: TemplateBank | None = None,
     separated: list[Recording] | None = None,
+    windows: dict[str, PatientWindows] | None = None,
 ) -> ExperimentResult:
     """Full pipeline + leave-one-patient-out evaluation.
 
-    ``separated`` may carry precomputed stage A outputs (used by sweeps);
-    otherwise every recording runs through :func:`prepare_recording`.
+    ``separated`` may carry precomputed stage A outputs, or ``windows`` the
+    per-patient windows and feature rows already cut from them at
+    ``cfg.stride_s`` by :func:`window_tables` (as sweeps do); otherwise every
+    recording runs through :func:`prepare_recording` and is windowed here.
     Evaluation folds never balance the held-out patient and normalization
     statistics come from the training folds alone.
     """
-    if separated is None:
-        separated = [prepare_recording(r, cfg, templates) for r in recordings]
+    use_windows = cfg.model == "cnn"
+    if windows is None:
+        if separated is None:
+            separated = _prepare_all(recordings, cfg, templates)
+        windows = window_tables(separated, [cfg.stride_s], with_features=not use_windows)[0]
 
-    window = WindowSpec(stride_s=cfg.stride_s)
-    by_patient: dict[str, list[LabeledEpoch]] = {}
-    for rec in separated:
-        by_patient.setdefault(rec.patient_id, []).extend(segment_recording(rec, window))
-
-    folds = lopo_folds(by_patient.keys())
-    fs = separated[0].sample_rate
+    folds = lopo_folds(windows)
     fold_rows: list[dict] = []
     fold_metrics: list[Metrics] = []
-    use_windows = cfg.model == "cnn"
 
     for fold_idx, fold in enumerate(folds):
-        train_epochs = [e for p in fold.train_patients for e in by_patient[p]]
-        test_epochs = by_patient[fold.test_patient]
-        balanced = balance_epochs(
-            train_epochs, cfg.ratio, seed=_fold_seed(cfg.master_seed, 1, fold_idx)
+        train = [windows[p] for p in fold.train_patients]
+        test = windows[fold.test_patient]
+        train_labels = np.concatenate([w.labels for w in train])
+        keep = balance_indices(
+            train_labels, cfg.ratio, seed=_fold_seed(cfg.master_seed, 1, fold_idx)
         )
-        y_train = np.array([e.label for e in balanced])
-        y_test = np.array([e.label for e in test_epochs])
+        y_train = train_labels[keep]
 
         if use_windows:
-            x_train = np.stack([e.channels for e in balanced])
-            x_test = np.stack([e.channels for e in test_epochs])
+            train_epochs = [e for w in train for e in w.epochs]
+            x_train = np.stack([train_epochs[i].channels for i in keep])
+            x_test = np.stack([e.channels for e in test.epochs])
             model = make_model("cnn", seed=_fold_seed(cfg.master_seed, 2, fold_idx))
             model.train_config = type(model.train_config)(
                 epochs=cfg.cnn_epochs, seed=_fold_seed(cfg.master_seed, 2, fold_idx)
             )
         else:
-            norm = fit_normalizer(features_for_epochs(balanced, fs), mode=cfg.normalization)
-            x_train = apply_normalizer(features_for_epochs(balanced, fs), norm)
-            x_test = apply_normalizer(features_for_epochs(test_epochs, fs), norm)
+            x_fold = np.concatenate([w.features for w in train])[keep]
+            norm = fit_normalizer(x_fold, mode=cfg.normalization)
+            x_train = apply_normalizer(x_fold, norm)
+            x_test = apply_normalizer(test.features, norm)
             model = make_model(cfg.model, seed=_fold_seed(cfg.master_seed, 2, fold_idx))
 
         model.fit(x_train, y_train)
-        metrics = confusion(y_test, model.predict(x_test))
+        metrics = confusion(test.labels, model.predict(x_test))
         fold_metrics.append(metrics)
         fold_rows.append({
             "patient": fold.test_patient,
-            "n_train": len(balanced),
-            "n_test": len(test_epochs),
+            "n_train": len(keep),
+            "n_test": len(test.labels),
             "metrics": metrics.to_dict(),
         })
 
@@ -344,8 +428,9 @@ def sweep(
 ) -> list[dict]:
     """Rerun the experiment along one ablation axis.
 
-    Stride and ratio sweeps reuse the separated signals; the motion sweep
-    has to redo stage A since motion handling happens upstream.
+    Stride and ratio sweeps reuse the separated signals and extract each
+    distinct window once for all values; the motion sweep has to redo
+    stage A since motion handling happens upstream.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
@@ -357,10 +442,14 @@ def sweep(
             rows.append(_sweep_row(axis, value, result))
         return rows
 
-    separated = [prepare_recording(r, cfg, templates) for r in recordings]
-    for value in SWEEP_AXES[axis]:
+    separated = _prepare_all(recordings, cfg, templates)
+    values = SWEEP_AXES[axis]
+    strides = values if axis == "stride" else [cfg.stride_s]
+    tables = window_tables(separated, strides, with_features=cfg.model != "cnn")
+    for i, value in enumerate(values):
         sub = _replace_cfg(cfg, **{"stride_s" if axis == "stride" else "ratio": value})
-        result = run_experiment(recordings, sub, templates, separated=separated)
+        windows = tables[i] if axis == "stride" else tables[0]
+        result = run_experiment(recordings, sub, templates, windows=windows)
         rows.append(_sweep_row(axis, value, result))
     return rows
 

@@ -10,6 +10,7 @@ role order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ MFCC_FRAMES = 5
 MEL_FILTERS = 26
 MFCC_COEFS = 10
 LOG_EPS = 1e-12
+FEATURE_BATCH = 16  # windows per kernel pass: 16 x 6 x 2500 samples is ~2 MB
 
 TIME_FEATURE_NAMES = ("mean", "std", "mad", "skew", "kurt", "min", "max", "rms")
 
@@ -76,7 +78,8 @@ def segment_recording(
     Annotated events shorter than the window can never contain a full
     window, so by default they are treated as a labeling mistake and
     rejected; pass ``allow_short_events=True`` to keep them (they simply
-    mark nothing).
+    mark nothing).  Epoch channels are read-only views into one C x N copy
+    of the recording's separated channels.
     """
     for a in rec.annotations:
         if a.duration_s < WINDOW_S and not allow_short_events:
@@ -85,6 +88,7 @@ def segment_recording(
                 f"{WINDOW_S:.0f} s window; pass allow_short_events=True to keep it"
             )
     matrix = rec.channel_matrix(SEPARATED_ROLES)
+    matrix.flags.writeable = False
     fs = rec.sample_rate
     w = int(round(WINDOW_S * fs))
     epochs = []
@@ -94,7 +98,7 @@ def segment_recording(
             LabeledEpoch(
                 patient_id=rec.patient_id,
                 start_s=start_s,
-                channels=matrix[:, start:start + w].copy(),
+                channels=matrix[:, start:start + w],
                 label=window_label(start_s, rec.annotations),
             )
         )
@@ -102,30 +106,31 @@ def segment_recording(
 
 
 # ---------------------------------------------------------------------------
-# Per-channel features
+# Features: one batched kernel; leading axes of the input are batch axes
 # ---------------------------------------------------------------------------
 
 def time_features(x: np.ndarray) -> np.ndarray:
-    """[mean, std, mad, skew, kurt, min, max, rms] of one channel window.
+    """[mean, std, mad, skew, kurt, min, max, rms] along the last axis.
 
     Population moments throughout; kurtosis is the raw fourth standardized
     moment (3 for a normal distribution).  A flat window has no shape, so
-    skew and kurtosis are defined as 0 there.
+    skew and kurtosis are defined as 0 there.  An (..., w) input gives an
+    (..., 8) output.
     """
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean()
+    mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
-    var = np.mean(centered**2)
+    sq = centered * centered  # products, not **3 / **4: generic pow is ~20x slower
+    var = np.mean(sq, axis=-1)
     std = np.sqrt(var)
-    mad = np.mean(np.abs(centered))
-    if std > 0:
-        skew = np.mean(centered**3) / std**3
-        kurt = np.mean(centered**4) / var**2
-    else:
-        skew = 0.0
-        kurt = 0.0
-    rms = np.sqrt(np.mean(x**2))
-    return np.array([mu, std, mad, skew, kurt, x.min(), x.max(), rms])
+    mad = np.mean(np.abs(centered), axis=-1)
+    shaped = std > 0
+    skew = np.divide(np.mean(sq * centered, axis=-1), std**3, out=np.zeros_like(std), where=shaped)
+    kurt = np.divide(np.mean(sq * sq, axis=-1), var**2, out=np.zeros_like(std), where=shaped)
+    rms = np.sqrt(np.mean(x * x, axis=-1))
+    return np.stack(
+        [mu[..., 0], std, mad, skew, kurt, x.min(axis=-1), x.max(axis=-1), rms], axis=-1
+    )
 
 
 def mel_filterbank(n_filters: int, n_fft: int, fs: float) -> np.ndarray:
@@ -147,36 +152,48 @@ def mel_filterbank(n_filters: int, n_fft: int, fs: float) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=16)
+def _cepstral_basis(frame_len: int, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hann taper and mel bank for one frame geometry, built once (read-only)."""
+    win = get_window("hann", frame_len, fftbins=True)
+    bank = mel_filterbank(MEL_FILTERS, frame_len, fs)
+    win.flags.writeable = False
+    bank.flags.writeable = False
+    return win, bank
+
+
 def mfcc_features(x: np.ndarray, fs: float) -> np.ndarray:
     """Five non-overlapping 2 s frames x first ten cepstral coefficients.
 
     Each frame is Hann-tapered, its power spectrum pooled through 26
     mel-spaced triangular filters, logged (floored at ``LOG_EPS``), then
-    decorrelated with an orthonormal DCT-II.  Output is frame-major.
+    decorrelated with an orthonormal DCT-II.  Output is frame-major; an
+    (..., w) input gives an (..., 50) output from one FFT, one filterbank
+    product and one DCT over all frames.
     """
     x = np.asarray(x, dtype=np.float64)
-    frame_len = len(x) // MFCC_FRAMES
+    batch = x.shape[:-1]
+    frame_len = x.shape[-1] // MFCC_FRAMES
     if frame_len < 2:
         raise ValueError("window too short for cepstral frames")
-    win = get_window("hann", frame_len, fftbins=True)
-    bank = mel_filterbank(MEL_FILTERS, frame_len, fs)
-    out = np.empty(MFCC_FRAMES * MFCC_COEFS)
-    for f in range(MFCC_FRAMES):
-        frame = x[f * frame_len:(f + 1) * frame_len] * win
-        power = np.abs(np.fft.rfft(frame)) ** 2
-        loge = np.log(np.maximum(bank @ power, LOG_EPS))
-        coefs = dct(loge, type=2, norm="ortho")[:MFCC_COEFS]
-        out[f * MFCC_COEFS:(f + 1) * MFCC_COEFS] = coefs
-    return out
+    win, bank = _cepstral_basis(frame_len, float(fs))
+    frames = x[..., :MFCC_FRAMES * frame_len].reshape(-1, frame_len) * win
+    power = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
+    # einsum, not a BLAS product: BLAS picks kernels by batch size, and a
+    # window's features must not depend on which windows share its batch
+    loge = np.log(np.maximum(np.einsum("nk,fk->nf", power, bank), LOG_EPS))
+    coefs = dct(loge, type=2, norm="ortho", axis=-1)[:, :MFCC_COEFS]
+    return coefs.reshape(*batch, MFCC_FRAMES * MFCC_COEFS)
 
 
 def channel_features(x: np.ndarray, fs: float) -> np.ndarray:
-    return np.concatenate([time_features(x), mfcc_features(x, fs)])
+    """58 values per channel window: an (..., w) input gives (..., 58)."""
+    return np.concatenate([time_features(x), mfcc_features(x, fs)], axis=-1)
 
 
 def epoch_features(epoch: LabeledEpoch, fs: float) -> np.ndarray:
     """348-value feature vector: 58 per channel, channel-major."""
-    return np.concatenate([channel_features(ch, fs) for ch in epoch.channels])
+    return channel_features(epoch.channels, fs).reshape(-1)
 
 
 def feature_names() -> list[str]:
@@ -188,9 +205,16 @@ def feature_names() -> list[str]:
 
 
 def features_for_epochs(epochs: list[LabeledEpoch], fs: float) -> np.ndarray:
-    if not epochs:
-        return np.zeros((0, len(feature_names())))
-    return np.stack([epoch_features(e, fs) for e in epochs])
+    """n x 348 feature matrix, computed in batched passes over the windows.
+
+    Windows go through the kernel ``FEATURE_BATCH`` at a time, which bounds
+    the kernel's temporaries; a row does not depend on its batch.
+    """
+    out = np.empty((len(epochs), len(feature_names())))
+    for lo in range(0, len(epochs), FEATURE_BATCH):
+        windows = np.stack([e.channels for e in epochs[lo:lo + FEATURE_BATCH]])
+        out[lo:lo + len(windows)] = channel_features(windows, fs).reshape(len(windows), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +229,34 @@ def parse_ratio(ratio: str) -> int:
     return int(parts[1])
 
 
-def balance_epochs(
-    epochs: list[LabeledEpoch], ratio: str = "1:1", seed: int = 0
-) -> list[LabeledEpoch]:
-    """Subsample the majority class to an exact seizure:background ratio.
+def balance_indices(labels, ratio: str = "1:1", seed: int = 0) -> np.ndarray:
+    """Sorted indices of the rows that keep an exact seizure:background ratio.
 
-    All minority epochs survive; the majority class is reduced by a seeded
-    uniform draw (at most k-1 majority epochs may additionally drop when
-    the counts do not divide evenly).  Output preserves temporal order.
+    All minority rows survive; the majority class is reduced by a seeded
+    uniform draw (at most k-1 majority rows may additionally drop when the
+    counts do not divide evenly).  Labels are 1 (seizure) or 0 (background).
     """
     k = parse_ratio(ratio)
-    seiz = [i for i, e in enumerate(epochs) if e.label == 1]
-    back = [i for i, e in enumerate(epochs) if e.label == 0]
-    if not seiz or not back:
+    labels = np.asarray(labels)
+    seiz = np.flatnonzero(labels == 1)
+    back = np.flatnonzero(labels == 0)
+    if not len(seiz) or not len(back):
         raise ValueError("balancing needs at least one epoch of each class")
     n_seiz = min(len(seiz), len(back) // k)
     if n_seiz == 0:
         raise ValueError(f"too few background epochs for a 1:{k} ratio")
     n_back = k * n_seiz
     rng = np.random.default_rng(seed)
-    keep_seiz = seiz if n_seiz == len(seiz) else sorted(
-        rng.choice(seiz, size=n_seiz, replace=False).tolist()
-    )
-    keep_back = back if n_back == len(back) else sorted(
-        rng.choice(back, size=n_back, replace=False).tolist()
-    )
-    keep = sorted(keep_seiz + keep_back)
-    return [epochs[i] for i in keep]
+    keep_seiz = seiz if n_seiz == len(seiz) else rng.choice(seiz, size=n_seiz, replace=False)
+    keep_back = back if n_back == len(back) else rng.choice(back, size=n_back, replace=False)
+    return np.sort(np.concatenate([keep_seiz, keep_back]))
+
+
+def balance_epochs(
+    epochs: list[LabeledEpoch], ratio: str = "1:1", seed: int = 0
+) -> list[LabeledEpoch]:
+    """:func:`balance_indices` applied to epochs; output keeps temporal order."""
+    return [epochs[i] for i in balance_indices([e.label for e in epochs], ratio, seed)]
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """SNR reporting, metrics math, fold planning, and the experiment loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from earpipe import evaluation
 from earpipe.evaluation import (
     ExperimentConfig,
     Metrics,
@@ -131,11 +134,11 @@ class TestFoldPlanning:
             lopo_folds(["p00", "p00"])
 
 
-def _separated_patient(patient_id, seed, duration_s=60.0):
+def _separated_patient(patient_id, seed, duration_s=60.0, fs=FS):
     """Synthetic separated recording whose seizure windows carry a tone."""
     rng = np.random.default_rng(seed)
-    n = int(duration_s * FS)
-    t = np.arange(n) / FS
+    n = int(duration_s * fs)
+    t = np.arange(n) / fs
     onset, offset = 20.0, 40.0
     ictal = (t >= onset) & (t <= offset)
     channels = {}
@@ -145,7 +148,7 @@ def _separated_patient(patient_id, seed, duration_s=60.0):
         channels[role] = x
     return Recording(
         patient_id=patient_id,
-        sample_rate=FS,
+        sample_rate=fs,
         channels=channels,
         annotations=[SeizureAnnotation(onset_s=onset, offset_s=offset)],
     )
@@ -197,6 +200,27 @@ class TestRunExperiment:
         assert result.micro.total == sum(f["n_test"] for f in result.folds)
 
 
+    def test_mixed_sample_rates_rejected(self, separated):
+        """Rates are checked before stage A and for precomputed recordings."""
+        mixed = separated[:2] + [_separated_patient("p09", seed=9, fs=200.0)]
+        cfg = ExperimentConfig(stride_s=3, model="knn")
+        with pytest.raises(ValueError, match=r"sample rates \[200\.0, 250\.0\]"):
+            run_experiment([], cfg, separated=mixed)
+        with pytest.raises(ValueError, match=r"sample rates \[200\.0, 250\.0\]"):
+            run_experiment(mixed, cfg)
+
+    def test_patient_without_full_window_rejected(self, separated):
+        rng = np.random.default_rng(9)
+        short = Recording(
+            patient_id="p09",
+            sample_rate=FS,
+            channels={role: 0.02 * rng.standard_normal(int(8 * FS)) for role in SEPARATED_ROLES},
+        )
+        cfg = ExperimentConfig(stride_s=3, model="knn")
+        with pytest.raises(ValueError, match="p09 has no full 10 s window"):
+            run_experiment([], cfg, separated=separated + [short])
+
+
 class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis must be"):
@@ -215,3 +239,18 @@ class TestSweep:
             assert row["axis"] == "ratio"
             assert 0.0 <= row["macro_accuracy"] <= 1.0
             assert 0.0 <= row["macro_recall"] <= 1.0
+
+    def test_stride_rows_match_standalone_runs(self, separated, monkeypatch):
+        """Features shared across strides change no row of the sweep."""
+        monkeypatch.setattr(evaluation, "prepare_recording", lambda rec, cfg, templates: rec)
+        cfg = ExperimentConfig(model="rfc", normalization="minmax")
+        rows = sweep(separated, cfg, "stride")
+        assert [r["value"] for r in rows] == list(range(1, 10))
+        for row in rows:
+            alone = run_experiment(
+                [], dataclasses.replace(cfg, stride_s=row["value"]), separated=separated
+            )
+            assert row["macro_accuracy"] == alone.macro["accuracy"]
+            assert row["macro_recall"] == alone.macro["recall"]
+            assert row["macro_f1"] == alone.macro["f1"]
+            assert row["micro_accuracy"] == alone.micro.accuracy

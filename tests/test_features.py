@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import dct
+from scipy.signal import get_window
 
 from earpipe.features import (
+    LOG_EPS,
+    MEL_FILTERS,
+    WINDOW_S,
     LabeledEpoch,
     WindowSpec,
     apply_normalizer,
@@ -98,6 +104,11 @@ class TestSegmentation:
         assert all(e.channels.shape == (6, w) for e in epochs)
         matrix = rec.channel_matrix(SEPARATED_ROLES)
         np.testing.assert_array_equal(epochs[3].channels, matrix[:, 150:150 + w])
+
+    def test_epochs_are_read_only_views(self):
+        epochs = segment_recording(_separated_recording(), WindowSpec(stride_s=1))
+        assert not epochs[0].channels.flags.writeable
+        assert np.shares_memory(epochs[0].channels, epochs[1].channels)
 
     def test_short_event_rejected_by_default(self):
         rec = _separated_recording(
@@ -321,3 +332,68 @@ class TestNormalization:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             fit_normalizer(np.zeros((0, 3)))
+
+
+def _reference_channel_features(x, fs):
+    """Scalar loop oracle: one window, one 2 s frame and one FFT at a time."""
+    mu = x.mean()
+    centered = x - mu
+    var = np.mean(centered**2)
+    std = np.sqrt(var)
+    skew = np.mean(centered**3) / std**3 if std > 0 else 0.0
+    kurt = np.mean(centered**4) / var**2 if std > 0 else 0.0
+    stats = [mu, std, np.mean(np.abs(centered)), skew, kurt, x.min(), x.max(),
+             np.sqrt(np.mean(x**2))]
+    frame_len = len(x) // 5
+    win = get_window("hann", frame_len, fftbins=True)
+    bank = mel_filterbank(MEL_FILTERS, frame_len, fs)
+    cepstra = []
+    for f in range(5):
+        power = np.abs(np.fft.rfft(x[f * frame_len:(f + 1) * frame_len] * win)) ** 2
+        cepstra.extend(dct(np.log(np.maximum(bank @ power, LOG_EPS)), type=2, norm="ortho")[:10])
+    return np.array(stats + cepstra)
+
+
+@st.composite
+def _epoch_batches(draw):
+    """(fs, epochs): 0, 1 or many random 10 s windows at a common rate."""
+    fs = draw(st.sampled_from([200.0, 250.0, 256.0]))
+    n = draw(st.sampled_from([0, 1, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    w = int(round(WINDOW_S * fs))
+    epochs = [
+        LabeledEpoch("p", float(i), scale * rng.standard_normal((6, w)) + rng.normal(), 0)
+        for i in range(n)
+    ]
+    return fs, epochs
+
+
+class TestBatchedFeatureProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(_epoch_batches())
+    def test_batch_matches_per_window_vectors(self, batch):
+        fs, epochs = batch
+        out = features_for_epochs(epochs, fs)
+        assert out.shape == (len(epochs), 348)
+        for row, epoch in zip(out, epochs):
+            np.testing.assert_allclose(row, epoch_features(epoch, fs), rtol=1e-9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_epoch_batches())
+    def test_batch_matches_scalar_loop_oracle(self, batch):
+        fs, epochs = batch
+        out = features_for_epochs(epochs, fs).reshape(len(epochs), 6, 58)
+        for rows, epoch in zip(out, epochs):
+            for row, x in zip(rows, epoch.channels):
+                np.testing.assert_allclose(
+                    row, _reference_channel_features(x, fs), rtol=1e-9, atol=1e-12
+                )
+
+    @settings(max_examples=20, deadline=None)
+    @given(_epoch_batches(), st.data())
+    def test_permuting_epochs_permutes_rows(self, batch, data):
+        fs, epochs = batch
+        order = data.draw(st.permutations(range(len(epochs))))
+        out = features_for_epochs([epochs[i] for i in order], fs)
+        np.testing.assert_array_equal(out, features_for_epochs(epochs, fs)[list(order)])
