@@ -113,7 +113,7 @@ def cmd_denoise(args) -> int:
     rec = load_recording(args.input)
     if rec.imu is None:
         raise ValueError("recording has no IMU track; motion screening needs one")
-    excluded_total = 0
+    excluded_total = blocks = capped = 0
     for role in list(rec.channels):
         clean, reports = remove_motion_artifacts(
             rec.channels[role], rec.sample_rate, rec.imu, rec.imu_rate,
@@ -121,8 +121,11 @@ def cmd_denoise(args) -> int:
         )
         rec.channels[role] = clean
         excluded_total += sum(r.n_excluded for r in reports)
+        blocks += len(reports)
+        capped += sum(not r.converged for r in reports)
     save_recording(rec, args.out, payload=args.payload)
-    print(f"dropped {excluded_total} motion-correlated modes; wrote {args.out}")
+    print(f"dropped {excluded_total} motion-correlated modes; "
+          f"{capped} of {blocks} blocks hit the VMD iteration cap; wrote {args.out}")
     return 0
 
 

@@ -30,6 +30,7 @@ from .features import (
     features_for_epochs,
     fit_normalizer,
     segment_recording,
+    separated_matrix,
 )
 from .models import make_model
 from .models.cnn import CnnClassifier
@@ -312,8 +313,8 @@ def window_tables(
     _check_sample_rates(separated)
     pieces: list[dict[str, list]] = [{} for _ in strides]
     for rec in separated:
-        cuts = [segment_recording(rec, WindowSpec(stride_s=s)) for s in strides]
-        # first cut wins, so the union mostly views one copy of the recording
+        matrix = separated_matrix(rec)  # every stride's windows view this one copy
+        cuts = [segment_recording(rec, WindowSpec(stride_s=s), matrix=matrix) for s in strides]
         distinct: dict[float, LabeledEpoch] = {}
         for cut in cuts:
             for e in cut:

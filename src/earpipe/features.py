@@ -68,10 +68,18 @@ def window_label(start_s: float, annotations: list[SeizureAnnotation], window_s:
     return 0
 
 
+def separated_matrix(rec: Recording) -> np.ndarray:
+    """Read-only C x N stack of ``rec``'s separated channels in role order."""
+    matrix = rec.channel_matrix(SEPARATED_ROLES)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def segment_recording(
     rec: Recording,
     spec: WindowSpec = WindowSpec(),
     allow_short_events: bool = False,
+    matrix: np.ndarray | None = None,
 ) -> list[LabeledEpoch]:
     """Cut a separated recording into labeled fixed-length epochs.
 
@@ -79,7 +87,8 @@ def segment_recording(
     window, so by default they are treated as a labeling mistake and
     rejected; pass ``allow_short_events=True`` to keep them (they simply
     mark nothing).  Epoch channels are read-only views into one C x N copy
-    of the recording's separated channels.
+    of the recording's separated channels: ``matrix`` when given (from
+    :func:`separated_matrix`, so several cuts share one copy), else a new one.
     """
     for a in rec.annotations:
         if a.duration_s < WINDOW_S and not allow_short_events:
@@ -87,8 +96,13 @@ def segment_recording(
                 f"annotation [{a.onset_s}, {a.offset_s}] is shorter than the "
                 f"{WINDOW_S:.0f} s window; pass allow_short_events=True to keep it"
             )
-    matrix = rec.channel_matrix(SEPARATED_ROLES)
-    matrix.flags.writeable = False
+    if matrix is None:
+        matrix = separated_matrix(rec)
+    elif matrix.shape != (len(SEPARATED_ROLES), rec.n_samples):
+        raise ValueError(
+            f"matrix is {matrix.shape}, expected "
+            f"{(len(SEPARATED_ROLES), rec.n_samples)} for {rec.patient_id}"
+        )
     fs = rec.sample_rate
     w = int(round(WINDOW_S * fs))
     epochs = []

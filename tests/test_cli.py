@@ -9,6 +9,7 @@ from earpipe.cli import main
 from earpipe.io import load_recording
 from earpipe.nnmf import load_templates
 from earpipe.signals import SEPARATED_ROLES
+from earpipe.vmd import remove_motion_artifacts
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,20 @@ class TestStagewiseFlow:
     def test_denoise_output_loads(self, artifacts):
         den = load_recording(artifacts["den"])
         assert den.n_samples == load_recording(artifacts["pre"]).n_samples
+
+    def test_denoise_reports_capped_blocks(self, artifacts, tmp_path, capsys):
+        """denoise prints how many VMD blocks stopped at the iteration cap."""
+        assert main(["denoise", "--in", str(artifacts["pre"]), "--out", str(tmp_path / "d")]) == 0
+        out = capsys.readouterr().out
+        pre = load_recording(artifacts["pre"])
+        reports = [
+            r
+            for x in pre.channels.values()
+            for r in remove_motion_artifacts(x, pre.sample_rate, pre.imu, pre.imu_rate)[1]
+        ]
+        capped = sum(not r.converged for r in reports)
+        assert f"{capped} of {len(reports)} blocks hit the VMD iteration cap" in out
+        assert len(reports) == 2 * len(pre.channels)  # 40 s -> two 30 s blocks
 
     def test_template_bank_loads(self, artifacts):
         bank = load_templates(artifacts["bank"])

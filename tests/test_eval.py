@@ -221,6 +221,24 @@ class TestRunExperiment:
             run_experiment([], cfg, separated=separated + [short])
 
 
+class TestWindowTables:
+    def test_strides_view_one_copy_per_recording(self, separated, monkeypatch):
+        """Each recording is stacked once; every stride's windows view that copy."""
+        stacked = []
+
+        def stack_once(rec, real=evaluation.separated_matrix):
+            stacked.append(real(rec))
+            return stacked[-1]
+
+        monkeypatch.setattr(evaluation, "separated_matrix", stack_once)
+        tables = evaluation.window_tables(separated, [1, 2, 5], with_features=False)
+        assert len(stacked) == len(separated)
+        for rec, matrix in zip(separated, stacked):
+            for table in tables:
+                epochs = table[rec.patient_id].epochs
+                assert epochs and all(e.channels.base is matrix for e in epochs)
+
+
 class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis must be"):

@@ -24,6 +24,7 @@ from earpipe.features import (
     mfcc_features,
     parse_ratio,
     segment_recording,
+    separated_matrix,
     time_features,
     window_label,
 )
@@ -109,6 +110,22 @@ class TestSegmentation:
         epochs = segment_recording(_separated_recording(), WindowSpec(stride_s=1))
         assert not epochs[0].channels.flags.writeable
         assert np.shares_memory(epochs[0].channels, epochs[1].channels)
+
+    def test_shared_matrix_gives_the_same_windows(self):
+        rec = _separated_recording()
+        matrix = separated_matrix(rec)
+        for stride in (1, 3):
+            shared = segment_recording(rec, WindowSpec(stride_s=stride), matrix=matrix)
+            own = segment_recording(rec, WindowSpec(stride_s=stride))
+            assert all(e.channels.base is matrix for e in shared)
+            assert [e.start_s for e in shared] == [e.start_s for e in own]
+            for a, b in zip(shared, own):
+                np.testing.assert_array_equal(a.channels, b.channels)
+
+    def test_shared_matrix_shape_checked(self):
+        rec = _separated_recording()
+        with pytest.raises(ValueError, match="matrix is"):
+            segment_recording(rec, matrix=separated_matrix(rec)[:, :-1])
 
     def test_short_event_rejected_by_default(self):
         rec = _separated_recording(

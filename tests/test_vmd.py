@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
     VmdResult,
+    _init_omegas,
     motion_correlation,
     reconstruct_excluding_motion,
     remove_motion_artifacts,
@@ -68,6 +70,107 @@ class TestReconstruction:
         res = vmd_decompose(x, FS, k=1)
         assert res.converged
         assert 0 < res.iterations <= 500
+
+
+def _reference_vmd(x, fs, k, alpha, tau, tol, max_iter, init, seed):
+    """The textbook ADMM loop, kept as the oracle for the fast kernel.
+
+    Mirror extension, spectrum, sweep and rebuild as ``vmd_decompose`` did
+    before it reused per-sweep quantities: every sweep copies the modes,
+    divides by each mode's denominator and recomputes the convergence sums.
+    Returns (modes, center_freqs_hz, iterations, converged).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_orig = len(x)
+    if n_orig % 2 == 1:
+        x = np.append(x, x[-1])
+    n = len(x)
+    half = n // 2
+    f = np.concatenate([x[:half][::-1], x, x[-half:][::-1]])
+    t_len = len(f)
+    freqs = np.arange(1, t_len + 1) / t_len - 0.5 - 1.0 / t_len
+    f_hat = np.fft.fftshift(np.fft.fft(f))
+    half_slice = slice(t_len // 2, t_len)
+    f_plus = f_hat[half_slice].copy()
+    freqs_pos = freqs[half_slice]
+
+    omega = _init_omegas(k, init, seed)
+    u_hat = np.zeros((k, len(f_plus)), dtype=complex)
+    lam = np.zeros(len(f_plus), dtype=complex)
+
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        u_prev = u_hat.copy()
+        sum_all = u_hat.sum(axis=0)
+        for i in range(k):
+            sum_others = sum_all - u_hat[i]
+            u_new = (f_plus - sum_others + lam / 2) / (
+                1.0 + 2.0 * alpha * (freqs_pos - omega[i]) ** 2
+            )
+            sum_all += u_new - u_hat[i]
+            u_hat[i] = u_new
+            power = np.abs(u_new) ** 2
+            total = power.sum()
+            if total > 0:
+                omega[i] = float(np.dot(freqs_pos, power) / total)
+        lam = lam + tau * (f_plus - sum_all)
+
+        diff = np.sum(np.abs(u_hat - u_prev) ** 2)
+        norm = np.sum(np.abs(u_prev) ** 2)
+        if norm > 0.0 and diff < tol * norm:
+            converged = True
+            break
+
+    full = np.zeros((k, t_len), dtype=complex)
+    full[:, t_len // 2:] = u_hat
+    full[:, 1: t_len // 2 + 1] = np.conj(full[:, -1: t_len // 2 - 1: -1])
+    full[:, 0] = np.conj(full[:, -1])
+    u = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=1), axis=1))
+    modes = u[:, half: half + n][:, :n_orig]
+    order = np.argsort(omega)
+    return modes[order], omega[order] * fs, iterations, converged
+
+
+class TestReferenceKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=700),
+        k=st.integers(min_value=1, max_value=8),
+        tau=st.sampled_from([0.0, 0.1, 1.0]),
+        init=st.sampled_from(["uniform", "zero", "random"]),
+        tol=st.sampled_from([1e-7, 1e-3]),
+        max_iter=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_reference_exactly(self, n, k, tau, init, tol, max_iter, seed):
+        """Modes, centers, iteration count and convergence equal the
+        textbook loop's, not merely to a tolerance."""
+        x = np.random.default_rng(seed).standard_normal(n)
+        res = vmd_decompose(
+            x, FS, k=k, alpha=2000.0, tau=tau, tol=tol, max_iter=max_iter,
+            init=init, seed=seed,
+        )
+        modes, centers, iterations, converged = _reference_vmd(
+            x, FS, k, 2000.0, tau, tol, max_iter, init, seed
+        )
+        np.testing.assert_array_equal(res.modes, modes)
+        np.testing.assert_array_equal(res.center_freqs_hz, centers)
+        assert res.iterations == iterations
+        assert res.converged == converged
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_full_block_matches_reference(self, tau):
+        """A 30 s two-tone block run to convergence matches exactly."""
+        x = _tones([3.0, 11.0], [1.0, 0.4], 30.0)
+        x += 0.05 * np.random.default_rng(11).standard_normal(len(x))
+        res = vmd_decompose(x, FS, tau=tau)
+        modes, centers, iterations, converged = _reference_vmd(
+            x, FS, 8, 2000.0, tau, 1e-7, 500, "uniform", 0
+        )
+        np.testing.assert_array_equal(res.modes, modes)
+        np.testing.assert_array_equal(res.center_freqs_hz, centers)
+        assert (res.iterations, res.converged) == (iterations, converged)
 
 
 class TestValidation:
@@ -140,6 +243,17 @@ class TestMotionScreening:
         corr = motion_correlation(res, accel, 50.0)
         assert corr.n_excluded == 0
 
+    def test_report_carries_convergence(self):
+        """Each report copies its block's iteration count and convergence."""
+        _, noisy, accel, imu_rate = _burst_recording(seed=1)
+        for max_iter in (3, 500):
+            res = vmd_decompose(noisy, FS, k=4, max_iter=max_iter)
+            corr = motion_correlation(res, accel, imu_rate)
+            assert (corr.iterations, corr.converged) == (res.iterations, res.converged)
+        assert corr.converged and corr.iterations < 500
+        capped = motion_correlation(vmd_decompose(noisy, FS, k=4, max_iter=3), accel, imu_rate)
+        assert (capped.iterations, capped.converged) == (3, False)
+
     def test_accel_shape_rejected(self):
         res = vmd_decompose(np.ones(500), FS, k=2, max_iter=5)
         with pytest.raises(ValueError, match="3 x M"):
@@ -194,6 +308,22 @@ class TestRemoveMotionArtifacts:
         out, reports = remove_motion_artifacts(x, FS, accel, 50.0, max_iter=10)
         assert len(out) == len(x)
         assert len(reports) == 4
+
+    @pytest.mark.parametrize("imu_s", [20.0, 95.0])
+    def test_imu_duration_mismatch_rejected(self, imu_s):
+        """A 20 s or 95 s IMU track against 90 s of signal is refused at entry
+        and the error names both durations."""
+        x = np.random.default_rng(9).standard_normal(int(90 * FS))
+        accel = np.ones((3, int(imu_s * 50)))
+        with pytest.raises(ValueError, match=f"{imu_s:g} s .* 90 s"):
+            remove_motion_artifacts(x, FS, accel, 50.0, max_iter=2)
+
+    def test_imu_within_one_sample_accepted(self):
+        """An IMU track one sample short of the signal still screens."""
+        x = np.random.default_rng(9).standard_normal(int(10 * FS))
+        accel = np.ones((3, 10 * 50 - 1))
+        out, reports = remove_motion_artifacts(x, FS, accel, 50.0, max_iter=2)
+        assert len(out) == len(x) and len(reports) == 1
 
     def test_overlap_must_fit_block(self):
         with pytest.raises(ValueError, match="exceed overlap"):
