@@ -8,10 +8,18 @@ extracts them once per recording and every fold picks its rows by index.
 Sweeps over stride or class ratio reuse stage A products and extract each
 distinct window once for all sweep values, while a motion ablation reruns
 stage A.
+
+Stage A's VMD blocks run on a process pool that :func:`_prepare_all`
+opens once per run when motion handling is VMD and more than one core is
+available; recordings and channels are still visited here, one at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -234,8 +242,13 @@ def prepare_recording(
     rec: Recording,
     cfg: ExperimentConfig,
     templates: TemplateBank | None = None,
+    executor: Executor | None = None,
 ) -> Recording:
-    """Stage A: condition, handle motion, separate into the six roles."""
+    """Stage A: condition, handle motion, separate into the six roles.
+
+    ``executor`` runs the VMD blocks of each channel; without one they run
+    inline.
+    """
     conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
     if cfg.motion == "vmd":
         if conditioned.imu is None:
@@ -247,6 +260,7 @@ def prepare_recording(
                 conditioned.imu,
                 conditioned.imu_rate,
                 threshold=cfg.motion_threshold,
+                executor=executor,
             )
             conditioned.channels[role] = cleaned
     elif cfg.motion == "bandpass":
@@ -282,8 +296,23 @@ def _check_sample_rates(recordings: list[Recording]) -> None:
 def _prepare_all(
     recordings: list[Recording], cfg: ExperimentConfig, templates: TemplateBank | None
 ) -> list[Recording]:
+    """Stage A for every recording, with VMD blocks spread over all cores.
+
+    The pool is opened only for VMD, whose blocks take seconds per
+    recording: band-pass and motion-off runs finish stage A in less time
+    than the workers take to start.
+    """
     _check_sample_rates(recordings)
-    return [prepare_recording(r, cfg, templates) for r in recordings]
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cores = os.cpu_count() or 1
+    if cfg.motion == "vmd" and cores > 1:
+        pool = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn"))
+    else:
+        pool = contextlib.nullcontext()
+    with pool as executor:
+        return [prepare_recording(r, cfg, templates, executor=executor) for r in recordings]
 
 
 @dataclass(frozen=True)

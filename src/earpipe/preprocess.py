@@ -112,7 +112,22 @@ def preprocess_channel(x: np.ndarray, fs: float, cfg: PreprocessConfig = Preproc
 
 
 def preprocess_recording(rec: Recording, cfg: PreprocessConfig = PreprocessConfig()) -> Recording:
-    """Apply the conditioning chain to every biopotential channel."""
+    """Apply the conditioning chain to every biopotential channel.
+
+    Non-finite samples are rejected here, naming the patient and the
+    channel: the zero-phase filters would spread one NaN over the whole
+    channel.
+    """
+    tracks = [(f"channel {role.value}", x) for role, x in rec.channels.items()]
+    if rec.imu is not None:
+        tracks.append(("IMU track", rec.imu))
+    for name, x in tracks:
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(
+                f"recording {rec.patient_id}: {name} has {int(bad.sum())} NaN or Inf "
+                "samples; repair or drop them before conditioning"
+            )
     channels = {
         role: preprocess_channel(x, rec.sample_rate, cfg)
         for role, x in rec.channels.items()

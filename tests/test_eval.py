@@ -1,11 +1,14 @@
 """SNR reporting, metrics math, fold planning, and the experiment loop."""
 
 import dataclasses
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from earpipe import evaluation
+from earpipe.corpus import make_synthetic_corpus, patient_spec, train_corpus_templates
 from earpipe.evaluation import (
     ExperimentConfig,
     Metrics,
@@ -19,7 +22,13 @@ from earpipe.evaluation import (
     run_experiment,
     sweep,
 )
-from earpipe.signals import ChannelRole, Recording, SeizureAnnotation, SEPARATED_ROLES
+from earpipe.signals import (
+    ChannelRole,
+    Recording,
+    SeizureAnnotation,
+    SEPARATED_ROLES,
+    synthesize_recording,
+)
 
 FS = 250.0
 
@@ -246,8 +255,6 @@ class TestSweep:
 
     def test_ratio_axis_rows(self):
         """A ratio sweep reuses stage A and reports one row per setting."""
-        from earpipe.corpus import make_synthetic_corpus, train_corpus_templates
-
         recordings = make_synthetic_corpus(n_patients=3)
         templates = train_corpus_templates()
         cfg = ExperimentConfig(stride_s=3, model="knn", motion="off")
@@ -260,7 +267,7 @@ class TestSweep:
 
     def test_stride_rows_match_standalone_runs(self, separated, monkeypatch):
         """Features shared across strides change no row of the sweep."""
-        monkeypatch.setattr(evaluation, "prepare_recording", lambda rec, cfg, templates: rec)
+        monkeypatch.setattr(evaluation, "prepare_recording", lambda rec, cfg, templates, **_: rec)
         cfg = ExperimentConfig(model="rfc", normalization="minmax")
         rows = sweep(separated, cfg, "stride")
         assert [r["value"] for r in rows] == list(range(1, 10))
@@ -272,3 +279,53 @@ class TestSweep:
             assert row["macro_recall"] == alone.macro["recall"]
             assert row["macro_f1"] == alone.macro["f1"]
             assert row["micro_accuracy"] == alone.micro.accuracy
+
+
+def _set_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestStageAPool:
+    """Stage A spreads VMD blocks over a process pool only where that pays."""
+
+    @pytest.mark.parametrize("motion, cores", [("bandpass", 2), ("off", 2), ("vmd", 1)])
+    def test_no_pool_without_vmd_or_second_core(self, motion, cores, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage A opened a process pool")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", refuse)
+        _set_cores(monkeypatch, cores)
+        rec = synthesize_recording(patient_spec(0, duration_s=40.0))
+        cfg = ExperimentConfig(motion=motion, separation="emd")
+        (out,) = evaluation._prepare_all([rec], cfg, None)
+        assert set(out.channels) == set(SEPARATED_ROLES)
+
+    def test_pool_run_equals_inline_run(self, monkeypatch, workers_gone):
+        """Each recording is prepared in this process, once, with or without the pool."""
+        recordings = make_synthetic_corpus(n_patients=2)
+        templates = train_corpus_templates()
+        cfg = ExperimentConfig(stride_s=3, normalization="minmax")
+        executors = []
+
+        def spy(rec, cfg, templates, executor=None, real=evaluation.prepare_recording):
+            executors.append(executor)
+            return real(rec, cfg, templates, executor=executor)
+
+        monkeypatch.setattr(evaluation, "prepare_recording", spy)
+        _set_cores(monkeypatch, 1)
+        inline = run_experiment(recordings, cfg, templates).to_dict()
+        _set_cores(monkeypatch, 2)
+        pooled = run_experiment(recordings, cfg, templates).to_dict()
+        assert executors[:2] == [None, None] and len(executors) == 4
+        assert all(isinstance(e, ProcessPoolExecutor) for e in executors[2:])
+        assert pooled == inline
+        assert workers_gone()
+
+    def test_pool_closed_when_stage_a_fails(self, monkeypatch, workers_gone):
+        """A recording failing after others used the pool leaves no worker behind."""
+        good = synthesize_recording(patient_spec(0, duration_s=40.0))
+        bad = dataclasses.replace(good, patient_id="p09", imu=None)
+        _set_cores(monkeypatch, 2)
+        with pytest.raises(ValueError, match="p09 has no IMU track"):
+            evaluation._prepare_all([good, bad], ExperimentConfig(separation="emd"), None)
+        assert workers_gone()

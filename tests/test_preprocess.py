@@ -242,6 +242,29 @@ class TestChannelChain:
             out.channels[ChannelRole.MIXED_LEFT], rec.channels[ChannelRole.MIXED_LEFT]
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_channel_rejected(self, bad):
+        """The error names the patient and the channel before any filter runs."""
+        rng = np.random.default_rng(0)
+        left, right = rng.standard_normal(2500), rng.standard_normal(2500)
+        right[[7, 1200]] = bad
+        rec = Recording(
+            patient_id="p07",
+            channels={ChannelRole.MIXED_LEFT: left, ChannelRole.MIXED_RIGHT: right},
+        )
+        with pytest.raises(ValueError, match="recording p07: channel mixed_right has 2 NaN or Inf"):
+            preprocess_recording(rec)
+
+    def test_nonfinite_imu_rejected(self):
+        rng = np.random.default_rng(0)
+        imu = rng.standard_normal((3, 500))
+        imu[1, 3] = np.nan
+        rec = Recording(
+            patient_id="p07", channels={ChannelRole.MIXED_LEFT: rng.standard_normal(2500)}, imu=imu
+        )
+        with pytest.raises(ValueError, match="recording p07: IMU track has 1 NaN or Inf"):
+            preprocess_recording(rec)
+
     def test_optional_bandpass_stage(self):
         x = _tone(60.0) + _tone(10.0)
         cfg = PreprocessConfig(bandpass_hz=(1.0, 30.0))

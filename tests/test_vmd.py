@@ -1,5 +1,8 @@
 """Mode recovery, reconstruction, and motion screening for VMD."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,3 +333,58 @@ class TestRemoveMotionArtifacts:
             remove_motion_artifacts(
                 np.ones(1000), FS, np.ones((3, 200)), 50.0, block_s=1.0, overlap_s=0.6
             )
+
+
+def _spawn_pool():
+    """Two spawned workers, the kind of pool the experiment runner opens."""
+    return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+
+
+class TestBlockPool:
+    """Blocks screened on a process pool give the inline result bit for bit."""
+
+    def test_pool_matches_inline_exactly(self, workers_gone):
+        """Four blocks of an odd-length signal, converged and capped, one mode flagged."""
+        _, noisy, accel, imu_rate = _burst_recording(duration_s=90.0, seed=3)
+        x = np.append(noisy, noisy[-1])
+        kw = dict(k=4, max_iter=60)
+        inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate, **kw)
+        with _spawn_pool() as pool:
+            pooled, pooled_reports = remove_motion_artifacts(
+                x, FS, accel, imu_rate, executor=pool, **kw
+            )
+        assert len(x) % 2 == 1 and len(inline_reports) == 4
+        assert {r.converged for r in inline_reports} == {True, False}
+        assert sum(r.n_excluded for r in inline_reports) >= 1
+        assert pooled.tobytes() == inline.tobytes()
+        for a, b in zip(pooled_reports, inline_reports, strict=True):
+            assert a.r.tobytes() == b.r.tobytes()
+            np.testing.assert_array_equal(a.excluded, b.excluded)
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert workers_gone()
+
+    def test_all_flagged_block_warns_in_caller(self, workers_gone):
+        """The warning for a zeroed block is raised where the blocks are joined."""
+        _, noisy, accel, imu_rate = _burst_recording(duration_s=45.0)
+        with _spawn_pool() as pool, pytest.warns(UserWarning, match="every mode") as caught:
+            out, reports = remove_motion_artifacts(
+                noisy, FS, accel, imu_rate, threshold=-1.0, executor=pool, k=2, max_iter=5
+            )
+        assert len(reports) == 2
+        assert sum("every mode" in str(w.message) for w in caught) == 2
+        np.testing.assert_array_equal(out, 0.0)
+        assert workers_gone()
+
+    def test_worker_error_reraised_and_pool_closed(self, workers_gone):
+        """A block failing in a worker raises the inline error; no worker outlives the pool."""
+        x = np.random.default_rng(9).standard_normal(int(90 * FS))
+        x[int(40 * FS)] = np.nan  # in the second of four blocks
+        accel = np.ones((3, 90 * 50))
+        with pytest.raises(ValueError) as inline_error:
+            remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
+        with pytest.raises(ValueError) as pooled_error:
+            with _spawn_pool() as pool:
+                remove_motion_artifacts(x, FS, accel, 50.0, executor=pool, max_iter=5)
+        assert type(pooled_error.value) is ValueError
+        assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
+        assert workers_gone()
