@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import make_synthetic_corpus, template_sources, train_corpus_templates
-from .evaluation import ExperimentConfig, band_snr, compare_snr, run_experiment, sweep
+from .evaluation import ExperimentConfig, band_snr, compare_snr, run_experiment, screen_motion, sweep
 from .features import WindowSpec, feature_names, features_for_epochs, segment_recording
 from .io import load_recording, save_recording
 from .models import make_model, save_model
@@ -26,7 +26,7 @@ from .nnmf import NnmfConfig, load_templates, save_templates, separate_recording
 from .preprocess import PreprocessConfig, preprocess_recording
 from .emd import separate_recording_emd
 from .signals import EEG_BANDS, SynthComponent, SynthesisSpec, synthesize_recording
-from .vmd import MOTION_R_THRESHOLD, remove_motion_artifacts
+from .vmd import MOTION_R_THRESHOLD
 
 
 def _fail(exc: Exception) -> int:
@@ -110,22 +110,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    rec = load_recording(args.input)
-    if rec.imu is None:
-        raise ValueError("recording has no IMU track; motion screening needs one")
-    excluded_total = blocks = capped = 0
-    for role in list(rec.channels):
-        clean, reports = remove_motion_artifacts(
-            rec.channels[role], rec.sample_rate, rec.imu, rec.imu_rate,
-            threshold=args.threshold,
-        )
-        rec.channels[role] = clean
-        excluded_total += sum(r.n_excluded for r in reports)
-        blocks += len(reports)
-        capped += sum(not r.converged for r in reports)
-    save_recording(rec, args.out, payload=args.payload)
-    print(f"dropped {excluded_total} motion-correlated modes; "
-          f"{capped} of {blocks} blocks hit the VMD iteration cap; wrote {args.out}")
+    cleaned, reports = screen_motion(load_recording(args.input), args.threshold)
+    save_recording(cleaned, args.out, payload=args.payload)
+    excluded = sum(r.n_excluded for r in reports)
+    capped = sum(not r.converged for r in reports)
+    print(f"dropped {excluded} motion-correlated modes; "
+          f"{capped} of {len(reports)} blocks hit the VMD iteration cap; wrote {args.out}")
     return 0
 
 

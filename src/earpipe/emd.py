@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .signals import ChannelRole, Recording
+from .signals import Recording, separate_mixed
 
 SD_THRESHOLD = 0.25
 MAX_SIFTINGS = 100
@@ -158,31 +158,9 @@ def assign_modalities(result: EmdResult) -> ModalityAssignment:
 
 def separate_recording_emd(rec: Recording, **kwargs) -> Recording:
     """Split both mixed channels into EEG/EMG/EOG via EMD mode assignment."""
-    out: dict[ChannelRole, np.ndarray] = {}
-    pairs = (
-        (ChannelRole.MIXED_LEFT, ChannelRole.EEG_LEFT, ChannelRole.EMG_LEFT, ChannelRole.EOG_LEFT),
-        (ChannelRole.MIXED_RIGHT, ChannelRole.EEG_RIGHT, ChannelRole.EMG_RIGHT, ChannelRole.EOG_RIGHT),
-    )
-    for mixed, eeg_role, emg_role, eog_role in pairs:
-        if mixed not in rec.channels:
-            raise KeyError(f"recording lacks {mixed} channel")
-        assignment = assign_modalities(emd_decompose(rec.channels[mixed], **kwargs))
-        out[eeg_role] = assignment.eeg
-        out[emg_role] = assignment.emg
-        out[eog_role] = assignment.eog
-    ordered = {
-        role: out[role]
-        for role in (
-            ChannelRole.EEG_LEFT, ChannelRole.EEG_RIGHT,
-            ChannelRole.EMG_LEFT, ChannelRole.EMG_RIGHT,
-            ChannelRole.EOG_LEFT, ChannelRole.EOG_RIGHT,
-        )
-    }
-    return Recording(
-        patient_id=rec.patient_id,
-        sample_rate=rec.sample_rate,
-        channels=ordered,
-        imu=None if rec.imu is None else rec.imu.copy(),
-        imu_rate=rec.imu_rate,
-        annotations=list(rec.annotations),
-    )
+
+    def split(x: np.ndarray) -> dict[str, np.ndarray]:
+        assignment = assign_modalities(emd_decompose(x, **kwargs))
+        return {"eeg": assignment.eeg, "emg": assignment.emg, "eog": assignment.eog}
+
+    return separate_mixed(rec, split)

@@ -9,9 +9,11 @@ Sweeps over stride or class ratio reuse stage A products and extract each
 distinct window once for all sweep values, while a motion ablation reruns
 stage A.
 
-Stage A's VMD blocks run on a process pool that :func:`_prepare_all`
-opens once per run when motion handling is VMD and more than one core is
-available; recordings and channels are still visited here, one at a time.
+Stage A's motion step is :func:`screen_motion`, which screens each channel
+with IMU-correlated VMD.  Its blocks run on a process pool that
+:func:`_prepare_all` opens once per run when motion handling is VMD and
+more than one core is available; recordings and channels are still visited
+here, one at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import contextlib
 import multiprocessing
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.signal import welch
@@ -41,11 +43,10 @@ from .features import (
     separated_matrix,
 )
 from .models import make_model
-from .models.cnn import CnnClassifier
-from .nnmf import NnmfConfig, TemplateBank, separate_recording_nnmf
+from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
 from .signals import Recording
-from .vmd import MOTION_R_THRESHOLD, remove_motion_artifacts
+from .vmd import MOTION_R_THRESHOLD, MotionCorrelation, remove_motion_artifacts
 
 SNR_EPS = 1e-20
 
@@ -238,6 +239,27 @@ class ExperimentResult:
         }
 
 
+def screen_motion(
+    rec: Recording, threshold: float, executor: Executor | None = None
+) -> tuple[Recording, list[MotionCorrelation]]:
+    """Drop the IMU-correlated VMD modes of every channel of ``rec``.
+
+    Returns the cleaned recording and the block reports of all channels,
+    channel after channel.  ``remove_motion_artifacts`` is called through
+    this module's namespace, once per channel, so a caller that wraps that
+    name sees every channel.
+    """
+    if rec.imu is None:
+        raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
+    channels, reports = {}, []
+    for role, x in rec.channels.items():
+        channels[role], blocks = remove_motion_artifacts(
+            x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold, executor=executor
+        )
+        reports.extend(blocks)
+    return rec.with_channels(channels), reports
+
+
 def prepare_recording(
     rec: Recording,
     cfg: ExperimentConfig,
@@ -251,23 +273,12 @@ def prepare_recording(
     """
     conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
     if cfg.motion == "vmd":
-        if conditioned.imu is None:
-            raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-        for role in list(conditioned.channels):
-            cleaned, _ = remove_motion_artifacts(
-                conditioned.channels[role],
-                conditioned.sample_rate,
-                conditioned.imu,
-                conditioned.imu_rate,
-                threshold=cfg.motion_threshold,
-                executor=executor,
-            )
-            conditioned.channels[role] = cleaned
+        conditioned, _ = screen_motion(conditioned, cfg.motion_threshold, executor)
     elif cfg.motion == "bandpass":
-        for role in list(conditioned.channels):
-            conditioned.channels[role] = bandpass_filter(
-                conditioned.channels[role], conditioned.sample_rate, 1.0, 30.0
-            )
+        conditioned = conditioned.with_channels({
+            role: bandpass_filter(x, conditioned.sample_rate, 1.0, 30.0)
+            for role, x in conditioned.channels.items()
+        })
     elif cfg.motion != "off":
         raise ValueError(f"unknown motion mode {cfg.motion!r}")
 
@@ -467,7 +478,7 @@ def sweep(
     rows = []
     if axis == "motion":
         for value in SWEEP_AXES[axis]:
-            sub = _replace_cfg(cfg, motion=value)
+            sub = replace(cfg, motion=value)
             result = run_experiment(recordings, sub, templates)
             rows.append(_sweep_row(axis, value, result))
         return rows
@@ -477,17 +488,11 @@ def sweep(
     strides = values if axis == "stride" else [cfg.stride_s]
     tables = window_tables(separated, strides, with_features=cfg.model != "cnn")
     for i, value in enumerate(values):
-        sub = _replace_cfg(cfg, **{"stride_s" if axis == "stride" else "ratio": value})
+        sub = replace(cfg, **{"stride_s" if axis == "stride" else "ratio": value})
         windows = tables[i] if axis == "stride" else tables[0]
         result = run_experiment(recordings, sub, templates, windows=windows)
         rows.append(_sweep_row(axis, value, result))
     return rows
-
-
-def _replace_cfg(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    data = cfg.to_dict()
-    data.update(kwargs)
-    return ExperimentConfig(**data)
 
 
 def _sweep_row(axis: str, value, result: ExperimentResult) -> dict:

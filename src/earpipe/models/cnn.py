@@ -8,7 +8,7 @@ gradient check runs on a shrunken copy of the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     focal_gamma: float = 2.0
-    test_fraction: float = 0.2
     val_fraction: float = 0.2
     seed: int = 0
 
@@ -251,11 +250,9 @@ class CnnClassifier:
         epoch_rng = np.random.default_rng(seeds[2])
 
         order = split_rng.permutation(len(y))
-        n_test = int(round(cfg.test_fraction * len(y)))
-        fit_idx = order[n_test:]
-        n_val = int(round(cfg.val_fraction * len(fit_idx)))
-        val_idx = fit_idx[:n_val]
-        train_idx = fit_idx[n_val:]
+        n_val = int(round(cfg.val_fraction * len(order)))
+        val_idx = order[:n_val]
+        train_idx = order[n_val:]
         if len(train_idx) == 0 or len(np.unique(y[train_idx])) < 2:
             raise ValueError("training split ended up without both classes")
 
@@ -290,3 +287,21 @@ class CnnClassifier:
             logits, _ = self.net.forward(windows[lo:lo + 256])
             out.append(np.argmax(logits, axis=1))
         return np.concatenate(out) if out else np.zeros(0, dtype=int)
+
+    def state(self) -> tuple[dict, list[np.ndarray]]:
+        """Header fields and arrays from which :meth:`from_state` rebuilds the network."""
+        if self.net is None:
+            raise ValueError("cannot save an unfitted model")
+        names = sorted(self.net.params)
+        header = {"config": asdict(self.config), "param_names": names}
+        return header, [self.net.params[n] for n in names]
+
+    @classmethod
+    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "CnnClassifier":
+        raw = dict(header["config"])
+        raw["conv_filters"] = tuple(raw["conv_filters"])
+        raw["fc_units"] = tuple(raw["fc_units"])
+        model = cls(CnnConfig(**raw))
+        model.net = Cnn1d(model.config, seed=0)
+        model.net.params = dict(zip(header["param_names"], arrays))
+        return model

@@ -8,7 +8,7 @@ randomness flows from one seed, so a forest is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,6 +108,43 @@ class DecisionTree:
             out[i] = node.klass
         return out
 
+    def to_matrix(self) -> np.ndarray:
+        """Preorder rows of [feature, threshold, left row, right row, class]."""
+        rows: list[list[float]] = []
+
+        def walk(node: _Node) -> int:
+            my_id = len(rows)
+            rows.append([0.0] * 5)
+            if node.is_leaf:
+                rows[my_id] = [-1.0, 0.0, -1.0, -1.0, float(node.klass)]
+            else:
+                left_id = walk(node.left)
+                right_id = walk(node.right)
+                rows[my_id] = [
+                    float(node.feature), node.threshold, float(left_id), float(right_id), -1.0
+                ]
+            return my_id
+
+        walk(self.root)
+        return np.array(rows)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, max_depth: int) -> "DecisionTree":
+        def build(idx: int) -> _Node:
+            feature, threshold, left, right, klass = matrix[idx]
+            if klass >= 0:
+                return _Node(klass=int(klass))
+            return _Node(
+                feature=int(feature),
+                threshold=float(threshold),
+                left=build(int(left)),
+                right=build(int(right)),
+            )
+
+        tree = cls(max_depth=max_depth)
+        tree.root = build(0)
+        return tree
+
 
 class RandomForestClassifier:
     def __init__(self, config: ForestConfig = ForestConfig()):
@@ -137,3 +174,15 @@ class RandomForestClassifier:
         for i in range(len(x)):
             out[i] = int(np.argmax(np.bincount(votes[:, i])))
         return out
+
+    def state(self) -> tuple[dict, list[np.ndarray]]:
+        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
+        if not self.trees:
+            raise ValueError("cannot save an unfitted model")
+        return {"config": asdict(self.config)}, [t.to_matrix() for t in self.trees]
+
+    @classmethod
+    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "RandomForestClassifier":
+        model = cls(ForestConfig(**header["config"]))
+        model.trees = [DecisionTree.from_matrix(m, model.config.max_depth) for m in arrays]
+        return model

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,3 +45,16 @@ class KnnClassifier:
             # argmax returns the lowest class id among tied vote counts
             out[i] = int(np.argmax(counts))
         return out
+
+    def state(self) -> tuple[dict, list[np.ndarray]]:
+        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
+        if self._x is None:
+            raise ValueError("cannot save an unfitted model")
+        return {"config": asdict(self.config)}, [self._x, self._y.astype(np.float64)]
+
+    @classmethod
+    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "KnnClassifier":
+        model = cls(KnnConfig(**header["config"]))
+        model._x = arrays[0]
+        model._y = arrays[1].ravel().astype(int)
+        return model

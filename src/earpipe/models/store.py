@@ -1,134 +1,39 @@
-"""Self-describing model files: a kind tag, hyperparameters, float64 payload."""
+"""Self-describing model files: a kind tag, hyperparameters, float64 payload.
+
+Each classifier hands over its own header fields and arrays through
+``state()`` and is rebuilt by ``from_state()``; this module adds the kind
+tag and owns the container.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .. import io as containers
-from .cnn import Cnn1d, CnnClassifier, CnnConfig, TrainConfig
-from .forest import DecisionTree, ForestConfig, RandomForestClassifier, _Node
-from .knn import KnnClassifier, KnnConfig
-from .svm import SvmClassifier, SvmConfig
+from .cnn import CnnClassifier
+from .forest import RandomForestClassifier
+from .knn import KnnClassifier
+from .svm import SvmClassifier
 
-
-def _tree_to_matrix(tree: DecisionTree) -> np.ndarray:
-    # preorder flatten; each row is [feature, threshold, left_id, right_id, klass]
-    rows: list[list[float]] = []
-
-    def walk(node: _Node) -> int:
-        my_id = len(rows)
-        rows.append([0.0] * 5)
-        if node.is_leaf:
-            rows[my_id] = [-1.0, 0.0, -1.0, -1.0, float(node.klass)]
-        else:
-            left_id = walk(node.left)
-            right_id = walk(node.right)
-            rows[my_id] = [float(node.feature), node.threshold, float(left_id), float(right_id), -1.0]
-        return my_id
-
-    walk(tree.root)
-    return np.array(rows)
-
-
-def _tree_from_matrix(matrix: np.ndarray, max_depth: int) -> DecisionTree:
-    def build(idx: int) -> _Node:
-        feature, threshold, left, right, klass = matrix[idx]
-        if klass >= 0:
-            return _Node(klass=int(klass))
-        return _Node(
-            feature=int(feature),
-            threshold=float(threshold),
-            left=build(int(left)),
-            right=build(int(right)),
-        )
-
-    tree = DecisionTree(max_depth=max_depth)
-    tree.root = build(0)
-    return tree
+MODEL_CLASSES = {
+    "svm": SvmClassifier,
+    "knn": KnnClassifier,
+    "rfc": RandomForestClassifier,
+    "cnn": CnnClassifier,
+}
 
 
 def save_model(model, path: str | Path) -> Path:
-    if isinstance(model, SvmClassifier):
-        if model._sv_x is None:
-            raise ValueError("cannot save an unfitted model")
-        header = {
-            "kind": "svm",
-            "config": {"c": model.config.c, "gamma": model.config.gamma, "tol": model.config.tol},
-            "b": model.b,
-        }
-        return containers.write_container(path, header, [model._sv_x, model._sv_coef])
-
-    if isinstance(model, KnnClassifier):
-        if model._x is None:
-            raise ValueError("cannot save an unfitted model")
-        header = {"kind": "knn", "config": {"k": model.config.k}}
-        return containers.write_container(path, header, [model._x, model._y.astype(np.float64)])
-
-    if isinstance(model, RandomForestClassifier):
-        if not model.trees:
-            raise ValueError("cannot save an unfitted model")
-        header = {
-            "kind": "rfc",
-            "config": {
-                "n_trees": model.config.n_trees,
-                "max_depth": model.config.max_depth,
-                "seed": model.config.seed,
-            },
-        }
-        return containers.write_container(path, header, [_tree_to_matrix(t) for t in model.trees])
-
-    if isinstance(model, CnnClassifier):
-        if model.net is None:
-            raise ValueError("cannot save an unfitted model")
-        names = sorted(model.net.params)
-        cfg = model.config
-        header = {
-            "kind": "cnn",
-            "config": {
-                "in_channels": cfg.in_channels,
-                "input_len": cfg.input_len,
-                "conv_filters": list(cfg.conv_filters),
-                "kernel": cfg.kernel,
-                "pool": cfg.pool,
-                "fc_units": list(cfg.fc_units),
-                "n_classes": cfg.n_classes,
-                "dropout": cfg.dropout,
-            },
-            "param_names": names,
-        }
-        return containers.write_container(path, header, [model.net.params[n] for n in names])
-
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    kind = next((k for k, cls in MODEL_CLASSES.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    header, arrays = model.state()
+    return containers.write_container(path, {"kind": kind, **header}, arrays)
 
 
 def load_model(path: str | Path):
     header, arrays = containers.read_container(path)
     kind = header.get("kind")
-    if kind == "svm":
-        model = SvmClassifier(SvmConfig(**header["config"]))
-        model._sv_x, model._sv_coef = arrays
-        model._sv_coef = model._sv_coef.ravel()
-        model.b = float(header["b"])
-        model.support_ = np.arange(len(model._sv_x))
-        return model
-    if kind == "knn":
-        model = KnnClassifier(KnnConfig(**header["config"]))
-        model._x = arrays[0]
-        model._y = arrays[1].ravel().astype(int)
-        return model
-    if kind == "rfc":
-        cfg = ForestConfig(**header["config"])
-        model = RandomForestClassifier(cfg)
-        model.trees = [_tree_from_matrix(m, cfg.max_depth) for m in arrays]
-        return model
-    if kind == "cnn":
-        raw = dict(header["config"])
-        raw["conv_filters"] = tuple(raw["conv_filters"])
-        raw["fc_units"] = tuple(raw["fc_units"])
-        model = CnnClassifier(CnnConfig(**raw), TrainConfig())
-        model.net = Cnn1d(model.config, seed=0)
-        model.net.params = {n: a for n, a in zip(header["param_names"], arrays)}
-        return model
-    raise ValueError(f"unknown model kind {kind!r} in {path}")
+    if kind not in MODEL_CLASSES:
+        raise ValueError(f"unknown model kind {kind!r} in {path}")
+    return MODEL_CLASSES[kind].from_state(header, arrays)

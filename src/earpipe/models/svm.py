@@ -135,3 +135,19 @@ class SvmClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return (self.decision_function(x) >= 0.0).astype(int)
+
+    def state(self) -> tuple[dict, list[np.ndarray]]:
+        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
+        if self._sv_x is None:
+            raise ValueError("cannot save an unfitted model")
+        cfg = self.config
+        header = {"config": {"c": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol}, "b": self.b}
+        return header, [self._sv_x, self._sv_coef]
+
+    @classmethod
+    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "SvmClassifier":
+        model = cls(SvmConfig(**header["config"]))
+        model._sv_x, model._sv_coef = arrays[0], arrays[1].ravel()
+        model.b = float(header["b"])
+        model.support_ = np.arange(len(model._sv_x))
+        return model

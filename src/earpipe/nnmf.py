@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as containers
-from .signals import ChannelRole, Recording
+from .signals import Recording, separate_mixed
 from .stft import Spectrogram, StftConfig, istft, stft
 
 EPS = 1e-12
@@ -207,41 +207,7 @@ def separate_recording_nnmf(
     """Split both mixed channels into the six separated roles."""
     if abs(rec.sample_rate - bank.sample_rate) > 1e-9:
         raise ValueError("recording and template bank sample rates differ")
-    role_map = {
-        ChannelRole.MIXED_LEFT: {
-            "eeg": ChannelRole.EEG_LEFT,
-            "emg": ChannelRole.EMG_LEFT,
-            "eog": ChannelRole.EOG_LEFT,
-        },
-        ChannelRole.MIXED_RIGHT: {
-            "eeg": ChannelRole.EEG_RIGHT,
-            "emg": ChannelRole.EMG_RIGHT,
-            "eog": ChannelRole.EOG_RIGHT,
-        },
-    }
-    out: dict[ChannelRole, np.ndarray] = {}
-    for mixed, mapping in role_map.items():
-        if mixed not in rec.channels:
-            raise KeyError(f"recording lacks {mixed} channel")
-        sep = separate_channel(rec.channels[mixed], bank, cfg)
-        for modality, role in mapping.items():
-            out[role] = sep.signals[modality]
-    ordered = {
-        role: out[role]
-        for role in (
-            ChannelRole.EEG_LEFT, ChannelRole.EEG_RIGHT,
-            ChannelRole.EMG_LEFT, ChannelRole.EMG_RIGHT,
-            ChannelRole.EOG_LEFT, ChannelRole.EOG_RIGHT,
-        )
-    }
-    return Recording(
-        patient_id=rec.patient_id,
-        sample_rate=rec.sample_rate,
-        channels=ordered,
-        imu=None if rec.imu is None else rec.imu.copy(),
-        imu_rate=rec.imu_rate,
-        annotations=list(rec.annotations),
-    )
+    return separate_mixed(rec, lambda x: separate_channel(x, bank, cfg).signals)
 
 
 def save_templates(bank: TemplateBank, path: str | Path) -> Path:

@@ -7,12 +7,12 @@ too since it gates whether a channel is usable at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
 
-from .signals import ChannelRole, Recording
+from .signals import Recording
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,7 @@ def preprocess_recording(rec: Recording, cfg: PreprocessConfig = PreprocessConfi
                 f"recording {rec.patient_id}: {name} has {int(bad.sum())} NaN or Inf "
                 "samples; repair or drop them before conditioning"
             )
-    channels = {
+    return rec.with_channels({
         role: preprocess_channel(x, rec.sample_rate, cfg)
         for role, x in rec.channels.items()
-    }
-    return Recording(
-        patient_id=rec.patient_id,
-        sample_rate=rec.sample_rate,
-        channels=channels,
-        imu=None if rec.imu is None else rec.imu.copy(),
-        imu_rate=rec.imu_rate,
-        annotations=list(rec.annotations),
-    )
+    })

@@ -8,7 +8,7 @@ motion-correlated artifacts can be identified later in the pipeline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import signal as sps
@@ -139,6 +139,38 @@ class Recording:
         if missing:
             raise KeyError(f"recording lacks channels: {[str(r) for r in missing]}")
         return np.stack([self.channels[r] for r in roles])
+
+    def with_channels(self, channels: dict[ChannelRole, np.ndarray]) -> Recording:
+        """This recording with ``channels`` in place of its own.
+
+        The IMU track and the annotation list are copies, so changing the
+        new recording leaves this one as it was.
+        """
+        return replace(
+            self,
+            channels=channels,
+            imu=None if self.imu is None else self.imu.copy(),
+            annotations=list(self.annotations),
+        )
+
+
+def separate_mixed(rec: Recording, split) -> Recording:
+    """Split each of ``MIXED_ROLES`` into EEG, EMG and EOG.
+
+    ``split(x)`` maps one mixed channel to a dict holding at least the
+    ``"eeg"``, ``"emg"`` and ``"eog"`` signals.  The result carries the six
+    roles in ``SEPARATED_ROLES`` order.
+    """
+    for mixed in MIXED_ROLES:
+        if mixed not in rec.channels:
+            raise KeyError(f"recording lacks {mixed} channel")
+    separated = {}
+    for mixed in MIXED_ROLES:
+        side = mixed.value.removeprefix("mixed_")
+        signals = split(rec.channels[mixed])
+        for modality in ("eeg", "emg", "eog"):
+            separated[ChannelRole(f"{modality}_{side}")] = signals[modality]
+    return rec.with_channels({role: separated[role] for role in SEPARATED_ROLES})
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from earpipe.cli import main
-from earpipe.io import load_recording
+from earpipe.io import load_recording, save_recording
 from earpipe.nnmf import load_templates
-from earpipe.signals import SEPARATED_ROLES
+from earpipe.signals import MIXED_ROLES, SEPARATED_ROLES, Recording
 from earpipe.vmd import remove_motion_artifacts
 
 
@@ -207,6 +207,16 @@ class TestFailureReporting:
         ])
         assert code == 2
         assert "templates" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_denoise_without_imu_names_patient(self, capsys, tmp_path):
+        rec = Recording(patient_id="noimu7", channels={r: np.zeros(2500) for r in MIXED_ROLES})
+        save_recording(rec, tmp_path / "raw")
+        code = main(["denoise", "--in", str(tmp_path / "raw"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "noimu7 has no IMU track" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_cnn_training_redirects_to_evaluate(self, artifacts, capsys, tmp_path):
         code = main([

@@ -29,6 +29,7 @@ from earpipe.signals import (
     SEPARATED_ROLES,
     synthesize_recording,
 )
+from earpipe.vmd import MOTION_R_THRESHOLD, remove_motion_artifacts
 
 FS = 250.0
 
@@ -279,6 +280,34 @@ class TestSweep:
             assert row["macro_recall"] == alone.macro["recall"]
             assert row["macro_f1"] == alone.macro["f1"]
             assert row["micro_accuracy"] == alone.micro.accuracy
+
+
+class TestScreenMotion:
+    def test_reports_are_channel_reports_in_order(self, monkeypatch):
+        """screen_motion cleans each channel as remove_motion_artifacts does
+        and returns the per-channel reports concatenated in channel order,
+        calling that function through the evaluation module once per channel."""
+        rec = synthesize_recording(patient_spec(0, duration_s=40.0))
+        calls = []
+
+        def spy(x, *args, real=evaluation.remove_motion_artifacts, **kwargs):
+            calls.append(x)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "remove_motion_artifacts", spy)
+        out, reports = evaluation.screen_motion(rec, MOTION_R_THRESHOLD)
+        assert len(calls) == len(rec.channels)
+        expected = []
+        for role, x in rec.channels.items():
+            cleaned, blocks = remove_motion_artifacts(x, rec.sample_rate, rec.imu, rec.imu_rate)
+            np.testing.assert_array_equal(out.channels[role], cleaned)
+            expected += blocks
+        assert len(reports) == len(expected) == 4
+        for got, want in zip(reports, expected):
+            np.testing.assert_array_equal(got.r, want.r)
+            np.testing.assert_array_equal(got.excluded, want.excluded)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert not np.shares_memory(out.imu, rec.imu)
 
 
 def _set_cores(monkeypatch, count):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from earpipe import io as containers
 from earpipe.models.cnn import (
     Adam,
     Cnn1d,
@@ -358,6 +359,43 @@ class TestModelStore:
         model = CnnClassifier(TINY, TrainConfig(epochs=2, batch_size=8)).fit(x, y)
         loaded = load_model(save_model(model, tmp_path / "m.npz"))
         np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+    def test_file_header_pinned(self, tmp_path):
+        """Each kind's container header (tag, config, extra fields, array
+        shapes) is fixed, whichever code fills it in."""
+        x, y = _blobs(n_per=6, seed=19)
+        w = np.random.default_rng(20).standard_normal((8, 2, 24))
+        models = {
+            "svm": SvmClassifier().fit(x, y),
+            "knn": KnnClassifier().fit(x, y),
+            "rfc": RandomForestClassifier(ForestConfig(n_trees=2, max_depth=3, seed=5)).fit(x, y),
+            "cnn": CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(w, [0, 1] * 4),
+        }
+        expected = {
+            "svm": {
+                "kind": "svm", "config": {"c": 20.0, "gamma": 0.5, "tol": 0.001},
+                "b": models["svm"].b, "arrays": [[8, 2], [8]],
+            },
+            "knn": {"kind": "knn", "config": {"k": 5}, "arrays": [[12, 2], [12]]},
+            "rfc": {
+                "kind": "rfc", "config": {"n_trees": 2, "max_depth": 3, "seed": 5},
+                "arrays": [[3, 5], [3, 5]],
+            },
+            "cnn": {
+                "kind": "cnn",
+                "config": {
+                    "in_channels": 2, "input_len": 24, "conv_filters": [3, 4], "kernel": 3,
+                    "pool": 2, "fc_units": [6], "n_classes": 2, "dropout": 0.0,
+                },
+                "param_names": [
+                    "conv0_b", "conv0_w", "conv1_b", "conv1_w", "fc0_b", "fc0_w", "out_b", "out_w",
+                ],
+                "arrays": [[3], [3, 2, 3], [4], [4, 3, 3], [6], [6, 24], [2], [2, 6]],
+            },
+        }
+        for kind, model in models.items():
+            header, _ = containers.read_container(save_model(model, tmp_path / kind))
+            assert header == expected[kind], kind
 
     def test_unfitted_save_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):

@@ -233,3 +233,10 @@ class TestSeparation:
         )
         with pytest.raises(ValueError, match="sample rates differ"):
             separate_recording_nnmf(rec, bank)
+
+    def test_recording_missing_channel_rejected(self, bank):
+        rec = Recording(
+            patient_id="t03", sample_rate=FS, channels={ChannelRole.MIXED_LEFT: np.ones(1000)}
+        )
+        with pytest.raises(KeyError, match="mixed_right"):
+            separate_recording_nnmf(rec, bank)

@@ -13,11 +13,13 @@ from earpipe.signals import (
     ChannelRole,
     MIXED_ROLES,
     Recording,
+    SEPARATED_ROLES,
     SeizureAnnotation,
     SynthComponent,
     SynthesisSpec,
     _spike_wave_period,
     render_sources,
+    separate_mixed,
     synthesize_recording,
 )
 
@@ -71,6 +73,45 @@ class TestRecording:
         )
         with pytest.raises(KeyError):
             rec.channel_matrix((ChannelRole.EEG_LEFT,))
+
+    def test_with_channels_copies_imu_and_annotations(self):
+        rec = Recording(
+            patient_id="p",
+            sample_rate=100.0,
+            channels={ChannelRole.MIXED_LEFT: np.zeros(10)},
+            imu=np.ones((3, 4)),
+            imu_rate=20.0,
+            annotations=[SeizureAnnotation(0.02, 0.05)],
+        )
+        out = rec.with_channels({ChannelRole.EEG_LEFT: np.arange(10)})
+        assert (out.patient_id, out.sample_rate, out.imu_rate) == ("p", 100.0, 20.0)
+        assert tuple(out.channels) == (ChannelRole.EEG_LEFT,)
+        assert out.channels[ChannelRole.EEG_LEFT].dtype == np.float64
+        np.testing.assert_array_equal(out.imu, rec.imu)
+        assert not np.shares_memory(out.imu, rec.imu)
+        assert out.annotations == rec.annotations
+        assert out.annotations is not rec.annotations
+        assert tuple(rec.channels) == (ChannelRole.MIXED_LEFT,)
+        assert Recording(patient_id="q").with_channels({}).imu is None
+
+    def test_with_channels_rejects_unequal_lengths(self):
+        rec = Recording(patient_id="p", channels={ChannelRole.MIXED_LEFT: np.zeros(10)})
+        with pytest.raises(ValueError, match="lengths differ"):
+            rec.with_channels({ChannelRole.EEG_LEFT: np.zeros(10), ChannelRole.EEG_RIGHT: np.zeros(9)})
+
+    def test_separate_mixed_places_each_side(self):
+        """Each side's split lands on that side's roles, in SEPARATED_ROLES order."""
+        rec = Recording(
+            patient_id="p",
+            channels={ChannelRole.MIXED_RIGHT: np.full(4, 2.0), ChannelRole.MIXED_LEFT: np.ones(4)},
+        )
+        out = separate_mixed(rec, lambda x: {"eog": x + 30, "eeg": x + 10, "emg": x + 20})
+        assert tuple(out.channels) == SEPARATED_ROLES
+        firsts = {role.value: x[0] for role, x in out.channels.items()}
+        assert firsts == {
+            "eeg_left": 11, "eeg_right": 12, "emg_left": 21,
+            "emg_right": 22, "eog_left": 31, "eog_right": 32,
+        }
 
 
 class TestAnnotation:
