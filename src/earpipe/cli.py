@@ -18,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from .corpus import make_synthetic_corpus, template_sources, train_corpus_templates
-from .evaluation import ExperimentConfig, band_snr, compare_snr, run_experiment, screen_motion, sweep
+from .evaluation import (
+    ExperimentConfig, band_snr, compare_snr, run_experiment, screen_motion, separate_sources, sweep,
+)
 from .features import WindowSpec, feature_names, features_for_epochs, segment_recording
 from .io import load_recording, save_recording
 from .models import make_model, save_model
-from .nnmf import NnmfConfig, load_templates, save_templates, separate_recording_nnmf, train_templates
+from .nnmf import NnmfConfig, load_templates, save_templates, train_templates
 from .preprocess import PreprocessConfig, preprocess_recording
-from .emd import separate_recording_emd
 from .signals import EEG_BANDS, SynthComponent, SynthesisSpec, synthesize_recording
 from .vmd import MOTION_R_THRESHOLD
 
@@ -121,13 +122,8 @@ def cmd_denoise(args) -> int:
 
 def cmd_separate(args) -> int:
     rec = load_recording(args.input)
-    if args.method == "nnmf":
-        if args.templates is None:
-            raise ValueError("nnmf separation needs --templates")
-        separated = separate_recording_nnmf(rec, load_templates(args.templates))
-    else:
-        separated = separate_recording_emd(rec)
-    save_recording(separated, args.out, payload=args.payload)
+    templates = load_templates(args.templates) if args.templates else None
+    save_recording(separate_sources(rec, args.method, templates), args.out, payload=args.payload)
     print(f"separated recording ({args.method}) written to {args.out}")
     return 0
 
@@ -141,7 +137,12 @@ def cmd_train_templates(args) -> int:
         if missing:
             raise ValueError(f"provide --{', --'.join(missing)} or use --synthetic")
         recs = {n: load_recording(getattr(args, n)) for n in ("eeg", "emg", "eog")}
-        fs = next(iter(recs.values())).sample_rate
+        rates = {n: r.sample_rate for n, r in recs.items()}
+        if len(set(rates.values())) > 1:
+            named = ", ".join(f"{n} {rate:g} Hz" for n, rate in rates.items())
+            raise ValueError(f"template sources have different sample rates ({named}); "
+                             "resample them to one rate first")
+        fs = rates["eeg"]
         sources = {n: r.channel_matrix()[0] for n, r in recs.items()}
     bank, history = train_templates(sources, fs, cfg=NnmfConfig(seed=args.seed))
     save_templates(bank, args.out)

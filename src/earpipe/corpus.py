@@ -21,7 +21,6 @@ from .signals import (
     render_sources,
     synthesize_recording,
 )
-from .stft import StftConfig
 
 DURATION_S = 90.0
 SEIZURE_START_S = 30.0
@@ -102,13 +101,7 @@ def template_sources(master_seed: int = 0, duration_s: float = 60.0) -> dict[str
     return {"eeg": sources["eeg"], "emg": sources["emg"], "eog": sources["eog"]}
 
 
-def train_corpus_templates(
-    master_seed: int = 0,
-    stft_cfg: StftConfig = StftConfig(),
-    nnmf_cfg: NnmfConfig | None = None,
-) -> TemplateBank:
+def train_corpus_templates(master_seed: int = 0) -> TemplateBank:
     """Template bank trained on the synthetic per-modality sources."""
-    if nnmf_cfg is None:
-        nnmf_cfg = NnmfConfig(seed=master_seed)
-    bank, _ = train_templates(template_sources(master_seed), fs=250.0, stft_cfg=stft_cfg, cfg=nnmf_cfg)
+    bank, _ = train_templates(template_sources(master_seed), fs=250.0, cfg=NnmfConfig(seed=master_seed))
     return bank

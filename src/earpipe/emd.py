@@ -4,6 +4,10 @@ Sifting follows the classic recipe: cubic-spline envelopes through the
 extrema, stopped by a Cauchy-style convergence ratio.  Boundaries are
 handled by mirroring two extrema beyond each end so the splines do not
 swing wildly at the edges.
+
+The modality split reads IMFs 1-6 only and stops sifting there: each IMF is
+sifted from the residual the ones before it leave, so IMFs 1-6 do not depend
+on how many follow.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .signals import Recording, separate_mixed
 SD_THRESHOLD = 0.25
 MAX_SIFTINGS = 100
 MAX_IMFS = 8
+EMG_IMF = 0  # the IMFs the modality split reads, 0-based (see ModalityAssignment)
+EEG_IMF = 2
+EOG_IMFS = slice(3, 6)
 
 
 @dataclass
@@ -143,24 +150,24 @@ def assign_modalities(result: EmdResult) -> ModalityAssignment:
     n = result.residual.shape[0]
     k = result.n_imfs
     zeros = np.zeros(n)
-    emg = result.imfs[0] if k >= 1 else zeros.copy()
-    eeg = result.imfs[2] if k >= 3 else zeros.copy()
-    eog_parts = result.imfs[3:6]
+    emg = result.imfs[EMG_IMF] if k > EMG_IMF else zeros.copy()
+    eeg = result.imfs[EEG_IMF] if k > EEG_IMF else zeros.copy()
+    eog_parts = result.imfs[EOG_IMFS]
     eog = eog_parts.sum(axis=0) if len(eog_parts) else zeros.copy()
     return ModalityAssignment(
         emg=emg,
         eeg=eeg,
         eog=eog,
-        partial_eog=k < 6,
-        degenerate=k < 3,
+        partial_eog=k < EOG_IMFS.stop,
+        degenerate=k <= EEG_IMF,
     )
 
 
-def separate_recording_emd(rec: Recording, **kwargs) -> Recording:
+def separate_recording_emd(rec: Recording) -> Recording:
     """Split both mixed channels into EEG/EMG/EOG via EMD mode assignment."""
 
     def split(x: np.ndarray) -> dict[str, np.ndarray]:
-        assignment = assign_modalities(emd_decompose(x, **kwargs))
+        assignment = assign_modalities(emd_decompose(x, max_imfs=EOG_IMFS.stop))
         return {"eeg": assignment.eeg, "emg": assignment.emg, "eog": assignment.eog}
 
     return separate_mixed(rec, split)

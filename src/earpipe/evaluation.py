@@ -281,14 +281,19 @@ def prepare_recording(
         })
     elif cfg.motion != "off":
         raise ValueError(f"unknown motion mode {cfg.motion!r}")
+    return separate_sources(conditioned, cfg.separation, templates)
 
-    if cfg.separation == "nnmf":
+
+def separate_sources(rec: Recording, method: str, templates: TemplateBank | None = None) -> Recording:
+    """Split ``rec`` into the six roles by ``method`` ("nnmf" or "emd"), calling the
+    splitter through this module's namespace so a caller wrapping it sees each call."""
+    if method == "nnmf":
         if templates is None:
-            raise ValueError("nnmf separation needs a template bank")
-        return separate_recording_nnmf(conditioned, templates)
-    if cfg.separation == "emd":
-        return separate_recording_emd(conditioned)
-    raise ValueError(f"unknown separation method {cfg.separation!r}")
+            raise ValueError("nnmf separation needs a template bank (--templates)")
+        return separate_recording_nnmf(rec, templates)
+    if method == "emd":
+        return separate_recording_emd(rec)
+    raise ValueError(f"unknown separation method {method!r}")
 
 
 def _fold_seed(master_seed: int, purpose: int, index: int) -> int:

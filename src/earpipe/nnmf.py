@@ -1,10 +1,12 @@
 """Supervised nonnegative matrix factorization over power spectrograms.
 
 Training learns a per-modality dictionary of spectral templates by
-minimizing the Itakura-Saito divergence with multiplicative updates.  The
-dictionaries are concatenated into a bank; separating a mixture keeps the
-bank fixed, fits only the activations, and rebuilds each modality through a
-soft Wiener-style mask applied to the complex mixture spectrogram.
+minimizing the Itakura-Saito divergence with multiplicative updates
+(Fevotte & Idier, Neural Computation 2011).  The dictionaries are
+concatenated into a bank; separating a mixture runs the same update loop
+with the bank fixed, fits only the activations, and rebuilds each modality
+through a soft Wiener-style mask applied to the complex mixture spectrogram.
+The loop forms ``w @ h`` once per factor update.
 
 The IS divergence is the natural fit for audio-like power spectra because
 it is scale invariant: quiet time-frequency cells cost as much to misfit
@@ -13,14 +15,14 @@ as loud ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as containers
 from .signals import Recording, separate_mixed
-from .stft import Spectrogram, StftConfig, istft, stft
+from .stft import StftConfig, istft, stft
 
 EPS = 1e-12
 
@@ -66,18 +68,36 @@ def beta_divergence(x: np.ndarray, y: np.ndarray, beta: int) -> float:
     raise ValueError("beta must be 0, 1 or 2")
 
 
-def _update_h(v: np.ndarray, w: np.ndarray, h: np.ndarray, beta: int) -> np.ndarray:
-    wh = np.maximum(w @ h, EPS)
+# ``wh`` is the current ``w @ h`` floored at ``EPS``, formed once by the caller
+def _update_h(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta: int) -> np.ndarray:
     num = w.T @ (wh ** (beta - 2) * v)
     den = np.maximum(w.T @ wh ** (beta - 1), EPS)
     return np.maximum(h * num / den, EPS)
 
 
-def _update_w(v: np.ndarray, w: np.ndarray, h: np.ndarray, beta: int) -> np.ndarray:
-    wh = np.maximum(w @ h, EPS)
+def _update_w(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta: int) -> np.ndarray:
     num = (wh ** (beta - 2) * v) @ h.T
     den = np.maximum(wh ** (beta - 1) @ h.T, EPS)
     return np.maximum(w * num / den, EPS)
+
+
+def _multiplicative_updates(
+    v: np.ndarray, w: np.ndarray, h: np.ndarray, cfg: NnmfConfig, learn_w: bool
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Fit ``v ~ w @ h`` from the given start, keeping ``w`` fixed unless ``learn_w``."""
+    wh = w @ h
+    history = [beta_divergence(v, wh, cfg.beta)]
+    for _ in range(cfg.max_iter):
+        h = _update_h(v, w, h, np.maximum(wh, EPS), cfg.beta)
+        wh = w @ h
+        if learn_w:
+            w = _update_w(v, w, h, np.maximum(wh, EPS), cfg.beta)
+            wh = w @ h
+        history.append(beta_divergence(v, wh, cfg.beta))
+        prev, cur = history[-2], history[-1]
+        if prev > 0 and (prev - cur) / prev < cfg.tol:
+            break
+    return w, h, history
 
 
 def nnmf_factorize(
@@ -92,15 +112,7 @@ def nnmf_factorize(
     rng = np.random.default_rng(cfg.seed)
     w = rng.uniform(0.5, 1.5, size=(bins, rank)) * np.sqrt(v.mean() / rank)
     h = rng.uniform(0.5, 1.5, size=(rank, frames)) * np.sqrt(v.mean() / rank)
-    history = [beta_divergence(v, w @ h, cfg.beta)]
-    for _ in range(cfg.max_iter):
-        h = _update_h(v, w, h, cfg.beta)
-        w = _update_w(v, w, h, cfg.beta)
-        history.append(beta_divergence(v, w @ h, cfg.beta))
-        prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < cfg.tol:
-            break
-    return w, h, history
+    return _multiplicative_updates(v, w, h, cfg, learn_w=True)
 
 
 @dataclass
@@ -121,7 +133,6 @@ class TemplateBank:
 def train_templates(
     sources: dict[str, np.ndarray],
     fs: float,
-    stft_cfg: StftConfig = StftConfig(),
     cfg: NnmfConfig = NnmfConfig(),
 ) -> tuple[TemplateBank, dict[str, list[float]]]:
     """Learn a template bank from isolated per-modality source signals.
@@ -135,7 +146,7 @@ def train_templates(
     blocks = []
     history: dict[str, list[float]] = {}
     for modality in MODALITIES:
-        v = stft(sources[modality], fs, stft_cfg).power()
+        v = stft(sources[modality], fs).power()
         w, _, hist = nnmf_factorize(v, cfg.rank_per_modality, cfg)
         blocks.append(w)
         history[modality] = hist
@@ -145,7 +156,7 @@ def train_templates(
         w=w_all,
         modalities=MODALITIES,
         rank=cfg.rank_per_modality,
-        stft_config=stft_cfg,
+        stft_config=StftConfig(),
         sample_rate=fs,
     )
     return bank, history
@@ -176,28 +187,14 @@ def separate_channel(
         raise ValueError("template bank and spectrogram bin counts differ")
     rng = np.random.default_rng(cfg.seed)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
-    history = [beta_divergence(v, bank.w @ h, cfg.beta)]
-    for _ in range(cfg.max_iter):
-        h = _update_h(v, bank.w, h, cfg.beta)
-        history.append(beta_divergence(v, bank.w @ h, cfg.beta))
-        prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < cfg.tol:
-            break
+    _, h, history = _multiplicative_updates(v, bank.w, h, cfg, learn_w=False)
 
     powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in bank.modalities}
     # strictly positive by construction (w, h are floored); the tiny guard
     # only dodges literal zero so the masks still sum to one everywhere
     total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
     masks = {m: powers[m] / total for m in bank.modalities}
-    signals = {}
-    for m in bank.modalities:
-        masked = Spectrogram(
-            values=masks[m] * spec.values,
-            sample_rate=spec.sample_rate,
-            config=spec.config,
-            n_samples=spec.n_samples,
-        )
-        signals[m] = istft(masked)
+    signals = {m: istft(replace(spec, values=masks[m] * spec.values)) for m in bank.modalities}
     return SeparationResult(signals=signals, masks=masks, divergence=history)
 
 
@@ -225,10 +222,18 @@ def load_templates(path: str | Path) -> TemplateBank:
     header, arrays = containers.read_container(path)
     if header.get("kind") != "nnmf_templates":
         raise ValueError(f"{path}: not a template bank file")
-    return TemplateBank(
+    bank = TemplateBank(
         w=arrays[0],
         modalities=tuple(header["modalities"]),
         rank=int(header["rank"]),
         stft_config=StftConfig(**header["stft"]),
         sample_rate=float(header["sample_rate"]),
     )
+    want = (bank.stft_config.window_len // 2 + 1, bank.rank * len(bank.modalities))
+    if bank.w.shape != want:
+        raise ValueError(
+            f"{path}: template payload is {bank.w.shape}, but the header (window_len "
+            f"{bank.stft_config.window_len}, rank {bank.rank} x {len(bank.modalities)} "
+            f"modalities) needs bins x columns = {want}"
+        )
+    return bank

@@ -77,7 +77,7 @@ def test_02_fixed_point_and_scale_invariance():
     w = rng.uniform(0.1, 1.0, size=(64, 5))
     h = rng.uniform(0.1, 1.0, size=(5, 128))
     v = w @ h
-    h2 = _update_h(v, w, h, beta=0)
+    h2 = _update_h(v, w, h, w @ h, beta=0)
     move = np.linalg.norm(h2 - h) / np.linalg.norm(h)
     assert move < 1e-10
 

@@ -218,6 +218,21 @@ class TestFailureReporting:
         assert "noimu7 has no IMU track" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_train_templates_rejects_mixed_rates(self, capsys, tmp_path):
+        for name, rate in (("eeg", 250.0), ("emg", 500.0), ("eog", 250.0)):
+            rec = Recording(patient_id=name, sample_rate=rate,
+                            channels={r: np.zeros(5000) for r in MIXED_ROLES})
+            save_recording(rec, tmp_path / name)
+        code = main([
+            "train-templates", "--eeg", str(tmp_path / "eeg"), "--emg", str(tmp_path / "emg"),
+            "--eog", str(tmp_path / "eog"), "--out", str(tmp_path / "bank.npz"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "eeg 250 Hz, emg 500 Hz, eog 250 Hz" in err["message"]
+        assert not (tmp_path / "bank.npz").exists()
+
     def test_cnn_training_redirects_to_evaluate(self, artifacts, capsys, tmp_path):
         code = main([
             "train", "--features", str(artifacts["features"]), "--model", "cnn",

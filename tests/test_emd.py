@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from earpipe.emd import (
     EmdResult,
@@ -154,3 +155,55 @@ class TestRecordingSeparation:
         del rec.channels[ChannelRole.MIXED_RIGHT]
         with pytest.raises(KeyError, match="mixed_right"):
             separate_recording_emd(rec)
+
+
+def _random_signal(n, kind, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    if kind == "walk":
+        return np.cumsum(x)
+    if kind == "tone":
+        return np.sin(0.3 * np.arange(n)) + 0.01 * x
+    return x
+
+
+def _reference_split(x):
+    """The split as it ran before it stopped at six IMFs: sift up to eight,
+    then take IMF 1 as EMG, IMF 3 as EEG and the sum of IMFs 4-6 as EOG."""
+    imfs = emd_decompose(x, max_imfs=8).imfs
+    zeros = np.zeros(len(x))
+    return {
+        "emg": imfs[0] if len(imfs) >= 1 else zeros,
+        "eeg": imfs[2] if len(imfs) >= 3 else zeros,
+        "eog": imfs[3:6].sum(axis=0) if len(imfs) >= 4 else zeros,
+    }
+
+
+class TestSixImfSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=3000),
+        kind=st.sampled_from(["noise", "walk", "tone"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # left channels with 0, 2, 5, 7 and 8 IMFs at the old cap
+    @example(n=12, kind="tone", seed=2)
+    @example(n=40, kind="noise", seed=1)
+    @example(n=400, kind="noise", seed=3)
+    @example(n=2500, kind="noise", seed=5)
+    @example(n=3000, kind="noise", seed=6)
+    def test_split_matches_eight_imf_split_exactly(self, n, kind, seed):
+        """Every separated channel equals the eight-IMF split's bit for bit,
+        and the first six IMFs do not depend on the cap."""
+        left, right = _random_signal(n, kind, seed), _random_signal(n, kind, seed + 1)
+        rec = Recording(
+            patient_id="t01",
+            sample_rate=FS,
+            channels={ChannelRole.MIXED_LEFT: left, ChannelRole.MIXED_RIGHT: right},
+        )
+        out = separate_recording_emd(rec)
+        for side, x in (("left", left), ("right", right)):
+            reference = _reference_split(x)
+            for modality, expected in reference.items():
+                np.testing.assert_array_equal(out.channels[ChannelRole(f"{modality}_{side}")], expected)
+        full, six = emd_decompose(left), emd_decompose(left, max_imfs=6)
+        np.testing.assert_array_equal(six.imfs, full.imfs[:6])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from earpipe import evaluation
+from earpipe.cli import main
 from earpipe.corpus import make_synthetic_corpus, patient_spec, train_corpus_templates
 from earpipe.evaluation import (
     ExperimentConfig,
@@ -22,6 +23,7 @@ from earpipe.evaluation import (
     run_experiment,
     sweep,
 )
+from earpipe.io import save_recording
 from earpipe.signals import (
     ChannelRole,
     Recording,
@@ -308,6 +310,32 @@ class TestScreenMotion:
             np.testing.assert_array_equal(got.excluded, want.excluded)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert not np.shares_memory(out.imu, rec.imu)
+
+
+class TestSeparateSources:
+    def test_stage_a_and_cli_reach_splitters_through_this_module(self, monkeypatch, tmp_path):
+        """prepare_recording and `earpipe separate` share one dispatch, which
+        looks the splitters up in earpipe.evaluation, where wrappers replace them."""
+        calls = []
+        monkeypatch.setattr(evaluation, "separate_recording_emd",
+                            lambda rec: calls.append("emd") or rec)
+        monkeypatch.setattr(evaluation, "separate_recording_nnmf",
+                            lambda rec, bank: calls.append(("nnmf", bank)) or rec)
+        rec = synthesize_recording(patient_spec(0, duration_s=20.0))
+        evaluation.prepare_recording(rec, ExperimentConfig(separation="emd", motion="off"))
+        evaluation.prepare_recording(rec, ExperimentConfig(separation="nnmf", motion="off"), "bank")
+        save_recording(rec, tmp_path / "raw")
+        code = main(["separate", "--in", str(tmp_path / "raw"), "--method", "emd",
+                     "--out", str(tmp_path / "sep")])
+        assert code == 0
+        assert calls == ["emd", ("nnmf", "bank"), "emd"]
+
+    def test_missing_templates_and_unknown_method_rejected(self):
+        rec = synthesize_recording(patient_spec(0, duration_s=20.0))
+        with pytest.raises(ValueError, match="needs a template bank"):
+            evaluation.separate_sources(rec, "nnmf")
+        with pytest.raises(ValueError, match="unknown separation method 'ica'"):
+            evaluation.separate_sources(rec, "ica")
 
 
 def _set_cores(monkeypatch, count):

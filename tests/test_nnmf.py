@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe import io as containers
 from earpipe.nnmf import (
+    EPS,
     MODALITIES,
     NnmfConfig,
+    TemplateBank,
     beta_divergence,
     load_templates,
     nnmf_factorize,
@@ -16,6 +19,7 @@ from earpipe.nnmf import (
     train_templates,
 )
 from earpipe.signals import ChannelRole, Recording, SEPARATED_ROLES
+from earpipe.stft import StftConfig, stft
 
 FS = 250.0
 
@@ -107,6 +111,109 @@ class TestFactorize:
             NnmfConfig(rank_per_modality=0)
 
 
+def _reference_update_h(v, w, h, beta):
+    wh = np.maximum(w @ h, EPS)
+    num = w.T @ (wh ** (beta - 2) * v)
+    den = np.maximum(w.T @ wh ** (beta - 1), EPS)
+    return np.maximum(h * num / den, EPS)
+
+
+def _reference_update_w(v, w, h, beta):
+    wh = np.maximum(w @ h, EPS)
+    num = (wh ** (beta - 2) * v) @ h.T
+    den = np.maximum(wh ** (beta - 1) @ h.T, EPS)
+    return np.maximum(w * num / den, EPS)
+
+
+def _reference_factorize(v, rank, cfg):
+    """Template training's own update loop, kept as the oracle for the
+    shared one: every update forms ``w @ h`` itself and so does the
+    divergence, three products per iteration."""
+    v = np.maximum(np.asarray(v, dtype=np.float64), EPS)
+    bins, frames = v.shape
+    rng = np.random.default_rng(cfg.seed)
+    w = rng.uniform(0.5, 1.5, size=(bins, rank)) * np.sqrt(v.mean() / rank)
+    h = rng.uniform(0.5, 1.5, size=(rank, frames)) * np.sqrt(v.mean() / rank)
+    history = [beta_divergence(v, w @ h, cfg.beta)]
+    for _ in range(cfg.max_iter):
+        h = _reference_update_h(v, w, h, cfg.beta)
+        w = _reference_update_w(v, w, h, cfg.beta)
+        history.append(beta_divergence(v, w @ h, cfg.beta))
+        prev, cur = history[-2], history[-1]
+        if prev > 0 and (prev - cur) / prev < cfg.tol:
+            break
+    return w, h, history
+
+
+def _reference_separation(x, bank, cfg):
+    """Separation's own activation loop and soft masks, kept as the oracle
+    for the shared loop.  Returns (masks, divergence history)."""
+    v = np.maximum(stft(x, bank.sample_rate, bank.stft_config).power(), EPS)
+    rng = np.random.default_rng(cfg.seed)
+    h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
+    history = [beta_divergence(v, bank.w @ h, cfg.beta)]
+    for _ in range(cfg.max_iter):
+        h = _reference_update_h(v, bank.w, h, cfg.beta)
+        history.append(beta_divergence(v, bank.w @ h, cfg.beta))
+        prev, cur = history[-2], history[-1]
+        if prev > 0 and (prev - cur) / prev < cfg.tol:
+            break
+    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in bank.modalities}
+    total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
+    return {m: powers[m] / total for m in bank.modalities}, history
+
+
+_loop_settings = dict(
+    beta=st.sampled_from([0, 1, 2]),
+    rank=st.integers(min_value=1, max_value=4),
+    max_iter=st.integers(min_value=0, max_value=40),
+    tol=st.sampled_from([0.0, NnmfConfig().tol]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestReferenceLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bins=st.integers(min_value=1, max_value=20),
+        frames=st.integers(min_value=1, max_value=24),
+        **_loop_settings,
+    )
+    def test_factorize_matches_reference_exactly(self, bins, frames, beta, rank, max_iter, tol, seed):
+        """Factors and divergence history equal the old loop's bit for bit,
+        zero cells (floored at EPS) included."""
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 2.0, size=(bins, frames)) * (rng.random((bins, frames)) > 0.2)
+        cfg = NnmfConfig(beta=beta, max_iter=max_iter, tol=tol, seed=seed)
+        w, h, history = nnmf_factorize(v, rank, cfg)
+        w_ref, h_ref, history_ref = _reference_factorize(v, rank, cfg)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        assert history == history_ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window_len=st.sampled_from([8, 16, 32]),
+        n=st.integers(min_value=4, max_value=300),
+        **_loop_settings,
+    )
+    def test_separation_matches_reference_exactly(self, window_len, n, beta, rank, max_iter, tol, seed):
+        """Masks and divergence history of a fixed-bank separation equal the
+        old loop's bit for bit."""
+        rng = np.random.default_rng(seed)
+        bins = window_len // 2 + 1
+        w = rng.uniform(0.01, 1.0, size=(bins, rank * len(MODALITIES)))
+        bank = TemplateBank(w=w / w.sum(axis=0), modalities=MODALITIES, rank=rank,
+                            stft_config=StftConfig(window_len, window_len // 2), sample_rate=FS)
+        x = rng.standard_normal(n)
+        cfg = NnmfConfig(beta=beta, max_iter=max_iter, tol=tol, seed=seed)
+        res = separate_channel(x, bank, cfg)
+        masks_ref, history_ref = _reference_separation(x, bank, cfg)
+        for m in MODALITIES:
+            np.testing.assert_array_equal(res.masks[m], masks_ref[m])
+        assert res.divergence == history_ref
+
+
 class TestTemplateBank:
     def test_bank_shape_and_normalization(self):
         bank, history = train_templates(
@@ -148,6 +255,22 @@ class TestTemplateBank:
         )
         with pytest.raises(ValueError, match="not a template bank"):
             load_templates(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("rank", 2), ("rank", 4), ("stft", {"window_len": 128, "hop": 64})]
+    )
+    def test_load_rejects_payload_header_mismatch(self, tmp_path, field, value):
+        """A header that disagrees with the payload's shape is refused by
+        file name, not turned into all-zero channels at separation."""
+        bank, _ = train_templates(
+            _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=5)
+        )
+        path = save_templates(bank, tmp_path / "bank.npz")
+        header, arrays = containers.read_container(path)
+        header[field] = value
+        bad = containers.write_container(tmp_path / "bad.npz", header, arrays)
+        with pytest.raises(ValueError, match=r"bad\.npz: template payload is \(129, 9\)"):
+            load_templates(bad)
 
 
 @pytest.fixture(scope="module")
