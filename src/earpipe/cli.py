@@ -5,6 +5,12 @@ the command's flags; explicit flags override the file.  Failures print a
 machine-readable JSON object to stderr and exit nonzero.  All randomness
 descends from ``--seed``, so a repeated invocation writes byte-identical
 outputs.
+
+Each command imports the pipeline modules it uses when it runs.  A worker
+of the process pool that ``evaluate`` and ``sweep`` open starts by
+importing this module again (the console script's ``__main__`` imports
+it), and at module level it loads only ``earpipe.vmd`` and numpy, not
+``scipy.signal`` and the rest of the package.
 """
 
 from __future__ import annotations
@@ -13,21 +19,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .corpus import make_synthetic_corpus, template_sources, train_corpus_templates
-from .evaluation import (
-    ExperimentConfig, band_snr, compare_snr, run_experiment, screen_motion, separate_sources, sweep,
-)
-from .features import WindowSpec, feature_names, features_for_epochs, segment_recording
-from .io import load_recording, save_recording
-from .models import make_model, save_model
-from .nnmf import NnmfConfig, load_templates, save_templates, train_templates
-from .preprocess import PreprocessConfig, preprocess_recording
-from .signals import EEG_BANDS, SynthComponent, SynthesisSpec, synthesize_recording
 from .vmd import MOTION_R_THRESHOLD
+
+if TYPE_CHECKING:
+    from .evaluation import ExperimentConfig
 
 
 def _fail(exc: Exception) -> int:
@@ -64,6 +64,8 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _load_corpus(path: str) -> list:
+    from .io import load_recording
+
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory {path} does not exist")
@@ -82,6 +84,9 @@ def _provenance(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from .io import save_recording
+    from .signals import SynthComponent, SynthesisSpec, synthesize_recording
+
     cfg = _merged(args, ["duration_s", "patient_id", "seed"])
     comps = [SynthComponent(**c) for c in cfg.pop("components", [])]
     spec = SynthesisSpec(
@@ -97,6 +102,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from .io import load_recording, save_recording
+    from .preprocess import PreprocessConfig, preprocess_recording
+
     rec = load_recording(args.input)
     band = tuple(args.bandpass) if args.bandpass else None
     cfg = PreprocessConfig(
@@ -111,6 +119,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    from .evaluation import screen_motion
+    from .io import load_recording, save_recording
+
     cleaned, reports = screen_motion(load_recording(args.input), args.threshold)
     save_recording(cleaned, args.out, payload=args.payload)
     excluded = sum(r.n_excluded for r in reports)
@@ -121,6 +132,10 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    from .evaluation import separate_sources
+    from .io import load_recording, save_recording
+    from .nnmf import load_templates
+
     rec = load_recording(args.input)
     templates = load_templates(args.templates) if args.templates else None
     save_recording(separate_sources(rec, args.method, templates), args.out, payload=args.payload)
@@ -129,6 +144,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_train_templates(args) -> int:
+    from .corpus import template_sources
+    from .io import load_recording
+    from .nnmf import NnmfConfig, save_templates, train_templates
+
     if args.synthetic:
         sources = template_sources(master_seed=args.seed)
         fs = 250.0
@@ -152,6 +171,9 @@ def cmd_train_templates(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from .features import WindowSpec, feature_names, features_for_epochs, segment_recording
+    from .io import load_recording
+
     rec = load_recording(args.input)
     epochs = segment_recording(rec, WindowSpec(stride_s=args.stride),
                                allow_short_events=args.allow_short_events)
@@ -168,6 +190,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .models import make_model, save_model
+
     if args.model == "cnn":
         raise ValueError("cnn training consumes raw windows; use `earpipe evaluate --model cnn`")
     rows = np.loadtxt(args.features, delimiter=",", skiprows=1, usecols=None, dtype=str, ndmin=2)
@@ -181,6 +205,8 @@ def cmd_train(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    from .evaluation import ExperimentConfig
+
     cfg = _merged(args, [
         "stride_s", "ratio", "model", "separation", "motion",
         "motion_threshold", "normalization", "cnn_epochs", "master_seed",
@@ -189,6 +215,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _corpus_and_templates(args, cfg: ExperimentConfig):
+    from .corpus import make_synthetic_corpus, train_corpus_templates
+    from .nnmf import load_templates
+
     if args.synthetic is not None:
         recordings = make_synthetic_corpus(args.synthetic, master_seed=cfg.master_seed)
     elif args.corpus is not None:
@@ -207,6 +236,8 @@ def _corpus_and_templates(args, cfg: ExperimentConfig):
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import run_experiment
+
     cfg = _experiment_config(args)
     recordings, templates = _corpus_and_templates(args, cfg)
     result = run_experiment(recordings, cfg, templates)
@@ -220,6 +251,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .evaluation import sweep
+
     cfg = _experiment_config(args)
     recordings, templates = _corpus_and_templates(args, cfg)
     rows = sweep(recordings, cfg, args.axis, templates)
@@ -234,6 +267,8 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_bands(specs: list[str] | None) -> dict:
+    from .signals import EEG_BANDS
+
     if not specs:
         return {k: v for k, v in EEG_BANDS.items()}
     bands = {}
@@ -247,6 +282,9 @@ def _parse_bands(specs: list[str] | None) -> dict:
 
 
 def cmd_snr(args) -> int:
+    from .evaluation import band_snr, compare_snr
+    from .io import load_recording
+
     rec = load_recording(args.input)
     bands = _parse_bands(args.band)
     payload: dict = {"bands": {}}

@@ -9,16 +9,19 @@ Sweeps over stride or class ratio reuse stage A products and extract each
 distinct window once for all sweep values, while a motion ablation reruns
 stage A.
 
-Stage A's motion step is :func:`screen_motion`, which screens each channel
-with IMU-correlated VMD.  Its blocks run on a process pool that
-:func:`_prepare_all` opens once per run when motion handling is VMD and
-more than one core is available; recordings and channels are still visited
-here, one at a time.
+Stage A's motion step screens each channel with IMU-correlated VMD
+(:func:`screen_motion` for one recording).  When motion handling is VMD and
+more than one core is available, :func:`_prepare_all` runs stage A as one
+job graph on a process pool that it opens once per run: it conditions every
+recording and submits every VMD block of every channel first, then joins the
+recordings in input order.  Each join cross-fades the blocks (warning about
+zeroed ones) and separates the sources here, in block and channel order, so
+the results are those of the inline run; while NNMF separates one recording,
+the workers are already decomposing the next one's blocks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -45,8 +48,18 @@ from .features import (
 from .models import make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
-from .signals import Recording
-from .vmd import MOTION_R_THRESHOLD, MotionCorrelation, remove_motion_artifacts
+from .signals import ChannelRole, Recording
+from .vmd import (
+    MOTION_R_THRESHOLD,
+    MotionCorrelation,
+    QueuedBlocks,
+    join_motion_blocks,
+    submit_motion_blocks,
+)
+# No stage A code calls this.  perfbench/tracing.py looks the name up here to
+# wrap it in traced runs; ROADMAP item 2 moves those counters to the block
+# reports and removes this import.
+from .vmd import remove_motion_artifacts  # noqa: F401
 
 SNR_EPS = 1e-20
 
@@ -239,48 +252,105 @@ class ExperimentResult:
         }
 
 
-def screen_motion(
-    rec: Recording, threshold: float, executor: Executor | None = None
-) -> tuple[Recording, list[MotionCorrelation]]:
-    """Drop the IMU-correlated VMD modes of every channel of ``rec``.
+@dataclass
+class QueuedRecording:
+    """A conditioned recording with the VMD blocks of its channels submitted.
 
-    Returns the cleaned recording and the block reports of all channels,
-    channel after channel.  ``remove_motion_artifacts`` is called through
-    this module's namespace, once per channel, so a caller that wraps that
-    name sees every channel.
+    ``blocks`` is empty when motion handling is not VMD: then the join is
+    the conditioned recording itself.
+    """
+
+    conditioned: Recording
+    blocks: dict[ChannelRole, QueuedBlocks]
+
+    def cancel(self) -> None:
+        for queued in self.blocks.values():
+            queued.cancel()
+
+    def join(self) -> tuple[Recording, list[MotionCorrelation]]:
+        """Cross-fade each channel's blocks, channel after channel.
+
+        Returns the cleaned recording and the block reports of all
+        channels, in that order.
+        """
+        if not self.blocks:
+            return self.conditioned, []
+        channels, reports = {}, []
+        for role, queued in self.blocks.items():
+            channels[role], blocks = join_motion_blocks(queued)
+            reports.extend(blocks)
+        return self.conditioned.with_channels(channels), reports
+
+
+def _submit_channels(
+    rec: Recording, threshold: float, executor: Executor | None = None
+) -> QueuedRecording:
+    """Submit every VMD block of every channel of ``rec`` to ``executor``.
+
+    Without an executor the blocks are only queued, and each runs when the
+    join reads it.  A failure here cancels the blocks already submitted.
     """
     if rec.imu is None:
         raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-    channels, reports = {}, []
-    for role, x in rec.channels.items():
-        channels[role], blocks = remove_motion_artifacts(
-            x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold, executor=executor
-        )
-        reports.extend(blocks)
-    return rec.with_channels(channels), reports
+    queued = QueuedRecording(rec, {})
+    try:
+        for role, x in rec.channels.items():
+            queued.blocks[role] = submit_motion_blocks(
+                x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold,
+                executor=executor, label=f"{rec.patient_id} {role.value}",
+            )
+    except BaseException:
+        queued.cancel()
+        raise
+    return queued
 
 
-def prepare_recording(
-    rec: Recording,
-    cfg: ExperimentConfig,
-    templates: TemplateBank | None = None,
-    executor: Executor | None = None,
-) -> Recording:
-    """Stage A: condition, handle motion, separate into the six roles.
+def screen_motion(rec: Recording, threshold: float) -> tuple[Recording, list[MotionCorrelation]]:
+    """Drop the IMU-correlated VMD modes of every channel of ``rec``.
 
-    ``executor`` runs the VMD blocks of each channel; without one they run
-    inline.
+    Returns the cleaned recording and the block reports of all channels,
+    channel after channel.
+    """
+    return _submit_channels(rec, threshold).join()
+
+
+def _submit_recording(
+    rec: Recording, cfg: ExperimentConfig, executor: Executor | None = None
+) -> QueuedRecording:
+    """Stage A up to the join: condition ``rec`` and handle motion.
+
+    For VMD, every block of every channel is submitted to ``executor``
+    (queued inline without one); band-pass and motion off finish here.
     """
     conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
     if cfg.motion == "vmd":
-        conditioned, _ = screen_motion(conditioned, cfg.motion_threshold, executor)
-    elif cfg.motion == "bandpass":
+        return _submit_channels(conditioned, cfg.motion_threshold, executor)
+    if cfg.motion == "bandpass":
         conditioned = conditioned.with_channels({
             role: bandpass_filter(x, conditioned.sample_rate, 1.0, 30.0)
             for role, x in conditioned.channels.items()
         })
     elif cfg.motion != "off":
         raise ValueError(f"unknown motion mode {cfg.motion!r}")
+    return QueuedRecording(conditioned, {})
+
+
+def prepare_recording(
+    rec: Recording,
+    cfg: ExperimentConfig,
+    templates: TemplateBank | None = None,
+    queued: QueuedRecording | None = None,
+) -> Recording:
+    """Stage A: condition, handle motion, separate into the six roles.
+
+    ``queued`` is ``rec`` as :func:`_prepare_all` submitted it to a pool.
+    Without it, ``rec`` is submitted here with no executor, so its VMD
+    blocks run one at a time as the join reads them.  Either way the join
+    and the separation run here, in block and channel order.
+    """
+    if queued is None:
+        queued = _submit_recording(rec, cfg)
+    conditioned, _ = queued.join()
     return separate_sources(conditioned, cfg.separation, templates)
 
 
@@ -316,19 +386,36 @@ def _prepare_all(
 
     The pool is opened only for VMD, whose blocks take seconds per
     recording: band-pass and motion-off runs finish stage A in less time
-    than the workers take to start.
+    than the workers take to start.  On the pool, every recording is
+    conditioned and all its blocks are submitted before the first
+    recording is joined, so the workers run without a pause from the first
+    block to the last.  A failure anywhere cancels every block not yet
+    started.  Inline, each recording is submitted and joined in turn:
+    queuing ahead would gain nothing there and would hold every
+    conditioned recording at once.
     """
     _check_sample_rates(recordings)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity call
         cores = os.cpu_count() or 1
-    if cfg.motion == "vmd" and cores > 1:
-        pool = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn"))
-    else:
-        pool = contextlib.nullcontext()
-    with pool as executor:
-        return [prepare_recording(r, cfg, templates, executor=executor) for r in recordings]
+    if cfg.motion != "vmd" or cores < 2:
+        return [prepare_recording(r, cfg, templates) for r in recordings]
+
+    with ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn")) as pool:
+        queue: list[QueuedRecording | None] = []
+        try:
+            for rec in recordings:
+                queue.append(_submit_recording(rec, cfg, pool))
+            separated = []
+            for i, rec in enumerate(recordings):
+                separated.append(prepare_recording(rec, cfg, templates, queued=queue[i]))
+                queue[i] = None  # drop the joined blocks' results
+            return separated
+        finally:
+            for queued in queue:
+                if queued is not None:
+                    queued.cancel()
 
 
 @dataclass(frozen=True)

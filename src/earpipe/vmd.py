@@ -27,11 +27,24 @@ array, compacting converged blocks out, was also bit-identical but only
 1.7x faster than the textbook loop, against 2.07x for this kernel (2-core
 Xeon VM): four blocks' working set (~3.8 MB) does not fit in L2, while one
 block's does.  Across processes, blocks run in parallel: no block reads
-another's result, so :func:`remove_motion_artifacts` can hand its blocks
-to a process pool and cross-fade what comes back in block order, with the
-same bits as the inline loop.  Processes, not threads: a sweep is ~90
-short numpy calls, and the interpreter lock between them held two
-threads to 1.05-1.34x.
+another's result, so :func:`remove_motion_artifacts` is a submit half,
+:func:`submit_motion_blocks`, which can hand every block to a process pool,
+and a join half, :func:`join_motion_blocks`, which cross-fades what comes
+back in block order, with the same bits as the inline loop.  A caller with
+many channels submits all of them before joining any (as stage A does), so
+the pool never idles between channels.  A block returns only the sum of
+its kept modes and its :class:`MotionCorrelation`, not its eight modes, so
+blocks queued ahead of the join hold little memory.  Processes, not
+threads: a sweep is ~90 short numpy calls, and the interpreter lock
+between them held two threads to 1.05-1.34x.
+
+A pool worker unpickles :func:`_screen_block` by importing this module,
+which needs only numpy and ``scipy.fft`` (the package namespace loads its
+other modules on first use).  A spawned worker is ready for its first
+block in about 0.4 s at 57 MB peak, against 1.2 s and 108 MB when it also
+imports ``scipy.signal`` and the rest of the package (2-core Xeon VM).  So
+the analytic signal is built here with the calls that
+``scipy.signal.hilbert`` makes, not by importing it.
 
 Motion handling: every mode's amplitude envelope is compared against the
 accelerometer magnitude; modes that track the IMU are dropped before the
@@ -41,11 +54,12 @@ signal is rebuilt.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import Executor
+from collections.abc import Iterator
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
+from scipy import fft as sp_fft
 
 DEFAULT_K = 8
 DEFAULT_ALPHA = 2000.0
@@ -238,8 +252,26 @@ class MotionCorrelation:
         return int(self.excluded.sum())
 
 
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.hilbert(x)`` of a real 1-D ``x``, by the same calls.
+
+    The one-sided spectrum is doubled below Nyquist and zeroed above it, as
+    scipy 1.17 does, so the result is bit-identical without importing
+    ``scipy.signal``.
+    """
+    n = len(x)
+    xf = sp_fft.fft(x, n)
+    if n % 2 == 0:
+        xf[1: n // 2] *= 2.0
+        xf[n // 2 + 1:n] = 0.0
+    else:
+        xf[1:(n + 1) // 2] *= 2.0
+        xf[(n + 1) // 2:n] = 0.0
+    return sp_fft.ifft(xf)
+
+
 def _mode_envelope(mode: np.ndarray, fs: float, smooth_s: float = 0.5) -> np.ndarray:
-    env = np.abs(hilbert(mode))
+    env = np.abs(_analytic_signal(mode))
     # convolve(mode="same") returns the longer operand's length, so the
     # smoothing window must never exceed the signal itself.
     win = max(1, min(len(env), int(round(smooth_s * fs))))
@@ -286,13 +318,20 @@ def motion_correlation(
     )
 
 
+_ALL_FLAGGED = "every mode correlates with motion; returning zeros"
+
+
+def _kept_sum(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
+    """The sum of the modes not flagged; with every mode flagged, that is
+    the empty sum, zeros."""
+    return result.modes[~corr.excluded].sum(axis=0)
+
+
 def reconstruct_excluding_motion(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
     """Sum the modes whose envelopes do not track the accelerometer."""
-    keep = ~corr.excluded
-    if not keep.any():
-        warnings.warn("every mode correlates with motion; returning zeros", stacklevel=2)
-        return np.zeros(result.modes.shape[1])
-    return result.modes[keep].sum(axis=0)
+    if corr.excluded.all():
+        warnings.warn(_ALL_FLAGGED, stacklevel=2)
+    return _kept_sum(result, corr)
 
 
 def _screen_block(
@@ -302,16 +341,42 @@ def _screen_block(
     imu_rate: float,
     threshold: float,
     vmd_kwargs: dict,
-) -> tuple[VmdResult, MotionCorrelation]:
-    """Decompose one block and screen its modes against its IMU slice.
+) -> tuple[np.ndarray, MotionCorrelation]:
+    """Decompose one block, screen its modes against its IMU slice and sum
+    the modes that survive.
 
-    Module level so that a pool worker can unpickle it by name.
+    Module level so that a pool worker can unpickle it by name.  It does
+    not warn: the join warns, in block order, for a block it zeroed.
     """
     res = vmd_decompose(seg, fs, **vmd_kwargs)
-    return res, motion_correlation(res, accel, imu_rate, threshold)
+    corr = motion_correlation(res, accel, imu_rate, threshold)
+    return _kept_sum(res, corr), corr
 
 
-def remove_motion_artifacts(
+@dataclass
+class QueuedBlocks:
+    """One channel's blocks, submitted by :func:`submit_motion_blocks`.
+
+    ``results`` yields each block's kept-mode sum and report in block
+    order: from ``futures`` when an executor runs the blocks, or computed
+    one at a time as they are read when none does.
+    """
+
+    n: int
+    fs: float
+    spans: list[tuple[int, int]]
+    overlap: int
+    futures: list[Future]
+    results: Iterator[tuple[np.ndarray, MotionCorrelation]]
+    label: str  # names the channel in warnings, or is empty
+
+    def cancel(self) -> None:
+        """Cancel the blocks that have not started."""
+        for f in self.futures:
+            f.cancel()
+
+
+def submit_motion_blocks(
     x: np.ndarray,
     fs: float,
     accel: np.ndarray,
@@ -320,21 +385,14 @@ def remove_motion_artifacts(
     block_s: float = BLOCK_S,
     overlap_s: float = BLOCK_OVERLAP_S,
     executor: Executor | None = None,
+    label: str = "",
     **vmd_kwargs,
-) -> tuple[np.ndarray, list[MotionCorrelation]]:
-    """Motion-clean a channel of arbitrary length.
+) -> QueuedBlocks:
+    """The submit half of :func:`remove_motion_artifacts`.
 
-    Long signals are processed in ``block_s`` chunks with a raised-cosine
-    cross-fade over ``overlap_s`` so VMD cost stays bounded; each block is
-    decomposed, screened against its slice of the IMU track and rebuilt
-    from the surviving modes.  ``accel`` must cover the same duration as
-    ``x``, to within one IMU sample.
-
-    With an ``executor`` (a process pool), every block is submitted before
-    any result is read; the blocks are still rebuilt and cross-faded here,
-    in block order, so the output and the warning for a block whose every
-    mode is flagged are the same as without one.  A block that raises
-    re-raises here, and blocks not yet started are cancelled.
+    Checks the input, cuts ``x`` and ``accel`` into blocks and, with an
+    ``executor``, submits every block to it.  Nothing is read back here.
+    ``label`` (say, recording and channel) starts the join's warnings.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -362,33 +420,76 @@ def remove_motion_artifacts(
         i0 = int(round(start / fs * imu_rate))
         i1 = max(i0 + 2, int(round(stop / fs * imu_rate)))
         jobs.append((x[start:stop], fs, accel[:, i0:i1], imu_rate, threshold, vmd_kwargs))
-    if executor is None:  # one block at a time, as the loop below needs it
+    if executor is None:  # one block at a time, as the join reads them
         futures = []
-        screened = (_screen_block(*job) for job in jobs)
+        results = (_screen_block(*job) for job in jobs)
     else:
         futures = [executor.submit(_screen_block, *job) for job in jobs]
-        screened = (f.result() for f in futures)
+        results = (f.result() for f in futures)
+    return QueuedBlocks(n, fs, spans, overlap, futures, results, label)
 
+
+def join_motion_blocks(blocks: QueuedBlocks) -> tuple[np.ndarray, list[MotionCorrelation]]:
+    """The join half of :func:`remove_motion_artifacts`.
+
+    Reads the blocks in block order and cross-fades them into the clean
+    channel, warning, with the block's span, for each block whose every
+    mode is flagged.  A block that raised re-raises here, and the blocks
+    not yet started are cancelled.
+    """
+    n, fs, spans, overlap = blocks.n, blocks.fs, blocks.spans, blocks.overlap
+    first, last = spans[0][0], spans[-1][0]
+    prefix = f"{blocks.label} " if blocks.label else ""
     clean = np.zeros(n)
     weight = np.zeros(n)
     reports: list[MotionCorrelation] = []
     try:
-        for (start, stop), (res, corr) in zip(spans, screened):
+        for (start, stop), (kept, corr) in zip(spans, blocks.results):
             reports.append(corr)
-            rebuilt = reconstruct_excluding_motion(res, corr)
+            if corr.excluded.all():
+                warnings.warn(
+                    f"{prefix}block {start / fs:g}–{stop / fs:g} s: {_ALL_FLAGGED}", stacklevel=2
+                )
 
             w = np.ones(stop - start)
-            if len(starts) > 1 and overlap > 0:
+            if len(spans) > 1 and overlap > 0:
                 ramp = np.sin(0.5 * np.pi * np.arange(overlap) / overlap) ** 2
-                if start != starts[0]:
+                if start != first:
                     w[:overlap] = ramp
-                if start != starts[-1]:
+                if start != last:
                     w[-overlap:] = ramp[::-1]
-            clean[start:stop] += rebuilt * w
+            clean[start:stop] += kept * w
             weight[start:stop] += w
     finally:
-        for f in futures:  # after a failure, blocks not yet started never run
-            f.cancel()
+        blocks.cancel()  # after a failure, blocks not yet started never run
     covered = weight > 0
     clean[covered] /= weight[covered]
     return clean, reports
+
+
+def remove_motion_artifacts(
+    x: np.ndarray,
+    fs: float,
+    accel: np.ndarray,
+    imu_rate: float,
+    threshold: float = MOTION_R_THRESHOLD,
+    block_s: float = BLOCK_S,
+    overlap_s: float = BLOCK_OVERLAP_S,
+    **vmd_kwargs,
+) -> tuple[np.ndarray, list[MotionCorrelation]]:
+    """Motion-clean a channel of arbitrary length.
+
+    Long signals are processed in ``block_s`` chunks with a raised-cosine
+    cross-fade over ``overlap_s`` so VMD cost stays bounded; each block is
+    decomposed, screened against its slice of the IMU track and rebuilt
+    from the surviving modes.  ``accel`` must cover the same duration as
+    ``x``, to within one IMU sample.
+
+    This is :func:`join_motion_blocks` of :func:`submit_motion_blocks`
+    without an executor: the blocks run one at a time, in block order, and
+    a block whose every mode is flagged is zeroed with a warning that names
+    its span.  To run the blocks on a process pool, call the two halves.
+    """
+    return join_motion_blocks(submit_motion_blocks(
+        x, fs, accel, imu_rate, threshold, block_s, overlap_s, **vmd_kwargs
+    ))

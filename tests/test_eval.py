@@ -2,7 +2,8 @@
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -270,7 +271,8 @@ class TestSweep:
 
     def test_stride_rows_match_standalone_runs(self, separated, monkeypatch):
         """Features shared across strides change no row of the sweep."""
-        monkeypatch.setattr(evaluation, "prepare_recording", lambda rec, cfg, templates, **_: rec)
+        # the fixture is stage A output already: skip stage A
+        monkeypatch.setattr(evaluation, "_prepare_all", lambda recordings, cfg, templates: recordings)
         cfg = ExperimentConfig(model="rfc", normalization="minmax")
         rows = sweep(separated, cfg, "stride")
         assert [r["value"] for r in rows] == list(range(1, 10))
@@ -288,15 +290,15 @@ class TestScreenMotion:
     def test_reports_are_channel_reports_in_order(self, monkeypatch):
         """screen_motion cleans each channel as remove_motion_artifacts does
         and returns the per-channel reports concatenated in channel order,
-        calling that function through the evaluation module once per channel."""
+        submitting blocks through the evaluation module once per channel."""
         rec = synthesize_recording(patient_spec(0, duration_s=40.0))
         calls = []
 
-        def spy(x, *args, real=evaluation.remove_motion_artifacts, **kwargs):
+        def spy(x, *args, real=evaluation.submit_motion_blocks, **kwargs):
             calls.append(x)
             return real(x, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "remove_motion_artifacts", spy)
+        monkeypatch.setattr(evaluation, "submit_motion_blocks", spy)
         out, reports = evaluation.screen_motion(rec, MOTION_R_THRESHOLD)
         assert len(calls) == len(rec.channels)
         expected = []
@@ -362,19 +364,22 @@ class TestStageAPool:
         recordings = make_synthetic_corpus(n_patients=2)
         templates = train_corpus_templates()
         cfg = ExperimentConfig(stride_s=3, normalization="minmax")
-        executors = []
+        calls = []
 
-        def spy(rec, cfg, templates, executor=None, real=evaluation.prepare_recording):
-            executors.append(executor)
-            return real(rec, cfg, templates, executor=executor)
+        def spy(rec, cfg, templates, queued=None, real=evaluation.prepare_recording):
+            calls.append(queued)
+            return real(rec, cfg, templates, queued=queued)
 
         monkeypatch.setattr(evaluation, "prepare_recording", spy)
         _set_cores(monkeypatch, 1)
         inline = run_experiment(recordings, cfg, templates).to_dict()
         _set_cores(monkeypatch, 2)
         pooled = run_experiment(recordings, cfg, templates).to_dict()
-        assert executors[:2] == [None, None] and len(executors) == 4
-        assert all(isinstance(e, ProcessPoolExecutor) for e in executors[2:])
+        assert calls[:2] == [None, None] and len(calls) == 4
+        # pooled, each call joins blocks that were already submitted to the pool
+        for queued in calls[2:]:
+            assert queued.blocks
+            assert all(blocks.futures for blocks in queued.blocks.values())
         assert pooled == inline
         assert workers_gone()
 
@@ -386,3 +391,104 @@ class TestStageAPool:
         with pytest.raises(ValueError, match="p09 has no IMU track"):
             evaluation._prepare_all([good, bad], ExperimentConfig(separation="emd"), None)
         assert workers_gone()
+
+
+class _LoggedFuture(Future):
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def result(self, timeout=None):
+        self.log.append("read")
+        return super().result(timeout)
+
+
+class _FakePool(Executor):
+    """Stands in for the process pool class in ``evaluation``.
+
+    Logs each submit and each result read.  With ``run`` a block runs when
+    it is submitted; without, it stays pending.  With ``fail_first`` the
+    first block submitted raises.
+    """
+
+    def __init__(self, run=True, fail_first=False):
+        self.run, self.fail_first = run, fail_first
+        self.log, self.futures = [], []
+        self.closed = False
+
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def submit(self, fn, *args, **kwargs):
+        f = _LoggedFuture(self.log)
+        if self.fail_first and not self.futures:
+            f.set_exception(RuntimeError("block failed"))
+        elif self.run:
+            f.set_result(fn(*args, **kwargs))
+        self.futures.append(f)
+        self.log.append("submit")
+        return f
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.closed = True
+
+
+class TestStageAJobGraph:
+    """On the pool, stage A queues every block before it joins any."""
+
+    @pytest.fixture
+    def recordings(self):
+        return [synthesize_recording(patient_spec(i, duration_s=40.0)) for i in range(2)]
+
+    def _pool(self, monkeypatch, **kwargs):
+        pool = _FakePool(**kwargs)
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", pool)
+        _set_cores(monkeypatch, 2)
+        return pool
+
+    def test_every_block_submitted_before_the_first_is_read(self, recordings, monkeypatch):
+        cfg = ExperimentConfig(separation="emd")
+        _set_cores(monkeypatch, 1)
+        inline = evaluation._prepare_all(recordings, cfg, None)
+        pool = self._pool(monkeypatch)
+        pooled = evaluation._prepare_all(recordings, cfg, None)
+        blocks = 2 * sum(len(r.channels) for r in recordings)  # two per 40 s channel
+        assert pool.log == ["submit"] * blocks + ["read"] * blocks
+        assert pool.closed
+        for got, want in zip(pooled, inline, strict=True):
+            assert list(got.channels) == list(want.channels)
+            for role, x in want.channels.items():
+                assert got.channels[role].tobytes() == x.tobytes()
+
+    def test_zeroed_blocks_warn_in_join_order_with_their_names(self, recordings, monkeypatch):
+        """Each zeroed block's warning names recording, channel and span, so
+        Python's default filter hides none of them."""
+        self._pool(monkeypatch)
+        cfg = ExperimentConfig(separation="emd", motion_threshold=-1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            evaluation._prepare_all(recordings, cfg, None)
+        assert [str(w.message) for w in caught] == [
+            f"{rec.patient_id} {role.value} block {span}: every mode correlates with motion; "
+            "returning zeros"
+            for rec in recordings for role in rec.channels for span in ("0–30 s", "10–40 s")
+        ]
+
+    def test_failing_recording_cancels_every_queued_block(self, recordings, monkeypatch):
+        """The third recording fails after the first two queued their blocks."""
+        bad = dataclasses.replace(recordings[0], patient_id="p09", imu=None)
+        pool = self._pool(monkeypatch, run=False)
+        with pytest.raises(ValueError, match="p09 has no IMU track"):
+            evaluation._prepare_all([*recordings, bad], ExperimentConfig(separation="emd"), None)
+        assert len(pool.futures) == 8
+        assert all(f.cancelled() for f in pool.futures)
+        assert "read" not in pool.log and pool.closed
+
+    def test_failing_block_cancels_every_queued_block(self, recordings, monkeypatch):
+        """The first block raises in the first join; no other block runs."""
+        pool = self._pool(monkeypatch, run=False, fail_first=True)
+        with pytest.raises(RuntimeError, match="block failed"):
+            evaluation._prepare_all(recordings, ExperimentConfig(separation="emd"), None)
+        assert len(pool.futures) == 8
+        assert all(f.cancelled() for f in pool.futures[1:])
+        assert pool.closed

@@ -1,19 +1,24 @@
 """Mode recovery, reconstruction, and motion screening for VMD."""
 
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import hilbert
 
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
     VmdResult,
+    _analytic_signal,
     _init_omegas,
+    join_motion_blocks,
     motion_correlation,
     reconstruct_excluding_motion,
     remove_motion_artifacts,
+    submit_motion_blocks,
     vmd_decompose,
 )
 
@@ -287,7 +292,32 @@ class TestMotionScreening:
         np.testing.assert_allclose(out, 0.0)
 
 
+class TestAnalyticSignal:
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(1, 2500), odd=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_hilbert_bit_for_bit(self, half, odd, seed):
+        """The envelope's analytic signal is scipy.signal.hilbert's, at odd
+        and even lengths 1-5000, without importing scipy.signal."""
+        x = np.random.default_rng(seed).standard_normal(2 * half - odd)
+        assert _analytic_signal(x).tobytes() == hilbert(x).tobytes()
+
+
 class TestRemoveMotionArtifacts:
+    def test_each_zeroed_block_warns_with_its_span(self):
+        """Python's default filter shows one warning per distinct message and
+        location; the span in the message keeps a second zeroed block visible."""
+        _, noisy, accel, imu_rate = _burst_recording(duration_s=45.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            out, _ = remove_motion_artifacts(
+                noisy, FS, accel, imu_rate, threshold=-1.0, k=2, max_iter=5
+            )
+        assert [str(w.message) for w in caught] == [
+            "block 0–30 s: every mode correlates with motion; returning zeros",
+            "block 15–45 s: every mode correlates with motion; returning zeros",
+        ]
+        np.testing.assert_array_equal(out, 0.0)
+
     def test_cleaning_recovers_alpha_band(self):
         """Removal cuts burst-band energy while keeping the 10 Hz rhythm."""
         clean, noisy, accel, imu_rate = _burst_recording(seed=4)
@@ -350,8 +380,8 @@ class TestBlockPool:
         kw = dict(k=4, max_iter=60)
         inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate, **kw)
         with _spawn_pool() as pool:
-            pooled, pooled_reports = remove_motion_artifacts(
-                x, FS, accel, imu_rate, executor=pool, **kw
+            pooled, pooled_reports = join_motion_blocks(
+                submit_motion_blocks(x, FS, accel, imu_rate, executor=pool, **kw)
             )
         assert len(x) % 2 == 1 and len(inline_reports) == 4
         assert {r.converged for r in inline_reports} == {True, False}
@@ -367,9 +397,9 @@ class TestBlockPool:
         """The warning for a zeroed block is raised where the blocks are joined."""
         _, noisy, accel, imu_rate = _burst_recording(duration_s=45.0)
         with _spawn_pool() as pool, pytest.warns(UserWarning, match="every mode") as caught:
-            out, reports = remove_motion_artifacts(
+            out, reports = join_motion_blocks(submit_motion_blocks(
                 noisy, FS, accel, imu_rate, threshold=-1.0, executor=pool, k=2, max_iter=5
-            )
+            ))
         assert len(reports) == 2
         assert sum("every mode" in str(w.message) for w in caught) == 2
         np.testing.assert_array_equal(out, 0.0)
@@ -384,7 +414,9 @@ class TestBlockPool:
             remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
         with pytest.raises(ValueError) as pooled_error:
             with _spawn_pool() as pool:
-                remove_motion_artifacts(x, FS, accel, 50.0, executor=pool, max_iter=5)
+                join_motion_blocks(
+                    submit_motion_blocks(x, FS, accel, 50.0, executor=pool, max_iter=5)
+                )
         assert type(pooled_error.value) is ValueError
         assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
         assert workers_gone()
