@@ -194,7 +194,10 @@ def cmd_train(args) -> int:
 
     if args.model == "cnn":
         raise ValueError("cnn training consumes raw windows; use `earpipe evaluate --model cnn`")
-    rows = np.loadtxt(args.features, delimiter=",", skiprows=1, usecols=None, dtype=str, ndmin=2)
+    lines = Path(args.features).read_text().splitlines()[1:]  # below the header
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{args.features}: no feature rows under the header; nothing to train on")
+    rows = np.loadtxt(lines, delimiter=",", dtype=str, ndmin=2)
     y = rows[:, 2].astype(int)
     x = rows[:, 3:].astype(np.float64)
     model = make_model(args.model, seed=args.seed)

@@ -10,14 +10,15 @@ distinct window once for all sweep values, while a motion ablation reruns
 stage A.
 
 Stage A's motion step screens each channel with IMU-correlated VMD
-(:func:`screen_motion` for one recording).  When motion handling is VMD and
-more than one core is available, :func:`_prepare_all` runs stage A as one
-job graph on a process pool that it opens once per run: it conditions every
-recording and submits every VMD block of every channel first, then joins the
-recordings in input order.  Each join cross-fades the blocks (warning about
+(:func:`screen_motion` for one recording).  :func:`_prepare_all` runs stage
+A as one job graph: it conditions every recording and submits every VMD
+block of every channel first, then joins the recordings in input order.
+When motion handling is VMD and more than one core is available, the blocks
+go to a process pool opened once per run; otherwise each runs in this
+process as it is submitted.  Each join cross-fades the blocks (warning about
 zeroed ones) and separates the sources here, in block and channel order, so
-the results are those of the inline run; while NNMF separates one recording,
-the workers are already decomposing the next one's blocks.
+pooled and inline runs give the same bits; on the pool, while NNMF separates
+one recording, the workers are already decomposing the next one's blocks.
 """
 
 from __future__ import annotations
@@ -263,10 +264,6 @@ class QueuedRecording:
     conditioned: Recording
     blocks: dict[ChannelRole, QueuedBlocks]
 
-    def cancel(self) -> None:
-        for queued in self.blocks.values():
-            queued.cancel()
-
     def join(self) -> tuple[Recording, list[MotionCorrelation]]:
         """Cross-fade each channel's blocks, channel after channel.
 
@@ -285,24 +282,17 @@ class QueuedRecording:
 def _submit_channels(
     rec: Recording, threshold: float, executor: Executor | None = None
 ) -> QueuedRecording:
-    """Submit every VMD block of every channel of ``rec`` to ``executor``.
-
-    Without an executor the blocks are only queued, and each runs when the
-    join reads it.  A failure here cancels the blocks already submitted.
-    """
+    """Submit every VMD block of every channel of ``rec`` to ``executor``
+    (without one, each block runs here as it is submitted)."""
     if rec.imu is None:
         raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-    queued = QueuedRecording(rec, {})
-    try:
-        for role, x in rec.channels.items():
-            queued.blocks[role] = submit_motion_blocks(
-                x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold,
-                executor=executor, label=f"{rec.patient_id} {role.value}",
-            )
-    except BaseException:
-        queued.cancel()
-        raise
-    return queued
+    return QueuedRecording(rec, {
+        role: submit_motion_blocks(
+            x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold,
+            executor=executor, label=f"{rec.patient_id} {role.value}",
+        )
+        for role, x in rec.channels.items()
+    })
 
 
 def screen_motion(rec: Recording, threshold: float) -> tuple[Recording, list[MotionCorrelation]]:
@@ -320,7 +310,7 @@ def _submit_recording(
     """Stage A up to the join: condition ``rec`` and handle motion.
 
     For VMD, every block of every channel is submitted to ``executor``
-    (queued inline without one); band-pass and motion off finish here.
+    (run here without one); band-pass and motion off finish here.
     """
     conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
     if cfg.motion == "vmd":
@@ -343,10 +333,10 @@ def prepare_recording(
 ) -> Recording:
     """Stage A: condition, handle motion, separate into the six roles.
 
-    ``queued`` is ``rec`` as :func:`_prepare_all` submitted it to a pool.
-    Without it, ``rec`` is submitted here with no executor, so its VMD
-    blocks run one at a time as the join reads them.  Either way the join
-    and the separation run here, in block and channel order.
+    ``queued`` is ``rec`` as :func:`_prepare_all` submitted it.  Without
+    it, ``rec`` is submitted here with no executor, so its VMD blocks run
+    here one at a time.  Either way the join and the separation run here,
+    in block and channel order.
     """
     if queued is None:
         queued = _submit_recording(rec, cfg)
@@ -386,36 +376,29 @@ def _prepare_all(
 
     The pool is opened only for VMD, whose blocks take seconds per
     recording: band-pass and motion-off runs finish stage A in less time
-    than the workers take to start.  On the pool, every recording is
-    conditioned and all its blocks are submitted before the first
-    recording is joined, so the workers run without a pause from the first
-    block to the last.  A failure anywhere cancels every block not yet
-    started.  Inline, each recording is submitted and joined in turn:
-    queuing ahead would gain nothing there and would hold every
-    conditioned recording at once.
+    than the workers take to start.  Pool or not, every recording is
+    conditioned and all its blocks are submitted before the first one is
+    joined, so the workers never pause; a failure anywhere shuts the pool
+    down with every block not yet started cancelled.
     """
     _check_sample_rates(recordings)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity call
         cores = os.cpu_count() or 1
-    if cfg.motion != "vmd" or cores < 2:
-        return [prepare_recording(r, cfg, templates) for r in recordings]
-
-    with ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn")) as pool:
-        queue: list[QueuedRecording | None] = []
-        try:
-            for rec in recordings:
-                queue.append(_submit_recording(rec, cfg, pool))
-            separated = []
-            for i, rec in enumerate(recordings):
-                separated.append(prepare_recording(rec, cfg, templates, queued=queue[i]))
-                queue[i] = None  # drop the joined blocks' results
-            return separated
-        finally:
-            for queued in queue:
-                if queued is not None:
-                    queued.cancel()
+    pool = None
+    if cfg.motion == "vmd" and cores >= 2:
+        pool = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        queue = [_submit_recording(rec, cfg, pool) for rec in recordings]
+        separated = []
+        for i, rec in enumerate(recordings):
+            separated.append(prepare_recording(rec, cfg, templates, queued=queue[i]))
+            queue[i] = None  # drop the joined blocks' results
+        return separated
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

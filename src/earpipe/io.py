@@ -129,12 +129,13 @@ def _read_csv(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
 def _read_bin(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
     if not path.is_file():
         raise RecordingFormatError(f"missing payload file {path.name}")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size != n_rows * n_cols:
+    data = path.read_bytes()
+    if len(data) != 8 * n_rows * n_cols:
         raise RecordingFormatError(
-            f"{path.name}: expected {n_rows * n_cols} float64 values, got {raw.size}"
+            f"{path.name}: expected {n_rows * n_cols} float64 values "
+            f"({8 * n_rows * n_cols} bytes), got {len(data)} bytes"
         )
-    return raw.reshape(n_rows, n_cols).astype(np.float64)
+    return np.frombuffer(data, dtype="<f8").reshape(n_rows, n_cols).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +165,32 @@ def write_container(path: str | Path, header: dict, arrays: list[np.ndarray]) ->
 
 
 def read_container(path: str | Path) -> tuple[dict, list[np.ndarray]]:
+    """Read a file written by :func:`write_container`; a damaged one raises
+    :class:`RecordingFormatError` naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if not raw.startswith(_MAGIC):
         raise RecordingFormatError(f"{path.name}: not a container file")
-    off = len(_MAGIC)
-    head_len = int(np.frombuffer(raw[off:off + 8], dtype="<u8")[0])
-    off += 8
-    header = json.loads(raw[off:off + head_len].decode("utf-8"))
+    off = len(_MAGIC) + 8
+    head_len = int.from_bytes(raw[off - 8:off], "little")  # a cut length field still fails below
+    if len(raw) < off + head_len:
+        raise RecordingFormatError(f"{path.name}: truncated header")
+    try:
+        header = json.loads(raw[off:off + head_len].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise RecordingFormatError(f"{path.name}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise RecordingFormatError(f"{path.name}: malformed header: not a JSON object")
     off += head_len
+    shapes = header.get("arrays", [])
+    counts = [int(np.prod(shape)) if shape else 1 for shape in shapes]
+    if len(raw) - off != 8 * sum(counts):
+        raise RecordingFormatError(
+            f"{path.name}: payload of {len(raw) - off} bytes, header declares {8 * sum(counts)}"
+        )
     arrays = []
-    for shape in header.get("arrays", []):
-        count = int(np.prod(shape)) if shape else 1
+    for shape, count in zip(shapes, counts):
         flat = np.frombuffer(raw[off:off + 8 * count], dtype="<f8")
-        if flat.size != count:
-            raise RecordingFormatError(f"{path.name}: truncated payload")
         arrays.append(flat.reshape(shape, order="F").copy())
         off += 8 * count
     return header, arrays

@@ -28,15 +28,16 @@ array, compacting converged blocks out, was also bit-identical but only
 Xeon VM): four blocks' working set (~3.8 MB) does not fit in L2, while one
 block's does.  Across processes, blocks run in parallel: no block reads
 another's result, so :func:`remove_motion_artifacts` is a submit half,
-:func:`submit_motion_blocks`, which can hand every block to a process pool,
-and a join half, :func:`join_motion_blocks`, which cross-fades what comes
-back in block order, with the same bits as the inline loop.  A caller with
-many channels submits all of them before joining any (as stage A does), so
-the pool never idles between channels.  A block returns only the sum of
-its kept modes and its :class:`MotionCorrelation`, not its eight modes, so
-blocks queued ahead of the join hold little memory.  Processes, not
-threads: a sweep is ~90 short numpy calls, and the interpreter lock
-between them held two threads to 1.05-1.34x.
+:func:`submit_motion_blocks`, which hands every block to a process pool (or
+runs it at once without one), and a join half, :func:`join_motion_blocks`,
+which cross-fades what comes back in block order, with the same bits either
+way.  A caller with many channels submits all of them before joining any
+(as stage A does), so the pool never idles between channels; after a
+failure, the pool's owner cancels what is still queued.  A block returns
+only the sum of its kept modes and its :class:`MotionCorrelation`, not its
+eight modes, so blocks queued ahead of the join hold little memory.
+Processes, not threads: a sweep is ~90 short numpy calls, and the
+interpreter lock between them held two threads to 1.05-1.34x.
 
 A pool worker unpickles :func:`_screen_block` by importing this module,
 which needs only numpy and ``scipy.fft`` (the package namespace loads its
@@ -54,7 +55,6 @@ signal is rebuilt.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 
@@ -353,13 +353,23 @@ def _screen_block(
     return _kept_sum(res, corr), corr
 
 
+class _InlineExecutor(Executor):
+    """Runs each call at submit; its future holds the result or the exception."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # raised again where the future is read
+            future.set_exception(exc)
+        return future
+
+
 @dataclass
 class QueuedBlocks:
     """One channel's blocks, submitted by :func:`submit_motion_blocks`.
 
-    ``results`` yields each block's kept-mode sum and report in block
-    order: from ``futures`` when an executor runs the blocks, or computed
-    one at a time as they are read when none does.
+    ``futures`` holds each block's kept-mode sum and report, in block order.
     """
 
     n: int
@@ -367,13 +377,7 @@ class QueuedBlocks:
     spans: list[tuple[int, int]]
     overlap: int
     futures: list[Future]
-    results: Iterator[tuple[np.ndarray, MotionCorrelation]]
     label: str  # names the channel in warnings, or is empty
-
-    def cancel(self) -> None:
-        """Cancel the blocks that have not started."""
-        for f in self.futures:
-            f.cancel()
 
 
 def submit_motion_blocks(
@@ -390,8 +394,9 @@ def submit_motion_blocks(
 ) -> QueuedBlocks:
     """The submit half of :func:`remove_motion_artifacts`.
 
-    Checks the input, cuts ``x`` and ``accel`` into blocks and, with an
-    ``executor``, submits every block to it.  Nothing is read back here.
+    Checks the input, cuts ``x`` and ``accel`` into blocks and submits
+    every block to ``executor`` (without one, each runs here at once).
+    Nothing is read back here: a block that raised raises at the join.
     ``label`` (say, recording and channel) starts the join's warnings.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -420,13 +425,9 @@ def submit_motion_blocks(
         i0 = int(round(start / fs * imu_rate))
         i1 = max(i0 + 2, int(round(stop / fs * imu_rate)))
         jobs.append((x[start:stop], fs, accel[:, i0:i1], imu_rate, threshold, vmd_kwargs))
-    if executor is None:  # one block at a time, as the join reads them
-        futures = []
-        results = (_screen_block(*job) for job in jobs)
-    else:
-        futures = [executor.submit(_screen_block, *job) for job in jobs]
-        results = (f.result() for f in futures)
-    return QueuedBlocks(n, fs, spans, overlap, futures, results, label)
+    executor = executor or _InlineExecutor()
+    futures = [executor.submit(_screen_block, *job) for job in jobs]
+    return QueuedBlocks(n, fs, spans, overlap, futures, label)
 
 
 def join_motion_blocks(blocks: QueuedBlocks) -> tuple[np.ndarray, list[MotionCorrelation]]:
@@ -434,8 +435,8 @@ def join_motion_blocks(blocks: QueuedBlocks) -> tuple[np.ndarray, list[MotionCor
 
     Reads the blocks in block order and cross-fades them into the clean
     channel, warning, with the block's span, for each block whose every
-    mode is flagged.  A block that raised re-raises here, and the blocks
-    not yet started are cancelled.
+    mode is flagged.  A block that raised re-raises here; the blocks after
+    it are left to the executor's owner to finish or cancel.
     """
     n, fs, spans, overlap = blocks.n, blocks.fs, blocks.spans, blocks.overlap
     first, last = spans[0][0], spans[-1][0]
@@ -443,25 +444,23 @@ def join_motion_blocks(blocks: QueuedBlocks) -> tuple[np.ndarray, list[MotionCor
     clean = np.zeros(n)
     weight = np.zeros(n)
     reports: list[MotionCorrelation] = []
-    try:
-        for (start, stop), (kept, corr) in zip(spans, blocks.results):
-            reports.append(corr)
-            if corr.excluded.all():
-                warnings.warn(
-                    f"{prefix}block {start / fs:g}–{stop / fs:g} s: {_ALL_FLAGGED}", stacklevel=2
-                )
+    for (start, stop), future in zip(spans, blocks.futures):
+        kept, corr = future.result()
+        reports.append(corr)
+        if corr.excluded.all():
+            warnings.warn(
+                f"{prefix}block {start / fs:g}–{stop / fs:g} s: {_ALL_FLAGGED}", stacklevel=2
+            )
 
-            w = np.ones(stop - start)
-            if len(spans) > 1 and overlap > 0:
-                ramp = np.sin(0.5 * np.pi * np.arange(overlap) / overlap) ** 2
-                if start != first:
-                    w[:overlap] = ramp
-                if start != last:
-                    w[-overlap:] = ramp[::-1]
-            clean[start:stop] += kept * w
-            weight[start:stop] += w
-    finally:
-        blocks.cancel()  # after a failure, blocks not yet started never run
+        w = np.ones(stop - start)
+        if len(spans) > 1 and overlap > 0:
+            ramp = np.sin(0.5 * np.pi * np.arange(overlap) / overlap) ** 2
+            if start != first:
+                w[:overlap] = ramp
+            if start != last:
+                w[-overlap:] = ramp[::-1]
+        clean[start:stop] += kept * w
+        weight[start:stop] += w
     covered = weight > 0
     clean[covered] /= weight[covered]
     return clean, reports

@@ -218,6 +218,28 @@ class TestFailureReporting:
         assert "noimu7 has no IMU track" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")  # a warning would reach stderr before the JSON
+    def test_train_on_header_only_csv_names_the_file(self, capsys, tmp_path):
+        features = tmp_path / "empty.csv"
+        features.write_text("patient,start_s,label,f0,f1\n")
+        code = main(["train", "--features", str(features), "--model", "knn",
+                     "--out", str(tmp_path / "model.bin")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{features}: no feature rows")
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_truncated_template_bank_names_the_file(self, artifacts, capsys, tmp_path):
+        bank = tmp_path / "bank.bin"
+        bank.write_bytes(artifacts["bank"].read_bytes()[:-4])
+        code = main(["separate", "--in", str(artifacts["raw"]), "--method", "nnmf",
+                     "--templates", str(bank), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RecordingFormatError"
+        assert err["message"].startswith("bank.bin: payload of ")
+
     def test_train_templates_rejects_mixed_rates(self, capsys, tmp_path):
         for name, rate in (("eeg", 250.0), ("emg", 500.0), ("eog", 250.0)):
             rec = Recording(patient_id=name, sample_rate=rate,

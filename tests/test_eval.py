@@ -7,6 +7,7 @@ from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe import evaluation
 from earpipe.cli import main
@@ -145,6 +146,21 @@ class TestFoldPlanning:
     def test_single_patient_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             lopo_folds(["p00", "p00"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([f"p{i:02d}" for i in range(12)]), max_size=40))
+    def test_folds_partition_the_patients(self, patient_ids):
+        """Each patient is tested exactly once and trains every other fold;
+        fewer than two patients raise."""
+        patients = set(patient_ids)
+        if len(patients) < 2:
+            with pytest.raises(ValueError, match="at least two"):
+                lopo_folds(patient_ids)
+            return
+        folds = lopo_folds(patient_ids)
+        assert sorted(f.test_patient for f in folds) == sorted(patients)
+        for f in folds:
+            assert sorted(f.train_patients) == sorted(patients - {f.test_patient})
 
 
 def _separated_patient(patient_id, seed, duration_s=60.0, fs=FS):
@@ -364,22 +380,34 @@ class TestStageAPool:
         recordings = make_synthetic_corpus(n_patients=2)
         templates = train_corpus_templates()
         cfg = ExperimentConfig(stride_s=3, normalization="minmax")
-        calls = []
+        calls, submitted, done_at_first_join = [], [], []
+
+        def submit_spy(rec, cfg, executor=None, real=evaluation._submit_recording):
+            submitted.append(real(rec, cfg, executor))
+            return submitted[-1]
 
         def spy(rec, cfg, templates, queued=None, real=evaluation.prepare_recording):
+            if not calls:  # the inline run's first join
+                done_at_first_join.extend(
+                    f.done() for q in submitted for b in q.blocks.values() for f in b.futures
+                )
             calls.append(queued)
             return real(rec, cfg, templates, queued=queued)
 
+        monkeypatch.setattr(evaluation, "_submit_recording", submit_spy)
         monkeypatch.setattr(evaluation, "prepare_recording", spy)
         _set_cores(monkeypatch, 1)
         inline = run_experiment(recordings, cfg, templates).to_dict()
         _set_cores(monkeypatch, 2)
         pooled = run_experiment(recordings, cfg, templates).to_dict()
-        assert calls[:2] == [None, None] and len(calls) == 4
-        # pooled, each call joins blocks that were already submitted to the pool
-        for queued in calls[2:]:
+        assert len(calls) == 4
+        # every call joins blocks that were already submitted; inline, they have run
+        for queued in calls:
             assert queued.blocks
             assert all(blocks.futures for blocks in queued.blocks.values())
+        assert all(c is q for c, q in zip(calls, submitted, strict=True))
+        inline_blocks = sum(len(b.futures) for q in submitted[:2] for b in q.blocks.values())
+        assert len(done_at_first_join) == inline_blocks and all(done_at_first_join)
         assert pooled == inline
         assert workers_gone()
 
@@ -430,6 +458,9 @@ class _FakePool(Executor):
         return f
 
     def shutdown(self, wait=True, *, cancel_futures=False):
+        if cancel_futures:  # as ProcessPoolExecutor does with pending work
+            for f in self.futures:
+                f.cancel()
         self.closed = True
 
 

@@ -14,6 +14,7 @@ from earpipe.features import (
     WindowSpec,
     apply_normalizer,
     balance_epochs,
+    balance_indices,
     channel_features,
     epoch_features,
     epoch_start_indices,
@@ -308,6 +309,27 @@ class TestBalancing:
         a = balance_epochs(epochs, ratio="1:1", seed=7)
         b = balance_epochs(epochs, ratio="1:1", seed=7)
         assert [e.start_s for e in a] == [e.start_s for e in b]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from([0, 1]), max_size=120),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_ratio_for_any_labels(self, labels, k, seed):
+        """Sorted unique rows: min(#seizure, #background // k) seizures and k
+        times as many backgrounds; a missing class or too few backgrounds raises."""
+        labels = np.array(labels, dtype=int)
+        n_seiz, n_back = int(labels.sum()), int((labels == 0).sum())
+        keep = min(n_seiz, n_back // k)
+        if keep == 0:
+            with pytest.raises(ValueError):
+                balance_indices(labels, f"1:{k}", seed)
+            return
+        idx = balance_indices(labels, f"1:{k}", seed)
+        assert np.array_equal(idx, np.unique(idx))
+        assert labels[idx].sum() == keep
+        assert (labels[idx] == 0).sum() == k * keep
 
 
 class TestNormalization:

@@ -72,6 +72,13 @@ class TestRecordingRoundTrip:
         with pytest.raises(RecordingFormatError):
             load_recording(path)
 
+    def test_payload_cut_inside_a_value_raises(self, tmp_path):
+        path = save_recording(_sample_recording(), tmp_path / "rec", payload="bin")
+        data_file = path / "signals.bin"
+        data_file.write_bytes(data_file.read_bytes()[:-4])
+        with pytest.raises(RecordingFormatError, match=r"signals\.bin: expected 1000 float64"):
+            load_recording(path)
+
 
 class TestContainer:
     def test_round_trip(self, tmp_path):
@@ -92,3 +99,37 @@ class TestContainer:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(RecordingFormatError):
             read_container(path)
+
+
+class TestContainerDamage:
+    """Every way a container can be cut or padded names the file."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = tmp_path / "blob.earpipe"
+        write_container(path, {"kind": "test"}, [np.arange(6.0).reshape(2, 3), np.ones(4)])
+        return path
+
+    @staticmethod
+    def _head_end(raw):
+        return 9 + 8 + int.from_bytes(raw[9:17], "little")  # magic, length, header
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw[:9], "truncated header"),  # the magic bytes only
+        (lambda raw: raw[:13], "truncated header"),
+        (lambda raw: raw[:20], "truncated header"),
+        (lambda raw: raw[:-4], "payload of 76 bytes, header declares 80"),
+        (lambda raw: raw + b"\x00" * 8, "payload of 88 bytes, header declares 80"),
+    ], ids=["magic-only", "cut-length", "cut-header", "cut-payload", "trailing-bytes"])
+    def test_damaged_file_names_itself(self, blob, cut, message):
+        blob.write_bytes(cut(blob.read_bytes()))
+        with pytest.raises(RecordingFormatError, match=rf"^blob\.earpipe: {message}"):
+            read_container(blob)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+    def test_malformed_header_names_the_file(self, blob, header):
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:9] + len(header).to_bytes(8, "little") + header
+                         + raw[self._head_end(raw):])
+        with pytest.raises(RecordingFormatError, match=r"^blob\.earpipe: malformed header"):
+            read_container(blob)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe.stft import Spectrogram, StftConfig, istft, stft
 
@@ -77,6 +78,30 @@ class TestRoundTrip:
     def test_zero_round_trip(self):
         y = istft(stft(np.zeros(1000), FS))
         np.testing.assert_array_equal(y, np.zeros(1000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window_len=st.integers(2, 300),
+        hop_frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_window_hop_and_length(self, window_len, hop_frac, n, seed):
+        """Every sample under a nonzero window weight comes back to 1e-9 of the
+        signal's peak; a sample under none (the periodic Hann's leading zero)
+        comes back as 0."""
+        hop = max(1, round(hop_frac * window_len))
+        x = np.random.default_rng(seed).standard_normal(n)
+        spec = stft(x, FS, StftConfig(window_len=window_len, hop=hop))
+        y = istft(spec)
+        w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
+        weight = np.zeros(n)
+        for start in range(0, spec.n_frames * hop, hop):
+            covered = w[: max(0, min(window_len, n - start))]
+            weight[start:start + len(covered)] += covered**2
+        assert len(y) == n
+        assert np.all(np.abs(y - x)[weight > 0] <= 1e-9 * np.abs(x).max())
+        assert np.all(y[weight == 0] == 0.0)
 
 
 class TestLinearity:

@@ -420,3 +420,15 @@ class TestBlockPool:
         assert type(pooled_error.value) is ValueError
         assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
         assert workers_gone()
+
+    def test_inline_block_error_raised_at_join(self):
+        """Without an executor a failing block is submitted quietly and raises
+        at the join, with the message the test above pins for the pool."""
+        x = np.random.default_rng(9).standard_normal(int(90 * FS))
+        x[int(40 * FS)] = np.nan  # in the second of four blocks
+        queued = submit_motion_blocks(x, FS, np.ones((3, 90 * 50)), 50.0, max_iter=5)
+        assert len(queued.futures) == 4 and all(f.done() for f in queued.futures)
+        with pytest.raises(ValueError) as inline_error:
+            join_motion_blocks(queued)
+        assert type(inline_error.value) is ValueError
+        assert str(inline_error.value) == "signal contains NaN or Inf"
