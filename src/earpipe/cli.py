@@ -1,9 +1,13 @@
 """Command-line entry points for every pipeline stage.
 
-Each subcommand accepts ``--config FILE`` (a JSON object) whose keys match
-the command's flags; explicit flags override the file.  Failures print a
-machine-readable JSON object to stderr and exit nonzero.  All randomness
-descends from ``--seed``, so a repeated invocation writes byte-identical
+``synth``, ``evaluate`` and ``sweep`` accept ``--config FILE`` (a JSON
+object) whose keys match the command's flags; explicit flags override the
+file.  Stage commands write recording directories, ``train-templates`` and
+``train`` write containers, ``features`` and ``sweep`` write CSV, and
+``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON
+object to stderr and exit nonzero.  All randomness descends from ``--seed``
+(``synth``, ``train-templates``, ``train``) or ``--master-seed``
+(``evaluate``, ``sweep``), so a repeated invocation writes byte-identical
 outputs.
 
 Each command imports the pipeline modules it uses when it runs.  A worker

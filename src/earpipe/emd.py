@@ -106,9 +106,8 @@ def emd_decompose(
     imfs: list[np.ndarray] = []
     residual = x.copy()
     while len(imfs) < max_imfs:
-        maxima, minima = _local_extrema(residual)
-        if len(maxima) + len(minima) < 4:
-            break
+        # maxima and minima alternate, so fewer than four extrema leave fewer
+        # than two of one kind, and _sift's first pass returns None
         imf = _sift(residual, sd_threshold, max_siftings)
         if imf is None:
             break

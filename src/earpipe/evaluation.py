@@ -495,21 +495,18 @@ def run_experiment(
             train_labels, cfg.ratio, seed=_fold_seed(cfg.master_seed, 1, fold_idx)
         )
         y_train = train_labels[keep]
+        model = make_model(cfg.model, seed=_fold_seed(cfg.master_seed, 2, fold_idx))
 
         if use_windows:
             train_epochs = [e for w in train for e in w.epochs]
             x_train = np.stack([train_epochs[i].channels for i in keep])
             x_test = np.stack([e.channels for e in test.epochs])
-            model = make_model("cnn", seed=_fold_seed(cfg.master_seed, 2, fold_idx))
-            model.train_config = type(model.train_config)(
-                epochs=cfg.cnn_epochs, seed=_fold_seed(cfg.master_seed, 2, fold_idx)
-            )
+            model.train_config = replace(model.train_config, epochs=cfg.cnn_epochs)
         else:
             x_fold = np.concatenate([w.features for w in train])[keep]
             norm = fit_normalizer(x_fold, mode=cfg.normalization)
             x_train = apply_normalizer(x_fold, norm)
             x_test = apply_normalizer(test.features, norm)
-            model = make_model(cfg.model, seed=_fold_seed(cfg.master_seed, 2, fold_idx))
 
         model.fit(x_train, y_train)
         metrics = confusion(test.labels, model.predict(x_test))

@@ -86,8 +86,11 @@ def load_recording(path: str | Path) -> Recording:
     except ValueError as exc:
         raise RecordingFormatError(str(exc)) from exc
 
-    n = int(header["n_samples"])
-    n_imu = int(header.get("imu_n_samples", 0))
+    try:
+        n = int(header["n_samples"])
+        n_imu = int(header.get("imu_n_samples", 0))
+    except (TypeError, ValueError) as exc:
+        raise RecordingFormatError(f"{HEADER_NAME}: sample counts must be integers: {exc}") from exc
 
     if payload == "csv":
         signals = _read_csv(path / "signals.csv", len(roles), n)
@@ -96,18 +99,23 @@ def load_recording(path: str | Path) -> Recording:
         signals = _read_bin(path / "signals.bin", len(roles), n)
         imu = _read_bin(path / "imu.bin", 3, n_imu) if n_imu else None
 
-    annotations = [
-        SeizureAnnotation(a["onset_s"], a["offset_s"], a.get("label", "seizure"))
-        for a in header.get("annotations", [])
-    ]
-    return Recording(
-        patient_id=header["patient_id"],
-        sample_rate=float(header["sample_rate"]),
-        channels={role: signals[i] for i, role in enumerate(roles)},
-        imu=imu,
-        imu_rate=float(header.get("imu_rate", 50.0)),
-        annotations=annotations,
-    )
+    try:
+        annotations = [
+            SeizureAnnotation(a["onset_s"], a["offset_s"], a.get("label", "seizure"))
+            for a in header.get("annotations", [])
+        ]
+        return Recording(
+            patient_id=header["patient_id"],
+            sample_rate=float(header["sample_rate"]),
+            channels={role: signals[i] for i, role in enumerate(roles)},
+            imu=imu,
+            imu_rate=float(header.get("imu_rate", 50.0)),
+            annotations=annotations,
+        )
+    except KeyError as exc:
+        raise RecordingFormatError(f"{HEADER_NAME}: annotation without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise RecordingFormatError(f"{HEADER_NAME}: {exc}") from exc
 
 
 def _write_csv(path: Path, matrix: np.ndarray) -> None:
@@ -118,7 +126,10 @@ def _write_csv(path: Path, matrix: np.ndarray) -> None:
 def _read_csv(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
     if not path.is_file():
         raise RecordingFormatError(f"missing payload file {path.name}")
-    data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise RecordingFormatError(f"{path.name}: {exc}") from exc
     if data.shape != (n_cols, n_rows):
         raise RecordingFormatError(
             f"{path.name}: expected {n_cols} rows x {n_rows} columns, got {data.shape}"

@@ -4,9 +4,7 @@ from .svm import SvmClassifier, SvmConfig
 from .knn import KnnClassifier, KnnConfig
 from .forest import RandomForestClassifier, ForestConfig
 from .cnn import Cnn1d, CnnConfig, CnnClassifier, TrainConfig, focal_loss
-from .store import save_model, load_model
-
-MODEL_KINDS = ("svm", "knn", "rfc", "cnn")
+from .store import MODEL_CLASSES, save_model, load_model
 
 
 def make_model(kind: str, seed: int = 0):
@@ -19,4 +17,4 @@ def make_model(kind: str, seed: int = 0):
         return RandomForestClassifier(ForestConfig(seed=seed))
     if kind == "cnn":
         return CnnClassifier(train=TrainConfig(seed=seed))
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODEL_CLASSES)}")

@@ -4,6 +4,9 @@ Each tree sees a bootstrap resample of the training set and, at every
 split, a fresh random subset of ceil(sqrt(d)) features.  Candidate
 thresholds are midpoints between consecutive unique values.  All
 randomness flows from one seed, so a forest is reproducible bit for bit.
+A tree is grown, walked and saved as one node table: a row per node in
+preorder, ``[feature, threshold, left row, right row, class]``, with class
+-1 on inner nodes.
 """
 
 from __future__ import annotations
@@ -20,28 +23,19 @@ class ForestConfig:
     seed: int = 0
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    klass: int = -1  # leaf prediction when >= 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.klass >= 0
-
-
 def gini(labels: np.ndarray) -> float:
     counts = np.bincount(labels)
     p = counts / labels.size
     return float(1.0 - np.sum(p**2))
 
 
-def _majority(labels: np.ndarray) -> int:
-    # ties fall to the lower class id via argmax
-    return int(np.argmax(np.bincount(labels)))
+def majority_vote(votes: np.ndarray) -> np.ndarray:
+    """Most frequent of the non-negative labels along the last axis.
+
+    Ties fall to the lower label, as ``argmax(bincount(row))`` breaks them.
+    """
+    counts = (votes[..., None] == np.arange(votes.max(initial=0) + 1)).sum(axis=-2)
+    return counts.argmax(axis=-1)
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feat_ids: np.ndarray) -> tuple[int, float, float]:
@@ -74,76 +68,44 @@ class DecisionTree:
     def __init__(self, max_depth: int = 100, rng: np.random.Generator | None = None):
         self.max_depth = max_depth
         self.rng = rng or np.random.default_rng(0)
-        self.root: _Node | None = None
+        self.nodes: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
         self.n_features = x.shape[1]
         self.m_features = int(np.ceil(np.sqrt(self.n_features)))
-        self.root = self._grow(x, y, depth=0)
+        rows: list[list[float]] = []
+        self._grow(x, y, 0, rows)
+        self.nodes = np.array(rows)
         return self
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        if depth >= self.max_depth or len(np.unique(y)) == 1 or len(y) < 2:
-            return _Node(klass=_majority(y))
-        feat_ids = np.sort(self.rng.choice(self.n_features, self.m_features, replace=False))
-        feature, threshold, _ = _best_split(x, y, feat_ids)
-        if feature < 0:
-            return _Node(klass=_majority(y))
-        mask = x[:, feature] <= threshold
-        if not mask.any() or mask.all():
-            return _Node(klass=_majority(y))
-        return _Node(
-            feature=feature,
-            threshold=threshold,
-            left=self._grow(x[mask], y[mask], depth + 1),
-            right=self._grow(x[~mask], y[~mask], depth + 1),
-        )
+    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int, rows: list[list[float]]) -> None:
+        """Append the subtree of ``(x, y)`` to ``rows``: its root, then left, then right."""
+        feature = -1
+        if depth < self.max_depth and len(y) >= 2 and len(np.unique(y)) > 1:
+            feat_ids = np.sort(self.rng.choice(self.n_features, self.m_features, replace=False))
+            feature, threshold, _ = _best_split(x, y, feat_ids)
+        mask = x[:, feature] <= threshold if feature >= 0 else None
+        if mask is None or not mask.any() or mask.all():
+            rows.append([-1.0, 0.0, -1.0, -1.0, float(majority_vote(y))])
+            return
+        here = len(rows)
+        rows.append([])  # filled in once the left subtree's size is known
+        self._grow(x[mask], y[mask], depth + 1, rows)
+        right = len(rows)
+        self._grow(x[~mask], y[~mask], depth + 1, rows)
+        rows[here] = [float(feature), threshold, float(here + 1), float(right), -1.0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.klass
-        return out
-
-    def to_matrix(self) -> np.ndarray:
-        """Preorder rows of [feature, threshold, left row, right row, class]."""
-        rows: list[list[float]] = []
-
-        def walk(node: _Node) -> int:
-            my_id = len(rows)
-            rows.append([0.0] * 5)
-            if node.is_leaf:
-                rows[my_id] = [-1.0, 0.0, -1.0, -1.0, float(node.klass)]
-            else:
-                left_id = walk(node.left)
-                right_id = walk(node.right)
-                rows[my_id] = [
-                    float(node.feature), node.threshold, float(left_id), float(right_id), -1.0
-                ]
-            return my_id
-
-        walk(self.root)
-        return np.array(rows)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, max_depth: int) -> "DecisionTree":
-        def build(idx: int) -> _Node:
-            feature, threshold, left, right, klass = matrix[idx]
-            if klass >= 0:
-                return _Node(klass=int(klass))
-            return _Node(
-                feature=int(feature),
-                threshold=float(threshold),
-                left=build(int(left)),
-                right=build(int(right)),
-            )
-
-        tree = cls(max_depth=max_depth)
-        tree.root = build(0)
-        return tree
+        feature, threshold, left, right, klass = self.nodes.T
+        feature, left, right, klass = (a.astype(int) for a in (feature, left, right, klass))
+        at = np.zeros(len(x), dtype=int)
+        walking = np.flatnonzero(klass[at] < 0)
+        while walking.size:  # one tree level per pass
+            node = at[walking]
+            goes_left = x[walking, feature[node]] <= threshold[node]
+            at[walking] = np.where(goes_left, left[node], right[node])
+            walking = walking[klass[at[walking]] < 0]
+        return klass[at]
 
 
 class RandomForestClassifier:
@@ -169,20 +131,18 @@ class RandomForestClassifier:
         if not self.trees:
             raise RuntimeError("classifier is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        votes = np.stack([t.predict(x) for t in self.trees])
-        out = np.empty(len(x), dtype=int)
-        for i in range(len(x)):
-            out[i] = int(np.argmax(np.bincount(votes[:, i])))
-        return out
+        return majority_vote(np.stack([t.predict(x) for t in self.trees], axis=1))
 
     def state(self) -> tuple[dict, list[np.ndarray]]:
         """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
         if not self.trees:
             raise ValueError("cannot save an unfitted model")
-        return {"config": asdict(self.config)}, [t.to_matrix() for t in self.trees]
+        return {"config": asdict(self.config)}, [t.nodes for t in self.trees]
 
     @classmethod
     def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "RandomForestClassifier":
         model = cls(ForestConfig(**header["config"]))
-        model.trees = [DecisionTree.from_matrix(m, model.config.max_depth) for m in arrays]
+        model.trees = [DecisionTree(model.config.max_depth) for _ in arrays]
+        for tree, nodes in zip(model.trees, arrays):
+            tree.nodes = nodes
         return model

@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .forest import majority_vote
+
 
 @dataclass(frozen=True)
 class KnnConfig:
@@ -38,13 +40,7 @@ class KnnClassifier:
         d2 = a2 + b2 - 2.0 * (x @ self._x.T)
         # stable sort so equal distances resolve to the earlier training row
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.config.k]
-        votes = self._y[nearest]
-        out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(votes):
-            counts = np.bincount(row)
-            # argmax returns the lowest class id among tied vote counts
-            out[i] = int(np.argmax(counts))
-        return out
+        return majority_vote(self._y[nearest])
 
     def state(self) -> tuple[dict, list[np.ndarray]]:
         """Header fields and arrays from which :meth:`from_state` rebuilds the model."""

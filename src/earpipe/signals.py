@@ -90,7 +90,7 @@ class Recording:
     patient_id : str
         Stable identifier used for leave-one-patient-out fold assignment.
     sample_rate : float
-        Biopotential sampling rate in Hz.
+        Biopotential sampling rate in Hz; finite and above 0, as is ``imu_rate``.
     channels : dict[ChannelRole, np.ndarray]
         Ordered mapping from role to signal (mV).  All arrays share a length.
     imu : np.ndarray or None
@@ -108,6 +108,10 @@ class Recording:
     annotations: list[SeizureAnnotation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        for name in ("sample_rate", "imu_rate"):
+            rate = getattr(self, name)
+            if not (np.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be a finite number above 0, got {rate!r}")
         lengths = {len(x) for x in self.channels.values()}
         if len(lengths) > 1:
             raise ValueError(f"channel lengths differ: {sorted(lengths)}")

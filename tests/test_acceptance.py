@@ -326,10 +326,11 @@ def test_09_classifier_sanity_and_voting_oracles():
     for q in queries:
         votes = []
         for tree in rfc.trees:
-            node = tree.root
-            while not node.is_leaf:
-                node = node.left if q[node.feature] <= node.threshold else node.right
-            votes.append(node.klass)
+            row = 0
+            while tree.nodes[row, 4] < 0:
+                feature, threshold, left, right, _ = tree.nodes[row]
+                row = int(left) if q[int(feature)] <= threshold else int(right)
+            votes.append(int(tree.nodes[row, 4]))
         expected = int(np.argmax(np.bincount(np.array(votes))))
         assert rfc.predict(q[None, :])[0] == expected
     _ok(9, "blob accuracy and 200 vote-oracle agreements")

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from earpipe.emd import (
+    MAX_SIFTINGS,
+    SD_THRESHOLD,
     EmdResult,
+    _local_extrema,
+    _sift,
     assign_modalities,
     emd_decompose,
     orthogonality_index,
@@ -207,3 +211,55 @@ class TestSixImfSplit:
                 np.testing.assert_array_equal(out.channels[ChannelRole(f"{modality}_{side}")], expected)
         full, six = emd_decompose(left), emd_decompose(left, max_imfs=6)
         np.testing.assert_array_equal(six.imfs, full.imfs[:6])
+
+
+def _decompose_with_extrema_precheck(x, max_imfs):
+    """The sifting loop as it ran when it first counted each residual's
+    extrema and stopped below four, before handing it to ``_sift``."""
+    imfs, residual = [], x.copy()
+    while len(imfs) < max_imfs:
+        maxima, minima = _local_extrema(residual)
+        if len(maxima) + len(minima) < 4:
+            break
+        imf = _sift(residual, SD_THRESHOLD, MAX_SIFTINGS)
+        if imf is None:
+            break
+        imfs.append(imf)
+        residual = residual - imf
+    return np.array(imfs).reshape(len(imfs), len(x)), residual
+
+
+class TestExtremaCountedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=14),
+        max_imfs=st.integers(min_value=1, max_value=8),
+    )
+    # monotone, flat, and plateaued signals with 0, 1, 2, 3 and 4 extrema
+    @example(steps=[1, 1, 1, 1], max_imfs=8)
+    @example(steps=[0, 0, 0], max_imfs=8)
+    @example(steps=[1, 0, -1, -1], max_imfs=8)
+    @example(steps=[1, -1, 0, 1], max_imfs=8)
+    @example(steps=[1, -1, 1, -1, -1], max_imfs=8)
+    @example(steps=[2, -1, 1, -2, 1, 1], max_imfs=8)
+    def test_short_signals_match_the_precheck_loop(self, steps, max_imfs):
+        """Fewer than four extrema leave fewer than two maxima or minima,
+        so ``_sift`` stops the loop where the count did."""
+        x = np.cumsum(np.array([0] + steps, dtype=float))
+        out = emd_decompose(x, max_imfs=max_imfs)
+        imfs, residual = _decompose_with_extrema_precheck(x, max_imfs)
+        np.testing.assert_array_equal(out.imfs, imfs)
+        np.testing.assert_array_equal(out.residual, residual)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=1500),
+        kind=st.sampled_from(["noise", "walk", "tone"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_signals_match_the_precheck_loop(self, n, kind, seed):
+        x = _random_signal(n, kind, seed)
+        out = emd_decompose(x, max_imfs=6)
+        imfs, residual = _decompose_with_extrema_precheck(x, 6)
+        np.testing.assert_array_equal(out.imfs, imfs)
+        np.testing.assert_array_equal(out.residual, residual)

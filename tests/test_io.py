@@ -79,6 +79,39 @@ class TestRecordingRoundTrip:
         with pytest.raises(RecordingFormatError, match=r"signals\.bin: expected 1000 float64"):
             load_recording(path)
 
+    def test_csv_cut_mid_row_names_the_file(self, tmp_path):
+        path = save_recording(_sample_recording(), tmp_path / "rec", payload="csv")
+        data_file = path / "signals.csv"
+        data_file.write_text(data_file.read_text()[:-30])
+        with pytest.raises(RecordingFormatError, match=r"^signals\.csv: "):
+            load_recording(path)
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        path = save_recording(_sample_recording(), tmp_path / "rec")
+        header = json.loads((path / "header.json").read_text())
+        edit(header)
+        (path / "header.json").write_text(json.dumps(header))
+        return path
+
+    def test_annotation_without_offset_names_the_file(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["annotations"][0].pop("offset_s"))
+        with pytest.raises(RecordingFormatError, match=r"^header\.json: annotation without 'offset_s'"):
+            load_recording(path)
+
+    def test_non_integer_sample_count_names_the_file(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h.update(n_samples="lots"))
+        with pytest.raises(RecordingFormatError, match=r"^header\.json: sample counts must be integers"):
+            load_recording(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sample_rate", -5), ("sample_rate", float("nan")), ("imu_rate", 0),
+    ])
+    def test_bad_rate_names_the_file(self, tmp_path, key, value):
+        path = self._with_header(tmp_path, lambda h: h.update({key: value}))
+        with pytest.raises(RecordingFormatError, match=rf"^header\.json: {key} must be a finite number above 0"):
+            load_recording(path)
+
 
 class TestContainer:
     def test_round_trip(self, tmp_path):

@@ -1,7 +1,10 @@
 """From-scratch classifiers: optimization, voting, backprop, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe import io as containers
 from earpipe.models.cnn import (
@@ -18,8 +21,10 @@ from earpipe.models.forest import (
     ForestConfig,
     RandomForestClassifier,
     gini,
+    majority_vote,
 )
 from earpipe.models.knn import KnnClassifier, KnnConfig
+from earpipe.models import make_model
 from earpipe.models.store import load_model, save_model
 from earpipe.models.svm import SvmClassifier, SvmConfig, rbf_kernel
 
@@ -140,7 +145,60 @@ class TestKnn:
             KnnClassifier().predict(np.ones((1, 2)))
 
 
+class TestMajorityVote:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(min_value=0, max_value=12),
+        k=st.integers(min_value=1, max_value=9),
+        n_labels=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_equals_argmax_of_bincount_per_row(self, rows, k, n_labels, seed):
+        """Ties fall to the lower label, exactly as argmax(bincount(row))."""
+        votes = np.random.default_rng(seed).integers(0, n_labels, size=(rows, k))
+        expected = [int(np.argmax(np.bincount(r))) for r in votes]
+        np.testing.assert_array_equal(majority_vote(votes), np.array(expected, dtype=int))
+        for r in votes:
+            assert majority_vote(r) == int(np.argmax(np.bincount(r)))
+
+    def test_three_way_tie_takes_lowest(self):
+        np.testing.assert_array_equal(majority_vote(np.array([[2, 1, 0], [2, 2, 1]])), [0, 2])
+
+
+def _walk(nodes, q):
+    """Follow one query down a node table, one row at a time."""
+    row = 0
+    while nodes[row, 4] < 0:
+        feature, threshold, left, right, _ = nodes[row]
+        row = int(left) if q[int(feature)] <= threshold else int(right)
+    return int(nodes[row, 4])
+
+
 class TestForest:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        d=st.integers(min_value=1, max_value=6),
+        max_depth=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_predict_equals_per_row_walk_of_the_table(self, n, d, max_depth, seed):
+        """Rows are in preorder: an inner node's left child is the next row,
+        its right child comes after the left subtree, and leaves alone
+        carry a class."""
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.standard_normal((n, d)), 1)  # one decimal: tied feature values
+        y = rng.integers(0, 2, n)
+        tree = DecisionTree(max_depth=max_depth, rng=rng).fit(x, y)
+        nodes = tree.nodes
+        inner = nodes[:, 4] < 0
+        assert nodes.shape == (len(nodes), 5)
+        np.testing.assert_array_equal(nodes[inner, 2], np.flatnonzero(inner) + 1)
+        assert np.all(nodes[inner, 3] > nodes[inner, 2])
+        assert np.all(nodes[~inner, :4] == [-1.0, 0.0, -1.0, -1.0])
+        queries = np.vstack([x, np.round(rng.standard_normal((20, d)), 1)])
+        np.testing.assert_array_equal(tree.predict(queries), [_walk(nodes, q) for q in queries])
+
     def test_gini_frozen_values(self):
         assert gini(np.array([0, 0, 1, 1])) == pytest.approx(0.5)
         assert gini(np.array([0, 0, 0])) == pytest.approx(0.0)
@@ -396,6 +454,29 @@ class TestModelStore:
         for kind, model in models.items():
             header, _ = containers.read_container(save_model(model, tmp_path / kind))
             assert header == expected[kind], kind
+
+    def test_forest_and_knn_files_pinned(self, tmp_path):
+        """Small forest and KNN files hash as they did when a tree was still
+        grown as linked nodes and flattened to its table on save."""
+        rng = np.random.default_rng(21)
+        x = np.round(rng.standard_normal((24, 3)), 1)  # one decimal: tied feature values
+        y = (x[:, 0] + x[:, 1] > 0).astype(int)
+        expected = {
+            "rfc": "15770b23d0b0d1dd959eb66b4dc483aa2155c70caf2af2512ed20d7069441f79",
+            "knn": "6f2fa750e415541650a92bd491743e78e2bbfeb9e7dd67b52a2d18ec27e42609",
+        }
+        models = {
+            "rfc": RandomForestClassifier(ForestConfig(n_trees=3, seed=4)),
+            "knn": KnnClassifier(KnnConfig(k=3)),
+        }
+        for kind, model in models.items():
+            path = save_model(model.fit(x, y), tmp_path / kind)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[kind], kind
+            np.testing.assert_array_equal(load_model(path).predict(x), model.predict(x))
+
+    def test_unknown_kind_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"expected one of \['cnn', 'knn', 'rfc', 'svm'\]"):
+            make_model("lda")
 
     def test_unfitted_save_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):

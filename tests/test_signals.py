@@ -39,6 +39,12 @@ class TestRecording:
         with pytest.raises(ValueError, match="3 x M"):
             Recording(patient_id="p", imu=np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("key", ["sample_rate", "imu_rate"])
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, key, rate):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number above 0"):
+            Recording(patient_id="p", **{key: rate})
+
     def test_channels_coerced_to_float64(self):
         rec = Recording(
             patient_id="p",
