@@ -3,7 +3,12 @@
 Sifting follows the classic recipe: cubic-spline envelopes through the
 extrema, stopped by a Cauchy-style convergence ratio.  Boundaries are
 handled by mirroring two extrema beyond each end so the splines do not
-swing wildly at the edges.
+swing wildly at the edges.  Extrema are where the sign of the slope turns;
+on a plateau the slope is carried forward from the last nonzero one, by
+indexing the signs with a running maximum of the positions of nonzero
+slopes.  That copies the same sign values as a sample-by-sample carry (the
+reference the tests keep), a leading plateau keeping slope 0, so the
+extrema are the same.
 
 The modality split reads IMFs 1-6 only and stops sifting there: each IMF is
 sifted from the residual the ones before it leave, so IMFs 1-6 do not depend
@@ -38,12 +43,11 @@ class EmdResult:
 
 
 def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of local maxima and minima, plateaus collapsed to midpoints."""
+    """Indices of local maxima and minima; a plateau counts once, at its last sample."""
     d = np.sign(np.diff(x))
-    # carry the previous slope through flat stretches
-    for i in range(1, len(d)):
-        if d[i] == 0:
-            d[i] = d[i - 1]
+    # carry the last nonzero slope through flat stretches; leading ones stay 0
+    source = np.where(d != 0, np.arange(len(d)), 0)
+    d = d[np.maximum.accumulate(source)]
     turn = np.diff(d)
     maxima = np.where(turn < 0)[0] + 1
     minima = np.where(turn > 0)[0] + 1

@@ -64,11 +64,22 @@ def save_recording(rec: Recording, path: str | Path, payload: str = "bin") -> Pa
 
 
 def load_recording(path: str | Path) -> Recording:
-    """Read a recording directory written by :func:`save_recording`."""
+    """Read a recording directory written by :func:`save_recording`.
+
+    A damaged one raises :class:`RecordingFormatError`, its message starting
+    with the directory's path.
+    """
     path = Path(path)
+    try:
+        return _read_recording(path)
+    except RecordingFormatError as exc:
+        raise RecordingFormatError(f"{path}: {exc}") from exc
+
+
+def _read_recording(path: Path) -> Recording:
     header_path = path / HEADER_NAME
     if not header_path.is_file():
-        raise RecordingFormatError(f"no {HEADER_NAME} in {path}")
+        raise RecordingFormatError(f"no {HEADER_NAME}")
     try:
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as exc:

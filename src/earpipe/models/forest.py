@@ -7,6 +7,16 @@ randomness flows from one seed, so a forest is reproducible bit for bit.
 A tree is grown, walked and saved as one node table: a row per node in
 preorder, ``[feature, threshold, left row, right row, class]``, with class
 -1 on inner nodes.
+
+The split search scores every cut of the chosen features at once: one
+stable sort of their columns, one cumulative count of class 1, then the
+weighted Gini of each cut with the same operations in the same order as the
+per-cut loop the tests keep as a reference, so every score has its bits.
+Cuts are visited feature by feature, and a cut wins only when its score
+beats the best so far by more than 1e-12, which is not an argmin.  ``_scan``
+finds that winner from a running minimum of the scores (its docstring says
+why that is exact) and steps in Python only through the few cuts that
+minimum cannot settle, so the search stays linear in the number of cuts.
 """
 
 from __future__ import annotations
@@ -38,30 +48,51 @@ def majority_vote(votes: np.ndarray) -> np.ndarray:
     return counts.argmax(axis=-1)
 
 
+def _scan(scores: np.ndarray, start: float) -> tuple[int, float]:
+    """Index and value of the score that a scan in order keeps last, or (-1, start).
+
+    The scan starts from ``start`` and keeps a score only when it lies more
+    than 1e-12 below the best kept so far.  Its best before score j lies in
+    [low[j], low[j] + 1e-12], low being the running minimum of ``start`` and
+    the scores before j.  So a score below low[j] - 1e-12 is always kept and
+    one at or above low[j] never is: the scan runs in Python only after the
+    last sure keep, over the scores that set a new running minimum.
+    """
+    low = np.minimum.accumulate(np.concatenate(([start], scores)))[:-1]
+    sure = np.flatnonzero(scores < low - 1e-12)
+    at, best = (int(sure[-1]), scores[sure[-1]]) if sure.size else (-1, start)
+    for j in np.flatnonzero(scores[at + 1:] < low[at + 1:]) + at + 1:
+        if scores[j] < best - 1e-12:
+            at, best = int(j), scores[j]
+    return at, best
+
+
 def _best_split(x: np.ndarray, y: np.ndarray, feat_ids: np.ndarray) -> tuple[int, float, float]:
-    """Greedy (feature, threshold) minimizing weighted child impurity."""
+    """Greedy (feature, threshold) minimizing weighted child impurity.
+
+    Every cut of every feature is scored at once, from one sort and one
+    cumulative count; :func:`_scan` then picks the cut a per-cut scan keeps,
+    visiting features in ``feat_ids`` order and each one's cuts in sorted order.
+    """
     n = len(y)
-    best = (-1, 0.0, gini(y))
-    for f in feat_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        distinct = np.nonzero(np.diff(xs))[0]
-        if distinct.size == 0:
-            continue
-        ones = np.cumsum(ys == 1)
-        total_ones = ones[-1]
-        for cut in distinct:
-            n_left = cut + 1
-            n_right = n - n_left
-            l1 = ones[cut]
-            r1 = total_ones - l1
-            pl = l1 / n_left
-            pr = r1 / n_right
-            score = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
-            if score < best[2] - 1e-12:
-                best = (int(f), float((xs[cut] + xs[cut + 1]) / 2.0), score)
-    return best
+    cols = x[:, feat_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    ones = np.cumsum(y[order] == 1, axis=0)
+    # cut c puts the first c + 1 sorted rows on the left
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    l1 = ones[:-1]
+    r1 = ones[-1] - l1
+    pl = l1 / n_left
+    pr = r1 / n_right
+    scores = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+    scores[np.diff(xs, axis=0) == 0] = np.inf  # no threshold between equal values
+    feature_cut, best_score = _scan(scores.T.ravel(), gini(y))  # feature, then cut
+    if feature_cut < 0:
+        return (-1, 0.0, best_score)
+    f, cut = divmod(feature_cut, n - 1)
+    return (int(feat_ids[f]), float((xs[cut, f] + xs[cut + 1, f]) / 2.0), best_score)
 
 
 class DecisionTree:
@@ -115,7 +146,19 @@ class RandomForestClassifier:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=int)
+        y = np.asarray(y)
+        if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+            raise ValueError(
+                f"fit needs x of n rows and y of n labels, got x of shape {x.shape} "
+                f"and y of shape {y.shape}"
+            )
+        if not len(y):
+            raise ValueError("fit needs at least one training row, got 0")
+        # split scores count class 1 against the rest, which is Gini only for two classes
+        outside = np.setdiff1d(y, [0, 1])
+        if outside.size:
+            raise ValueError(f"fit needs labels in {{0, 1}}, got {outside.tolist()}")
+        y = y.astype(int)
         n = len(y)
         seeds = np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees)
         self.trees = []

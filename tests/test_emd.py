@@ -263,3 +263,46 @@ class TestExtremaCountedOnce:
         imfs, residual = _decompose_with_extrema_precheck(x, 6)
         np.testing.assert_array_equal(out.imfs, imfs)
         np.testing.assert_array_equal(out.residual, residual)
+
+
+def _local_extrema_loop(x):
+    """The extrema as found by carrying the slope through flat stretches one
+    sample at a time."""
+    d = np.sign(np.diff(x))
+    for i in range(1, len(d)):
+        if d[i] == 0:
+            d[i] = d[i - 1]
+    turn = np.diff(d)
+    return np.where(turn < 0)[0] + 1, np.where(turn > 0)[0] + 1
+
+
+class TestLocalExtrema:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(min_value=-2, max_value=2), max_size=40))
+    # lengths 0-3, all flat, and leading, trailing and interior plateaus
+    @example(values=[])
+    @example(values=[1])
+    @example(values=[1, 1])
+    @example(values=[0, 1, 0])
+    @example(values=[2, 2, 2, 2, 2])
+    @example(values=[1, 1, 1, 2, 0, 1])
+    @example(values=[0, 2, 1, 1, 1])
+    @example(values=[0, 2, 2, 2, 0, 1, 1, 1, 3])
+    @example(values=[1, 1, 0, 0, 2, 2, 1, 1])
+    def test_matches_the_carry_loop(self, values):
+        x = np.array(values, dtype=float)
+        got, expected = _local_extrema(x), _local_extrema_loop(x)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=3000),
+        decimals=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_long_plateaued_walks_match_the_carry_loop(self, n, decimals, seed):
+        x = np.cumsum(np.round(np.random.default_rng(seed).standard_normal(n), decimals))
+        for a, b in zip(_local_extrema(x), _local_extrema_loop(x)):
+            np.testing.assert_array_equal(a, b)

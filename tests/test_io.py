@@ -1,6 +1,7 @@
 """Round-trip tests for recording directories and binary containers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ def _sample_recording(seed=0):
     )
 
 
+def _after_path(path, message):
+    """Pattern for an error message that starts with ``path`` and goes on with ``message``."""
+    return rf"^{re.escape(str(path))}: {message}"
+
+
 class TestRecordingRoundTrip:
     @pytest.mark.parametrize("payload", ["bin", "csv"])
     def test_bit_exact(self, tmp_path, payload):
@@ -54,14 +60,15 @@ class TestRecordingRoundTrip:
 
     def test_missing_header_raises(self, tmp_path):
         (tmp_path / "rec").mkdir()
-        with pytest.raises(RecordingFormatError):
+        message = _after_path(tmp_path / "rec", r"no header\.json$")
+        with pytest.raises(RecordingFormatError, match=message):
             load_recording(tmp_path / "rec")
 
     def test_corrupt_header_raises(self, tmp_path):
         d = tmp_path / "rec"
         d.mkdir()
         (d / "header.json").write_text("{not json")
-        with pytest.raises(RecordingFormatError):
+        with pytest.raises(RecordingFormatError, match=_after_path(d, r"malformed header\.json")):
             load_recording(d)
 
     def test_truncated_payload_raises(self, tmp_path):
@@ -69,21 +76,22 @@ class TestRecordingRoundTrip:
         path = save_recording(rec, tmp_path / "rec", payload="bin")
         data_file = path / "signals.bin"
         data_file.write_bytes(data_file.read_bytes()[:-16])
-        with pytest.raises(RecordingFormatError):
+        with pytest.raises(RecordingFormatError, match=_after_path(path, r"signals\.bin: ")):
             load_recording(path)
 
     def test_payload_cut_inside_a_value_raises(self, tmp_path):
         path = save_recording(_sample_recording(), tmp_path / "rec", payload="bin")
         data_file = path / "signals.bin"
         data_file.write_bytes(data_file.read_bytes()[:-4])
-        with pytest.raises(RecordingFormatError, match=r"signals\.bin: expected 1000 float64"):
+        message = r"signals\.bin: expected 1000 float64"
+        with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
     def test_csv_cut_mid_row_names_the_file(self, tmp_path):
         path = save_recording(_sample_recording(), tmp_path / "rec", payload="csv")
         data_file = path / "signals.csv"
         data_file.write_text(data_file.read_text()[:-30])
-        with pytest.raises(RecordingFormatError, match=r"^signals\.csv: "):
+        with pytest.raises(RecordingFormatError, match=_after_path(path, r"signals\.csv: ")):
             load_recording(path)
 
     @staticmethod
@@ -96,12 +104,14 @@ class TestRecordingRoundTrip:
 
     def test_annotation_without_offset_names_the_file(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["annotations"][0].pop("offset_s"))
-        with pytest.raises(RecordingFormatError, match=r"^header\.json: annotation without 'offset_s'"):
+        message = r"header\.json: annotation without 'offset_s'"
+        with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
     def test_non_integer_sample_count_names_the_file(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h.update(n_samples="lots"))
-        with pytest.raises(RecordingFormatError, match=r"^header\.json: sample counts must be integers"):
+        message = r"header\.json: sample counts must be integers"
+        with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -109,7 +119,8 @@ class TestRecordingRoundTrip:
     ])
     def test_bad_rate_names_the_file(self, tmp_path, key, value):
         path = self._with_header(tmp_path, lambda h: h.update({key: value}))
-        with pytest.raises(RecordingFormatError, match=rf"^header\.json: {key} must be a finite number above 0"):
+        message = rf"header\.json: {key} must be a finite number above 0"
+        with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
 

@@ -1,10 +1,11 @@
 """From-scratch classifiers: optimization, voting, backprop, persistence."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from earpipe import io as containers
 from earpipe.models.cnn import (
@@ -20,6 +21,8 @@ from earpipe.models.forest import (
     DecisionTree,
     ForestConfig,
     RandomForestClassifier,
+    _best_split,
+    _scan,
     gini,
     majority_vote,
 )
@@ -230,6 +233,116 @@ class TestForest:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             RandomForestClassifier().predict(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.zeros((0, 3)), np.zeros(0, dtype=int), r"at least one training row, got 0"),
+        (np.zeros((5, 3)), np.zeros(4, dtype=int), r"x of shape \(5, 3\) and y of shape \(4,\)"),
+        (np.zeros(5), np.zeros(5, dtype=int), r"x of shape \(5,\) and y of shape \(5,\)"),
+        (np.zeros((4, 2)), np.array([0, 1, 2, 1]), r"labels in \{0, 1\}, got \[2\]"),
+        (np.zeros((3, 2)), np.array([0.0, 0.5, -1.0]), r"labels in \{0, 1\}, got \[-1\.0, 0\.5\]"),
+    ])
+    def test_bad_training_set_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            RandomForestClassifier().fit(x, y)
+
+
+def _scan_loop(scores, start):
+    """The scan as a per-score loop: keep a score more than 1e-12 below the best."""
+    at, best = -1, start
+    for j, score in enumerate(scores):
+        if score < best - 1e-12:
+            at, best = j, score
+    return at, best
+
+
+def _best_split_loop(x, y, feat_ids):
+    """The split search as it ran one feature and one cut at a time."""
+    n = len(y)
+    best = (-1, 0.0, gini(y))
+    for f in feat_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        distinct = np.nonzero(np.diff(xs))[0]
+        if distinct.size == 0:
+            continue
+        ones = np.cumsum(ys == 1)
+        total_ones = ones[-1]
+        for cut in distinct:
+            n_left = cut + 1
+            n_right = n - n_left
+            l1 = ones[cut]
+            r1 = total_ones - l1
+            pl = l1 / n_left
+            pr = r1 / n_right
+            score = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+            if score < best[2] - 1e-12:
+                best = (int(f), float((xs[cut] + xs[cut + 1]) / 2.0), score)
+    return best
+
+
+class TestSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.integers(min_value=-6, max_value=6), max_size=30),
+        start=st.integers(min_value=-3, max_value=3),
+        unit=st.sampled_from([0.25e-12, 0.5e-12, 0.9e-12, 1e-12, 1.1e-12, 2e-12, 1e-3]),
+    )
+    # runs of small falls that only add up past the tolerance, and a rise between
+    @example(steps=[-1, -2, -3, -4, -5], start=0, unit=0.5e-12)
+    @example(steps=[-1, -2, 5, -3, -4, -5, -6], start=0, unit=0.4e-12)
+    @example(steps=[-2, -1, -2, -2, -3], start=0, unit=1e-12)
+    @example(steps=[], start=0, unit=1e-3)
+    def test_scan_keeps_what_the_loop_keeps(self, steps, start, unit):
+        scores = 0.4 + np.array(steps, dtype=float) * unit
+        scores[np.array(steps, dtype=int) == 6] = np.inf  # cuts between equal values
+        assert _scan(scores, 0.4 + start * unit) == _scan_loop(scores, 0.4 + start * unit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        d=st.integers(min_value=1, max_value=7),
+        levels=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # one level: every column constant; many small-integer columns: scores of
+    # different cuts that tie exactly or within a few ulps
+    @example(n=2, d=1, levels=2, seed=0)
+    @example(n=9, d=3, levels=1, seed=1)
+    @example(n=18, d=5, levels=3, seed=3)
+    @example(n=24, d=5, levels=4, seed=33)
+    def test_matches_the_per_cut_loop(self, n, d, levels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, size=(n, d)).astype(float)
+        x[:, ::2] += np.round(rng.standard_normal((n, (d + 1) // 2)), 1) * (levels > 2)
+        y = rng.integers(0, 2, n)
+        feat_ids = np.sort(rng.choice(d, rng.integers(1, d + 1), replace=False))
+        assert _best_split(x, y, feat_ids) == _best_split_loop(x, y, feat_ids)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1, 0], [1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0]])
+    def test_mirrored_labels_keep_the_first_of_tied_cuts(self, labels):
+        y = np.array(labels * 3)
+        rows = np.arange(len(y), dtype=float)
+        x = np.column_stack([rows, rows[::-1], rows])
+        feat_ids = np.arange(3)
+        assert _best_split(x, y, feat_ids) == _best_split_loop(x, y, feat_ids)
+
+    def test_monotone_falling_scores_stay_linear(self):
+        """8,000 sorted rows, 19 features: every cut up to the middle is a
+        new best, which a search restarting at each kept cut takes in
+        quadratic time; the per-cut loop takes about 0.3 s here."""
+        n, d = 8000, 19
+        x = np.arange(n, dtype=float)[:, None] * np.arange(1, d + 1)
+        y = (np.arange(n) >= n // 2).astype(int)
+        feat_ids = np.arange(d)
+        expected = _best_split_loop(x, y, feat_ids)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = _best_split(x, y, feat_ids)
+            seconds.append(time.perf_counter() - t0)
+        assert got == expected
+        assert min(seconds) < 0.1, seconds
 
 
 TINY = CnnConfig(
