@@ -73,7 +73,7 @@ def _load_corpus(path: str) -> list:
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory {path} does not exist")
-    dirs = sorted(p for p in root.iterdir() if (p / "header.json").is_file())
+    dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not dirs:
         raise ValueError(f"no recordings under {path}")
     return [load_recording(p) for p in dirs]

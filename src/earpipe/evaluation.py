@@ -5,9 +5,9 @@ work (conditioning, motion handling, source separation) and is independent
 of how windows are cut; stage B segments, balances, normalizes and trains.
 A window's features depend only on its recording and start, so stage B
 extracts them once per recording and every fold picks its rows by index.
-Sweeps over stride or class ratio reuse stage A products and extract each
-distinct window once for all sweep values, while a motion ablation reruns
-stage A.
+A sweep runs stage A once per distinct setting of the fields stage A reads
+(once for stride and ratio sweeps, once per value for motion) and cuts each
+recording once for all of its strides.
 
 Stage A's motion step screens each channel with IMU-correlated VMD
 (:func:`screen_motion` for one recording).  :func:`_prepare_all` runs stage
@@ -23,6 +23,7 @@ one recording, the workers are already decomposing the next one's blocks.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -44,7 +45,6 @@ from .features import (
     features_for_epochs,
     fit_normalizer,
     segment_recording,
-    separated_matrix,
 )
 from .models import make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
@@ -419,28 +419,24 @@ def window_tables(
 ) -> list[dict[str, PatientWindows]]:
     """Per-patient windows (and feature rows) of ``separated`` at each stride.
 
-    Each recording is cut at every stride, the features of the union of
-    those window starts are extracted in one :func:`features_for_epochs`
-    call, and each stride's table indexes its rows from that matrix, so no
-    window is extracted twice.  Returns one ``patient -> PatientWindows``
-    table per stride, in the order given.
+    Each recording is cut once, at the greatest common divisor g of the
+    strides; stride s takes every (s/g)-th window of that cut.  The features
+    of the windows some stride uses are extracted in one
+    :func:`features_for_epochs` call, and each stride's table indexes its
+    rows by position, so no window is cut or extracted twice.  Returns one
+    ``patient -> PatientWindows`` table per stride, in the order given.
     """
     _check_sample_rates(separated)
+    g = math.gcd(*strides)
     pieces: list[dict[str, list]] = [{} for _ in strides]
     for rec in separated:
-        matrix = separated_matrix(rec)  # every stride's windows view this one copy
-        cuts = [segment_recording(rec, WindowSpec(stride_s=s), matrix=matrix) for s in strides]
-        distinct: dict[float, LabeledEpoch] = {}
-        for cut in cuts:
-            for e in cut:
-                distinct.setdefault(e.start_s, e)
-        union = [distinct[t] for t in sorted(distinct)]
-        row_of = {e.start_s: i for i, e in enumerate(union)}
-        x = features_for_epochs(union, rec.sample_rate) if with_features else None
-        for table, cut in zip(pieces, cuts):
-            idx = [row_of[e.start_s] for e in cut]
-            rows = None if x is None else x[idx]
-            table.setdefault(rec.patient_id, []).append(([union[i] for i in idx], rows))
+        cut = segment_recording(rec, WindowSpec(stride_s=g))
+        picks = [np.arange(0, len(cut), s // g) for s in strides]
+        used = np.unique(np.concatenate(picks))
+        x = features_for_epochs([cut[i] for i in used], rec.sample_rate) if with_features else None
+        for table, pick in zip(pieces, picks):
+            rows = None if x is None else x[np.searchsorted(used, pick)]
+            table.setdefault(rec.patient_id, []).append(([cut[i] for i in pick], rows))
 
     tables = []
     for table in pieces:
@@ -539,32 +535,34 @@ def sweep(
     axis: str,
     templates: TemplateBank | None = None,
 ) -> list[dict]:
-    """Rerun the experiment along one ablation axis.
+    """Rerun the experiment along one ablation axis, one row per value.
 
-    Stride and ratio sweeps reuse the separated signals and extract each
-    distinct window once for all values; the motion sweep has to redo
-    stage A since motion handling happens upstream.
+    Values that agree on every field stage A reads share one stage A run
+    and one :func:`window_tables` call over their strides, so stride and
+    ratio sweeps run stage A once and a motion sweep once per value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    field = "stride_s" if axis == "stride" else axis
+    configs = [replace(cfg, **{field: value}) for value in SWEEP_AXES[axis]]
+    windows: dict[tuple, dict[str, PatientWindows]] = {}
     rows = []
-    if axis == "motion":
-        for value in SWEEP_AXES[axis]:
-            sub = replace(cfg, motion=value)
-            result = run_experiment(recordings, sub, templates)
-            rows.append(_sweep_row(axis, value, result))
-        return rows
-
-    separated = _prepare_all(recordings, cfg, templates)
-    values = SWEEP_AXES[axis]
-    strides = values if axis == "stride" else [cfg.stride_s]
-    tables = window_tables(separated, strides, with_features=cfg.model != "cnn")
-    for i, value in enumerate(values):
-        sub = replace(cfg, **{"stride_s" if axis == "stride" else "ratio": value})
-        windows = tables[i] if axis == "stride" else tables[0]
-        result = run_experiment(recordings, sub, templates, windows=windows)
+    for value, sub in zip(SWEEP_AXES[axis], configs):
+        stage_a = _stage_a_fields(sub)
+        if (stage_a, sub.stride_s) not in windows:  # first value of its group
+            group = [c for c in configs if _stage_a_fields(c) == stage_a]
+            strides = list(dict.fromkeys(c.stride_s for c in group))
+            separated = _prepare_all(recordings, sub, templates)
+            tables = window_tables(separated, strides, with_features=cfg.model != "cnn")
+            windows.update(((stage_a, s), table) for s, table in zip(strides, tables))
+        result = run_experiment(recordings, sub, templates, windows=windows[stage_a, sub.stride_s])
         rows.append(_sweep_row(axis, value, result))
     return rows
+
+
+def _stage_a_fields(cfg: ExperimentConfig) -> tuple:
+    """The fields of ``cfg`` that stage A reads."""
+    return cfg.mains_hz, cfg.motion, cfg.motion_threshold, cfg.separation
 
 
 def _sweep_row(axis: str, value, result: ExperimentResult) -> dict:

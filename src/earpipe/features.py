@@ -11,6 +11,7 @@ role order.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,17 @@ TIME_FEATURE_NAMES = ("mean", "std", "mad", "skew", "kurt", "min", "max", "rms")
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Epoch geometry: fixed 10 s windows every ``stride_s`` seconds."""
+    """Epoch geometry: fixed 10 s windows every ``stride_s`` seconds.
+
+    A stride is ``stride_s`` hops of ``round(fs)`` samples, so the windows of
+    stride s are every (s/g)-th window of any stride g that divides s.
+    """
 
     stride_s: int = 1
 
     def __post_init__(self) -> None:
-        if not (1 <= int(self.stride_s) <= 9):
+        # the hop, stride_s * round(fs) samples, must be a whole number
+        if not (isinstance(self.stride_s, numbers.Integral) and 1 <= self.stride_s <= 9):
             raise ValueError(f"stride_s must be an integer in 1..9, got {self.stride_s}")
 
 
@@ -49,9 +55,14 @@ class LabeledEpoch:
 
 
 def epoch_start_indices(n_samples: int, fs: float, spec: WindowSpec) -> np.ndarray:
-    """Start sample of every full window: 0, stride, 2*stride, ..."""
+    """Start sample of every full window: 0, stride, 2*stride, ...
+
+    The stride is ``stride_s * round(fs)`` samples: at an integer rate that
+    is exactly ``stride_s`` seconds, and at any rate the stride-s starts are
+    every s-th stride-1 start.
+    """
     w = int(round(WINDOW_S * fs))
-    s = int(round(spec.stride_s * fs))
+    s = spec.stride_s * int(round(fs))
     if n_samples < w:
         return np.zeros(0, dtype=int)
     count = (n_samples - w) // s + 1
@@ -68,18 +79,8 @@ def window_label(start_s: float, annotations: list[SeizureAnnotation], window_s:
     return 0
 
 
-def separated_matrix(rec: Recording) -> np.ndarray:
-    """Read-only C x N stack of ``rec``'s separated channels in role order."""
-    matrix = rec.channel_matrix(SEPARATED_ROLES)
-    matrix.flags.writeable = False
-    return matrix
-
-
 def segment_recording(
-    rec: Recording,
-    spec: WindowSpec = WindowSpec(),
-    allow_short_events: bool = False,
-    matrix: np.ndarray | None = None,
+    rec: Recording, spec: WindowSpec = WindowSpec(), allow_short_events: bool = False
 ) -> list[LabeledEpoch]:
     """Cut a separated recording into labeled fixed-length epochs.
 
@@ -87,8 +88,7 @@ def segment_recording(
     window, so by default they are treated as a labeling mistake and
     rejected; pass ``allow_short_events=True`` to keep them (they simply
     mark nothing).  Epoch channels are read-only views into one C x N copy
-    of the recording's separated channels: ``matrix`` when given (from
-    :func:`separated_matrix`, so several cuts share one copy), else a new one.
+    of the recording's separated channels.
     """
     for a in rec.annotations:
         if a.duration_s < WINDOW_S and not allow_short_events:
@@ -96,13 +96,8 @@ def segment_recording(
                 f"annotation [{a.onset_s}, {a.offset_s}] is shorter than the "
                 f"{WINDOW_S:.0f} s window; pass allow_short_events=True to keep it"
             )
-    if matrix is None:
-        matrix = separated_matrix(rec)
-    elif matrix.shape != (len(SEPARATED_ROLES), rec.n_samples):
-        raise ValueError(
-            f"matrix is {matrix.shape}, expected "
-            f"{(len(SEPARATED_ROLES), rec.n_samples)} for {rec.patient_id}"
-        )
+    matrix = rec.channel_matrix(SEPARATED_ROLES)
+    matrix.flags.writeable = False
     fs = rec.sample_rate
     w = int(round(WINDOW_S * fs))
     epochs = []

@@ -13,6 +13,7 @@ a JSON header, then a raw little-endian float64 payload.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,15 @@ def _read_recording(path: Path) -> Recording:
     for key in ("payload", "patient_id", "sample_rate", "channels", "n_samples"):
         if key not in header:
             raise RecordingFormatError(f"header missing required key {key!r}")
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: format_version must be {FORMAT_VERSION}, got {version!r}"
+        )
+    if not isinstance(header["patient_id"], str):
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: patient_id must be a string, got {header['patient_id']!r}"
+        )
     payload = header["payload"]
     if payload not in _PAYLOADS:
         raise RecordingFormatError(f"unknown payload kind {payload!r}")
@@ -205,7 +215,12 @@ def read_container(path: str | Path) -> tuple[dict, list[np.ndarray]]:
         raise RecordingFormatError(f"{path.name}: malformed header: not a JSON object")
     off += head_len
     shapes = header.get("arrays", [])
-    counts = [int(np.prod(shape)) if shape else 1 for shape in shapes]
+    if not (isinstance(shapes, list) and all(_is_shape(shape) for shape in shapes)):
+        raise RecordingFormatError(
+            f"{path.name}: malformed header: arrays must be a list of shapes of "
+            f"non-negative integers, got {shapes!r}"
+        )
+    counts = [math.prod(shape) for shape in shapes]
     if len(raw) - off != 8 * sum(counts):
         raise RecordingFormatError(
             f"{path.name}: payload of {len(raw) - off} bytes, header declares {8 * sum(counts)}"
@@ -216,3 +231,9 @@ def read_container(path: str | Path) -> tuple[dict, list[np.ndarray]]:
         arrays.append(flat.reshape(shape, order="F").copy())
         off += 8 * count
     return header, arrays
+
+
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        type(n) is int and n >= 0 for n in shape  # bool is an int subclass, not a size
+    )

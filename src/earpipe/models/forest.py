@@ -48,6 +48,28 @@ def majority_vote(votes: np.ndarray) -> np.ndarray:
     return counts.argmax(axis=-1)
 
 
+def training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as float rows and ``y`` as int labels, once they make a training set.
+
+    Rejects an empty set, shapes other than n rows and n labels, and labels
+    outside {0, 1}; labels are checked before the cast, so 0.5 is rejected,
+    not truncated.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(
+            f"fit needs x of n rows and y of n labels, got x of shape {x.shape} "
+            f"and y of shape {y.shape}"
+        )
+    if not len(y):
+        raise ValueError("fit needs at least one training row, got 0")
+    outside = np.setdiff1d(y, [0, 1])
+    if outside.size:
+        raise ValueError(f"fit needs labels in {{0, 1}}, got {outside.tolist()}")
+    return x, y.astype(int)
+
+
 def _scan(scores: np.ndarray, start: float) -> tuple[int, float]:
     """Index and value of the score that a scan in order keeps last, or (-1, start).
 
@@ -145,20 +167,8 @@ class RandomForestClassifier:
         self.trees: list[DecisionTree] = []
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
-            raise ValueError(
-                f"fit needs x of n rows and y of n labels, got x of shape {x.shape} "
-                f"and y of shape {y.shape}"
-            )
-        if not len(y):
-            raise ValueError("fit needs at least one training row, got 0")
         # split scores count class 1 against the rest, which is Gini only for two classes
-        outside = np.setdiff1d(y, [0, 1])
-        if outside.size:
-            raise ValueError(f"fit needs labels in {{0, 1}}, got {outside.tolist()}")
-        y = y.astype(int)
+        x, y = training_set(x, y)
         n = len(y)
         seeds = np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees)
         self.trees = []

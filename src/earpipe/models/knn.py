@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forest import majority_vote
+from .forest import majority_vote, training_set
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class KnnClassifier:
         self._y: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnClassifier":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=int)
+        x, y = training_set(x, y)
         if len(x) < self.config.k:
             raise ValueError(f"need at least k={self.config.k} training points")
         self._x = x.copy()

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forest import training_set
+
 
 @dataclass(frozen=True)
 class SvmConfig:
@@ -41,10 +43,8 @@ class SvmClassifier:
         self._sv_coef: np.ndarray | None = None  # alpha_i * y_i at the support vectors
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "SvmClassifier":
-        x = np.asarray(x, dtype=np.float64)
-        y01 = np.asarray(y)
-        classes = np.unique(y01)
-        if not np.all(np.isin(classes, [0, 1])) or len(classes) < 2:
+        x, y01 = training_set(x, y)
+        if len(np.unique(y01)) < 2:
             raise ValueError("fit needs both classes 0 and 1 present")
         ys = np.where(y01 == 1, 1.0, -1.0)
         n = len(ys)

@@ -200,18 +200,24 @@ class TestFailureReporting:
         assert err["error"] == "RecordingFormatError"
         assert "header.json" in err["message"]
 
-    def test_damaged_recording_in_corpus_names_its_directory(self, capsys, tmp_path):
+    @pytest.mark.parametrize("damage, message", [
+        (lambda rec: rec.joinpath("signals.bin").write_bytes(
+            rec.joinpath("signals.bin").read_bytes()[:-4]), "signals.bin: expected "),
+        (lambda rec: rec.joinpath("header.json").unlink(), "no header.json"),
+    ], ids=["payload", "header"])
+    def test_damaged_recording_in_corpus_names_its_directory(
+        self, capsys, tmp_path, damage, message
+    ):
         corpus = tmp_path / "corpus"
-        for name in ("p01", "p02"):
+        for name in ("p01", "p02", "p03"):
             rec = Recording(patient_id=name, channels={r: np.zeros(2500) for r in MIXED_ROLES})
             save_recording(rec, corpus / name)
-        signals = corpus / "p02" / "signals.bin"
-        signals.write_bytes(signals.read_bytes()[:-4])
+        damage(corpus / "p02")
         code = main(["evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "o.json")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RecordingFormatError"
-        assert err["message"].startswith(f"{corpus / 'p02'}: signals.bin: expected ")
+        assert err["message"].startswith(f"{corpus / 'p02'}: {message}")
         assert not (tmp_path / "o.json").exists()
 
     def test_nnmf_separation_needs_templates(self, artifacts, capsys, tmp_path):

@@ -25,6 +25,7 @@ from earpipe.evaluation import (
     run_experiment,
     sweep,
 )
+from earpipe.features import WindowSpec, features_for_epochs, segment_recording
 from earpipe.io import save_recording
 from earpipe.signals import (
     ChannelRole,
@@ -252,20 +253,51 @@ class TestRunExperiment:
 
 class TestWindowTables:
     def test_strides_view_one_copy_per_recording(self, separated, monkeypatch):
-        """Each recording is stacked once; every stride's windows view that copy."""
-        stacked = []
+        """Each recording is cut once; every stride's windows view that cut's copy."""
+        cuts = []
 
-        def stack_once(rec, real=evaluation.separated_matrix):
-            stacked.append(real(rec))
-            return stacked[-1]
+        def cut_once(rec, spec, real=evaluation.segment_recording):
+            cuts.append(real(rec, spec))
+            return cuts[-1]
 
-        monkeypatch.setattr(evaluation, "separated_matrix", stack_once)
+        monkeypatch.setattr(evaluation, "segment_recording", cut_once)
         tables = evaluation.window_tables(separated, [1, 2, 5], with_features=False)
-        assert len(stacked) == len(separated)
-        for rec, matrix in zip(separated, stacked):
+        assert len(cuts) == len(separated)
+        for rec, cut in zip(separated, cuts):
+            base = cut[0].channels.base
             for table in tables:
                 epochs = table[rec.patient_id].epochs
-                assert epochs and all(e.channels.base is matrix for e in epochs)
+                assert epochs and all(e.channels.base is base for e in epochs)
+
+    @pytest.mark.parametrize("strides", [[2, 3], [4, 6]])
+    def test_each_stride_equals_its_own_cut(self, separated, strides, monkeypatch):
+        """Tables match a standalone cut and extraction at each stride, and
+        only windows some stride uses reach the feature kernel."""
+        extracted = []
+
+        def spy(epochs, fs, real=evaluation.features_for_epochs):
+            extracted.append([(e.patient_id, e.start_s) for e in epochs])
+            return real(epochs, fs)
+
+        monkeypatch.setattr(evaluation, "features_for_epochs", spy)
+        tables = evaluation.window_tables(separated, strides)
+        assert len(extracted) == len(separated)
+        for rec, seen in zip(separated, extracted):
+            used = set()
+            for stride, table in zip(strides, tables):
+                alone = segment_recording(rec, WindowSpec(stride_s=stride))
+                got = table[rec.patient_id]
+                assert [e.start_s for e in got.epochs] == [e.start_s for e in alone]
+                assert got.labels.tolist() == [e.label for e in alone]
+                for a, b in zip(got.epochs, alone):
+                    np.testing.assert_array_equal(a.channels, b.channels)
+                np.testing.assert_array_equal(
+                    got.features, features_for_epochs(alone, rec.sample_rate)
+                )
+                used.update((rec.patient_id, e.start_s) for e in alone)
+            assert seen == sorted(used, key=lambda key: key[1])
+        if strides == [2, 3]:
+            assert {1.0, 5.0, 7.0}.isdisjoint(t for _, t in extracted[0])
 
 
 class TestSweep:
@@ -296,6 +328,28 @@ class TestSweep:
             alone = run_experiment(
                 [], dataclasses.replace(cfg, stride_s=row["value"]), separated=separated
             )
+            assert row["macro_accuracy"] == alone.macro["accuracy"]
+            assert row["macro_recall"] == alone.macro["recall"]
+            assert row["macro_f1"] == alone.macro["f1"]
+            assert row["micro_accuracy"] == alone.micro.accuracy
+
+    def test_motion_rows_match_standalone_runs(self, separated, monkeypatch):
+        """Each motion setting runs stage A once and scores as a run of its own."""
+        calls = []
+
+        def stage_a(recordings, cfg, templates):
+            calls.append(cfg.motion)
+            if cfg.motion == "vmd":
+                return recordings
+            return [_separated_patient(rec.patient_id, seed=10 + i) for i, rec in enumerate(recordings)]
+
+        monkeypatch.setattr(evaluation, "_prepare_all", stage_a)
+        cfg = ExperimentConfig(stride_s=3, model="knn", normalization="minmax")
+        rows = sweep(separated, cfg, "motion")
+        assert calls == ["vmd", "off"]
+        assert [r["value"] for r in rows] == ["vmd", "off"]
+        for row in rows:
+            alone = run_experiment(separated, dataclasses.replace(cfg, motion=row["value"]))
             assert row["macro_accuracy"] == alone.macro["accuracy"]
             assert row["macro_recall"] == alone.macro["recall"]
             assert row["macro_f1"] == alone.macro["f1"]

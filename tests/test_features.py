@@ -25,7 +25,6 @@ from earpipe.features import (
     mfcc_features,
     parse_ratio,
     segment_recording,
-    separated_matrix,
     time_features,
     window_label,
 )
@@ -57,6 +56,48 @@ class TestWindowGeometry:
             WindowSpec(stride_s=0)
         with pytest.raises(ValueError, match="stride_s"):
             WindowSpec(stride_s=10)
+        with pytest.raises(ValueError, match="stride_s"):
+            WindowSpec(stride_s=2.5)
+
+    @staticmethod
+    def _rounded_seconds_starts(n_samples, fs, stride_s):
+        """The earlier rule: a stride of round(stride_s * fs) samples."""
+        w = int(round(WINDOW_S * fs))
+        s = int(round(stride_s * fs))
+        if n_samples < w:
+            return np.zeros(0, dtype=int)
+        return np.arange((n_samples - w) // s + 1) * s
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fs=st.integers(1, 2048),
+        seconds=st.floats(0.0, 60.0),
+        stride=st.integers(1, 9),
+    )
+    def test_integer_rates_keep_the_rounded_seconds_starts(self, fs, seconds, stride):
+        n = int(seconds * fs)
+        np.testing.assert_array_equal(
+            epoch_start_indices(n, float(fs), WindowSpec(stride_s=stride)),
+            self._rounded_seconds_starts(n, float(fs), stride),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fs=st.floats(1.0, 2048.0),
+        seconds=st.floats(0.0, 60.0),
+        stride=st.integers(1, 9),
+    )
+    def test_stride_starts_are_every_nth_stride_one_start(self, fs, seconds, stride):
+        n = int(seconds * fs)
+        ones = epoch_start_indices(n, fs, WindowSpec(stride_s=1))
+        np.testing.assert_array_equal(
+            epoch_start_indices(n, fs, WindowSpec(stride_s=stride)), ones[::stride]
+        )
+
+    def test_fractional_rate_hops_whole_rounded_seconds(self):
+        """At 250.4 Hz a 2 s stride is 2 x 250 samples, not round(500.8)."""
+        starts = epoch_start_indices(int(30 * 250.4), 250.4, WindowSpec(stride_s=2))
+        np.testing.assert_array_equal(np.diff(starts), 500)
 
 
 class TestLabeling:
@@ -111,22 +152,6 @@ class TestSegmentation:
         epochs = segment_recording(_separated_recording(), WindowSpec(stride_s=1))
         assert not epochs[0].channels.flags.writeable
         assert np.shares_memory(epochs[0].channels, epochs[1].channels)
-
-    def test_shared_matrix_gives_the_same_windows(self):
-        rec = _separated_recording()
-        matrix = separated_matrix(rec)
-        for stride in (1, 3):
-            shared = segment_recording(rec, WindowSpec(stride_s=stride), matrix=matrix)
-            own = segment_recording(rec, WindowSpec(stride_s=stride))
-            assert all(e.channels.base is matrix for e in shared)
-            assert [e.start_s for e in shared] == [e.start_s for e in own]
-            for a, b in zip(shared, own):
-                np.testing.assert_array_equal(a.channels, b.channels)
-
-    def test_shared_matrix_shape_checked(self):
-        rec = _separated_recording()
-        with pytest.raises(ValueError, match="matrix is"):
-            segment_recording(rec, matrix=separated_matrix(rec)[:, :-1])
 
     def test_short_event_rejected_by_default(self):
         rec = _separated_recording(

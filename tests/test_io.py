@@ -124,6 +124,17 @@ class TestRecordingRoundTrip:
             load_recording(path)
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(format_version=99), r"format_version must be 1, got 99"),
+        (lambda h: h.pop("format_version"), r"format_version must be 1, got None"),
+        (lambda h: h.update(patient_id=7), r"patient_id must be a string, got 7"),
+    ], ids=["version-99", "no-version", "integer-patient"])
+    def test_bad_header_field_names_the_file(self, tmp_path, edit, message):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(RecordingFormatError, match=_after_path(path, rf"header\.json: {message}")):
+            load_recording(path)
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -176,4 +187,16 @@ class TestContainerDamage:
         blob.write_bytes(raw[:9] + len(header).to_bytes(8, "little") + header
                          + raw[self._head_end(raw):])
         with pytest.raises(RecordingFormatError, match=r"^blob\.earpipe: malformed header"):
+            read_container(blob)
+
+    @pytest.mark.parametrize("arrays", [
+        "2x3", [[2, "3"]], [[2, -3]], [[2.0, 3]], [[True]], [6], {"a": [2, 3]},
+    ])
+    def test_bad_array_shapes_name_the_file(self, blob, arrays):
+        raw = blob.read_bytes()
+        header = json.dumps({"kind": "test", "arrays": arrays}).encode()
+        blob.write_bytes(raw[:9] + len(header).to_bytes(8, "little") + header
+                         + raw[self._head_end(raw):])
+        message = r"^blob\.earpipe: malformed header: arrays must be a list of shapes"
+        with pytest.raises(RecordingFormatError, match=message):
             read_container(blob)

@@ -66,7 +66,23 @@ class TestRbfKernel:
         np.testing.assert_allclose(k, k.T, atol=1e-12)
 
 
-class TestSvm:
+class _RejectsBadTrainingSets:
+    """The training-set checks every classifier shares; ``classifier`` builds one."""
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.zeros((0, 3)), np.zeros(0, dtype=int), r"at least one training row, got 0"),
+        (np.zeros((5, 3)), np.zeros(4, dtype=int), r"x of shape \(5, 3\) and y of shape \(4,\)"),
+        (np.zeros(5), np.zeros(5, dtype=int), r"x of shape \(5,\) and y of shape \(5,\)"),
+        (np.zeros((4, 2)), np.array([0, 1, 2, 1]), r"labels in \{0, 1\}, got \[2\]"),
+        (np.zeros((3, 2)), np.array([0.0, 0.5, -1.0]), r"labels in \{0, 1\}, got \[-1\.0, 0\.5\]"),
+    ])
+    def test_bad_training_set_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            self.classifier().fit(x, y)
+
+
+class TestSvm(_RejectsBadTrainingSets):
+    classifier = SvmClassifier
     def test_separable_blobs(self):
         x, y = _blobs()
         model = SvmClassifier(SvmConfig(gamma=0.5, c=20.0)).fit(x, y)
@@ -110,7 +126,9 @@ class TestSvm:
         np.testing.assert_array_equal(f1, f2)
 
 
-class TestKnn:
+class TestKnn(_RejectsBadTrainingSets):
+    classifier = KnnClassifier
+
     def test_small_oracle(self):
         x = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         y = np.array([0, 0, 0, 1, 1])
@@ -177,7 +195,9 @@ def _walk(nodes, q):
     return int(nodes[row, 4])
 
 
-class TestForest:
+class TestForest(_RejectsBadTrainingSets):
+    classifier = RandomForestClassifier
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=60),
@@ -233,17 +253,6 @@ class TestForest:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             RandomForestClassifier().predict(np.ones((1, 2)))
-
-    @pytest.mark.parametrize("x, y, message", [
-        (np.zeros((0, 3)), np.zeros(0, dtype=int), r"at least one training row, got 0"),
-        (np.zeros((5, 3)), np.zeros(4, dtype=int), r"x of shape \(5, 3\) and y of shape \(4,\)"),
-        (np.zeros(5), np.zeros(5, dtype=int), r"x of shape \(5,\) and y of shape \(5,\)"),
-        (np.zeros((4, 2)), np.array([0, 1, 2, 1]), r"labels in \{0, 1\}, got \[2\]"),
-        (np.zeros((3, 2)), np.array([0.0, 0.5, -1.0]), r"labels in \{0, 1\}, got \[-1\.0, 0\.5\]"),
-    ])
-    def test_bad_training_set_rejected(self, x, y, message):
-        with pytest.raises(ValueError, match=message):
-            RandomForestClassifier().fit(x, y)
 
 
 def _scan_loop(scores, start):
