@@ -59,10 +59,16 @@ def epoch_start_indices(n_samples: int, fs: float, spec: WindowSpec) -> np.ndarr
 
     The stride is ``stride_s * round(fs)`` samples: at an integer rate that
     is exactly ``stride_s`` seconds, and at any rate the stride-s starts are
-    every s-th stride-1 start.
+    every s-th stride-1 start.  At 0.5 Hz and below ``round(fs)`` is 0, so
+    such rates are rejected.
     """
+    hop = int(round(fs))
+    if hop < 1:
+        raise ValueError(
+            f"epochs need a sample rate above 0.5 Hz (a hop of round(fs) samples), got {fs} Hz"
+        )
     w = int(round(WINDOW_S * fs))
-    s = spec.stride_s * int(round(fs))
+    s = spec.stride_s * hop
     if n_samples < w:
         return np.zeros(0, dtype=int)
     count = (n_samples - w) // s + 1

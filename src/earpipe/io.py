@@ -102,6 +102,10 @@ def _read_recording(path: Path) -> Recording:
     if payload not in _PAYLOADS:
         raise RecordingFormatError(f"unknown payload kind {payload!r}")
 
+    if not isinstance(header["channels"], list):
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: channels must be a list of role names, got {header['channels']!r}"
+        )
     try:
         roles = [ChannelRole(name) for name in header["channels"]]
     except ValueError as exc:

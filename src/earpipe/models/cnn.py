@@ -8,13 +8,22 @@ gradient check runs on a shrunken copy of the same code path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class CnnConfig:
+    """Layer geometry of :class:`Cnn1d`.
+
+    ``in_channels`` and ``input_len`` fix the window shape a network built
+    directly accepts; :meth:`CnnClassifier.fit` replaces both with the shape
+    of its training windows, so the defaults (six channels, 10 s at 250 Hz)
+    bind only a network built without one.  A length that the pooling
+    stages shrink to nothing is rejected.
+    """
+
     in_channels: int = 6
     input_len: int = 2500
     conv_filters: tuple[int, ...] = (32, 64, 128)
@@ -23,6 +32,13 @@ class CnnConfig:
     fc_units: tuple[int, ...] = (128, 128, 64)
     n_classes: int = 2
     dropout: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.conv_output_len() < 1:
+            raise ValueError(
+                f"input_len {self.input_len} leaves no samples after "
+                f"{len(self.conv_filters)} pooling stages of {self.pool}"
+            )
 
     def conv_output_len(self) -> int:
         length = self.input_len
@@ -242,6 +258,11 @@ class CnnClassifier:
     def fit(self, windows: np.ndarray, y: np.ndarray) -> "CnnClassifier":
         cfg = self.train_config
         windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim != 3:
+            raise ValueError(
+                f"fit needs windows of shape (batch, channels, samples), got {windows.shape}"
+            )
+        self.config = replace(self.config, in_channels=windows.shape[1], input_len=windows.shape[2])
         y = np.asarray(y, dtype=int)
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         self.net = Cnn1d(self.config, seed=cfg.seed)

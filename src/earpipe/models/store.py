@@ -32,8 +32,13 @@ def save_model(model, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path):
+    """The classifier saved at ``path``; a damaged file raises
+    :class:`~earpipe.io.RecordingFormatError` starting with the path."""
     header, arrays = containers.read_container(path)
     kind = header.get("kind")
     if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r} in {path}")
-    return MODEL_CLASSES[kind].from_state(header, arrays)
+    try:
+        return MODEL_CLASSES[kind].from_state(header, arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise containers.RecordingFormatError(f"{path}: damaged {kind} model: {exc!r}") from exc

@@ -1,10 +1,14 @@
 """RBF-kernel support vector machine solved by sequential minimal optimization.
 
-The dual problem is driven to the stopping tolerance by repeatedly picking
-the most-violating pair of multipliers (first-order selection over the
-gradient) and solving that two-variable subproblem in closed form, with box
-clipping.  Labels are handled internally as -1/+1; the public interface
-speaks 0/1.
+The dual problem, minimise 1/2 a'Qa - sum(a) with Q = yy' * K, 0 <= a <= C
+and y'a = 0, is driven to the stopping tolerance by repeatedly picking the
+most-violating pair (i, j) of multipliers (first-order selection over the
+gradient) and taking one clipped step along y_i e_i - y_j e_j, the direction
+that keeps y'a fixed (Platt 1998; Fan, Chen & Lin 2005).  Along it the
+objective falls with slope -gap, the pair's KKT violation, and curves by
+K_ii + K_jj - 2 K_ij whatever the labels, so the exact minimiser is
+t = gap / curvature, cut short where either multiplier meets 0 or C.
+Labels are handled internally as -1/+1; the public interface speaks 0/1.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import training_set
+
+_TINY = 1e-12  # multipliers this close to 0 or C count as at the bound
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,20 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * d2)
 
 
+def _violations(
+    alpha: np.ndarray, ys: np.ndarray, grad: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-y * grad, and which multipliers can still move up or down along y.
+
+    ``up`` marks the multipliers whose y * alpha can grow (alpha below C for
+    y = +1, above 0 for y = -1), ``low`` those whose y * alpha can shrink.
+    """
+    viol = -ys * grad
+    up = np.where(ys > 0, alpha < c - _TINY, alpha > _TINY)
+    low = np.where(ys > 0, alpha > _TINY, alpha < c - _TINY)
+    return viol, up, low
+
+
 class SvmClassifier:
     def __init__(self, config: SvmConfig = SvmConfig()):
         self.config = config
@@ -47,80 +67,44 @@ class SvmClassifier:
         if len(np.unique(y01)) < 2:
             raise ValueError("fit needs both classes 0 and 1 present")
         ys = np.where(y01 == 1, 1.0, -1.0)
-        n = len(ys)
         c = self.config.c
         kernel = rbf_kernel(x, x, self.config.gamma)
-        q = kernel * np.outer(ys, ys)
 
-        alpha = np.zeros(n)
-        grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
-        tiny = 1e-12
+        alpha = np.zeros(len(ys))
+        grad = -np.ones(len(ys))  # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
-        for it in range(self.config.max_iter):
-            viol = -ys * grad
-            up = ((ys > 0) & (alpha < c - tiny)) | ((ys < 0) & (alpha > tiny))
-            low = ((ys < 0) & (alpha < c - tiny)) | ((ys > 0) & (alpha > tiny))
+        for _ in range(self.config.max_iter):
+            viol, up, low = _violations(alpha, ys, grad, c)
             if not up.any() or not low.any():
                 break
             up_vals = np.where(up, viol, -np.inf)
             low_vals = np.where(low, viol, np.inf)
             i = int(np.argmax(up_vals))
             j = int(np.argmin(low_vals))
-            m_up, m_low = up_vals[i], low_vals[j]
-            if m_up - m_low <= self.config.tol:
+            gap = up_vals[i] - low_vals[j]
+            if gap <= self.config.tol:
                 break
 
+            curvature = max(kernel[i, i] + kernel[j, j] - 2 * kernel[i, j], _TINY)
+            room_i = c - alpha[i] if ys[i] > 0 else alpha[i]
+            room_j = alpha[j] if ys[j] > 0 else c - alpha[j]
+            t = min(gap / curvature, room_i, room_j)  # the clip below only absorbs rounding
             old_i, old_j = alpha[i], alpha[j]
-            if ys[i] != ys[j]:
-                quad = max(kernel[i, i] + kernel[j, j] + 2 * kernel[i, j], tiny)
-                delta = (-grad[i] - grad[j]) / quad
-                diff = alpha[i] - alpha[j]
-                alpha[i] += delta
-                alpha[j] += delta
-                if diff > 0 and alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-                elif diff <= 0 and alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-                if diff > 0 and alpha[i] > c:
-                    alpha[i] = c
-                    alpha[j] = c - diff
-                elif diff <= 0 and alpha[j] > c:
-                    alpha[j] = c
-                    alpha[i] = c + diff
-            else:
-                quad = max(kernel[i, i] + kernel[j, j] - 2 * kernel[i, j], tiny)
-                delta = (grad[i] - grad[j]) / quad
-                total = alpha[i] + alpha[j]
-                alpha[i] -= delta
-                alpha[j] += delta
-                if total > c and alpha[i] > c:
-                    alpha[i] = c
-                    alpha[j] = total - c
-                elif total <= c and alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-                if total > c and alpha[j] > c:
-                    alpha[j] = c
-                    alpha[i] = total - c
-                elif total <= c and alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
-            grad += q[:, i] * (alpha[i] - old_i) + q[:, j] * (alpha[j] - old_j)
+            alpha[i] = min(max(old_i + ys[i] * t, 0.0), c)
+            alpha[j] = min(max(old_j - ys[j] * t, 0.0), c)
+            grad += ys * (kernel[:, i] * (ys[i] * (alpha[i] - old_i))
+                          + kernel[:, j] * (ys[j] * (alpha[j] - old_j)))
         else:
             warnings.warn("SMO hit the iteration cap before reaching tolerance", stacklevel=2)
 
         # bias from the final violation bounds (midpoint of the KKT interval)
-        viol = -ys * grad
-        up = ((ys > 0) & (alpha < c - tiny)) | ((ys < 0) & (alpha > tiny))
-        low = ((ys < 0) & (alpha < c - tiny)) | ((ys > 0) & (alpha > tiny))
+        viol, up, low = _violations(alpha, ys, grad, c)
         m_up = viol[up].max() if up.any() else 0.0
         m_low = viol[low].min() if low.any() else 0.0
         self.b = float((m_up + m_low) / 2.0)
 
         self.alpha = alpha
-        keep = alpha > tiny
+        keep = alpha > _TINY
         self.support_ = np.where(keep)[0]
         self._sv_x = x[keep].copy()
         self._sv_coef = (alpha * ys)[keep]

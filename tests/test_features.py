@@ -153,6 +153,13 @@ class TestSegmentation:
         assert not epochs[0].channels.flags.writeable
         assert np.shares_memory(epochs[0].channels, epochs[1].channels)
 
+    @pytest.mark.parametrize("fs", [0.4, 0.5])
+    def test_rate_without_a_whole_sample_hop_rejected(self, fs):
+        """round(fs) is 0 at 0.5 Hz and below: there is no hop to step by."""
+        rec = _separated_recording(duration_s=100.0, fs=fs)
+        with pytest.raises(ValueError, match=rf"above 0\.5 Hz .*got {fs} Hz"):
+            segment_recording(rec)
+
     def test_short_event_rejected_by_default(self):
         rec = _separated_recording(
             annotations=[SeizureAnnotation(onset_s=5.0, offset_s=9.0)]

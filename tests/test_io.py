@@ -128,7 +128,8 @@ class TestRecordingRoundTrip:
         (lambda h: h.update(format_version=99), r"format_version must be 1, got 99"),
         (lambda h: h.pop("format_version"), r"format_version must be 1, got None"),
         (lambda h: h.update(patient_id=7), r"patient_id must be a string, got 7"),
-    ], ids=["version-99", "no-version", "integer-patient"])
+        (lambda h: h.update(channels=5), r"channels must be a list of role names, got 5"),
+    ], ids=["version-99", "no-version", "integer-patient", "integer-channels"])
     def test_bad_header_field_names_the_file(self, tmp_path, edit, message):
         path = self._with_header(tmp_path, edit)
         with pytest.raises(RecordingFormatError, match=_after_path(path, rf"header\.json: {message}")):

@@ -1,11 +1,13 @@
 """From-scratch classifiers: optimization, voting, backprop, persistence."""
 
 import hashlib
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from earpipe import io as containers
 from earpipe.models.cnn import (
@@ -124,6 +126,44 @@ class TestSvm(_RejectsBadTrainingSets):
         f1 = SvmClassifier().fit(x, y).decision_function(x)
         f2 = SvmClassifier().fit(x, y).decision_function(x)
         np.testing.assert_array_equal(f1, f2)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.5, 20.0])
+    def test_two_opposite_points_take_one_newton_step(self, gamma, c):
+        """Both multipliers move along (1, 1), where the dual curves by
+        K_00 + K_11 - 2 K_01 = 2 - 2 exp(-gamma d^2) and falls with slope 2:
+        one exact step reaches the minimum, or the box stops it at C."""
+        x = np.array([[0.0], [1.3]])
+        model = SvmClassifier(SvmConfig(gamma=gamma, c=c)).fit(x, np.array([0, 1]))
+        expected = min(2.0 / (2.0 - 2.0 * np.exp(-gamma * 1.69)), c)
+        np.testing.assert_allclose(model.alpha, [expected, expected], rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        d=st.integers(min_value=1, max_value=5),
+        gamma=st.sampled_from([0.05, 0.5, 2.0]),
+        c=st.sampled_from([0.5, 20.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_solution_meets_the_dual_constraints_and_kkt(self, n, d, gamma, c, seed):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.standard_normal((n, d)), 1)  # one decimal: tied and repeated points
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        cfg = SvmConfig(gamma=gamma, c=c)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alpha = SvmClassifier(cfg).fit(x, y).alpha
+        assume(not caught)
+        ys = np.where(y == 1, 1.0, -1.0)
+        assert np.all((alpha >= 0.0) & (alpha <= c))
+        assert abs(ys @ alpha) <= 1e-9 * c * n
+        grad = (np.outer(ys, ys) * rbf_kernel(x, x, gamma)) @ alpha - 1.0
+        viol = -ys * grad
+        can_rise = np.where(ys > 0, alpha < c - 1e-12, alpha > 1e-12)
+        can_fall = np.where(ys > 0, alpha > 1e-12, alpha < c - 1e-12)
+        assert viol[can_rise].max() - viol[can_fall].min() <= cfg.tol + 1e-9
 
 
 class TestKnn(_RejectsBadTrainingSets):
@@ -499,6 +539,22 @@ class TestCnnClassifier:
         with pytest.raises(RuntimeError, match="not fitted"):
             CnnClassifier(TINY).predict(np.zeros((1, 2, 24)))
 
+    def test_geometry_comes_from_the_windows(self):
+        """A config built for 24 samples trains on and predicts 30-sample
+        windows, as a corpus at another sampling rate cuts them."""
+        x = np.random.default_rng(21).standard_normal((8, 2, 30))
+        model = CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(x, [0, 1] * 4)
+        assert (model.config.in_channels, model.config.input_len) == (2, 30)
+        assert model.predict(x).shape == (8,)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((8, 24), r"\(batch, channels, samples\), got \(8, 24\)"),
+        ((8, 2, 3), r"input_len 3 leaves no samples after 2 pooling stages of 2"),
+    ], ids=["flat", "too-short"])
+    def test_unusable_windows_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            CnnClassifier(TINY, TrainConfig(epochs=1)).fit(np.zeros(shape), [0, 1] * 4)
+
     def test_single_class_split_rejected(self):
         x = np.zeros((10, 2, 24))
         y = np.zeros(10, dtype=int)
@@ -599,6 +655,20 @@ class TestModelStore:
     def test_unknown_kind_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"expected one of \['cnn', 'knn', 'rfc', 'svm'\]"):
             make_model("lda")
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda header, arrays: header["config"].update(bogus=1), r"keyword argument 'bogus'"),
+        (lambda header, arrays: arrays.clear(), r"IndexError"),
+    ], ids=["unknown-config-key", "no-arrays"])
+    def test_damaged_file_names_the_file(self, tmp_path, damage, message):
+        x, y = _blobs(n_per=6, seed=22)
+        path = save_model(KnnClassifier().fit(x, y), tmp_path / "m.npz")
+        header, arrays = containers.read_container(path)
+        damage(header, arrays)
+        containers.write_container(path, header, arrays)
+        pattern = rf"^{re.escape(str(path))}: damaged knn model: .*{message}"
+        with pytest.raises(containers.RecordingFormatError, match=pattern):
+            load_model(path)
 
     def test_unfitted_save_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
