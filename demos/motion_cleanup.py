@@ -2,9 +2,9 @@
 
 Builds one synthetic patient, conditions the mixed channels, then runs
 block-wise mode decomposition with accelerometer screening.  The report
-shows per-band SNR before and after, how many modes each 30 s block
-dropped, and why a fixed 1-30 Hz bandpass cannot do the same job: the
-bursts live inside the band it keeps.
+shows per-band SNR before and after, how many modes each block (30 s,
+the last one under 59 s) dropped, and why a fixed 1-30 Hz bandpass
+cannot do the same job: the bursts live inside the band it keeps.
 """
 
 from earpipe.corpus import make_synthetic_corpus

@@ -130,8 +130,10 @@ def cmd_denoise(args) -> int:
     save_recording(cleaned, args.out, payload=args.payload)
     excluded = sum(r.n_excluded for r in reports)
     capped = sum(not r.converged for r in reports)
+    zeroed = sum(bool(r.excluded.all()) for r in reports)
     print(f"dropped {excluded} motion-correlated modes; "
-          f"{capped} of {len(reports)} blocks hit the VMD iteration cap; wrote {args.out}")
+          f"{capped} of {len(reports)} blocks hit the VMD iteration cap; "
+          f"{zeroed} of {len(reports)} blocks zeroed; wrote {args.out}")
     return 0
 
 

@@ -50,6 +50,16 @@ the analytic signal is built here with the calls that
 Motion handling: every mode's amplitude envelope is compared against the
 accelerometer magnitude; modes that track the IMU are dropped before the
 signal is rebuilt.
+
+A channel is screened in blocks laid on one grid: block i starts at
+``i * (block - overlap)`` samples, and the fewest blocks that cover the
+signal are used, ``max(1, (n - overlap) // (block - overlap))``.  Every
+block but the last is ``block`` samples long; the last runs to the end of
+the signal, so it is between ``block`` and ``2 * block - overlap`` samples
+long (or the whole signal, when that is shorter than one block).
+Neighbours share exactly ``overlap`` samples, and no sample is decomposed
+more than twice: at 30 s blocks with 1 s overlap, a 90 s channel is cut at
+0-30, 29-59 and 58-90 s.
 """
 
 from __future__ import annotations
@@ -394,8 +404,10 @@ def submit_motion_blocks(
 ) -> QueuedBlocks:
     """The submit half of :func:`remove_motion_artifacts`.
 
-    Checks the input, cuts ``x`` and ``accel`` into blocks and submits
-    every block to ``executor`` (without one, each runs here at once).
+    Checks the input, cuts ``x`` and ``accel`` into blocks on the grid the
+    module docstring describes (every ``block_s - overlap_s``, the last
+    block running to the end of ``x``) and submits every block to
+    ``executor`` (without one, each runs here at once).
     Nothing is read back here: a block that raised raises at the join.
     ``label`` (say, recording and channel) starts the join's warnings.
     """
@@ -412,14 +424,9 @@ def submit_motion_blocks(
     if block <= 2 * overlap:
         raise ValueError("block_s must comfortably exceed overlap_s")
 
-    if n <= block:
-        starts = [0]
-    else:
-        step = block - overlap
-        starts = list(range(0, n - block, step))
-        starts.append(n - block)  # final block flush with the signal end
-
-    spans = [(start, min(n, start + block)) for start in starts]
+    step = block - overlap
+    starts = [i * step for i in range(max(1, (n - overlap) // step))]
+    spans = [(start, start + block) for start in starts[:-1]] + [(starts[-1], n)]
     jobs = []
     for start, stop in spans:
         i0 = int(round(start / fs * imu_rate))
@@ -478,11 +485,13 @@ def remove_motion_artifacts(
 ) -> tuple[np.ndarray, list[MotionCorrelation]]:
     """Motion-clean a channel of arbitrary length.
 
-    Long signals are processed in ``block_s`` chunks with a raised-cosine
-    cross-fade over ``overlap_s`` so VMD cost stays bounded; each block is
-    decomposed, screened against its slice of the IMU track and rebuilt
-    from the surviving modes.  ``accel`` must cover the same duration as
-    ``x``, to within one IMU sample.
+    Long signals are processed in ``block_s`` chunks, the last one running
+    to the end of ``x`` (under ``2 * block_s - overlap_s``), with a
+    raised-cosine cross-fade over the ``overlap_s`` that neighbours share,
+    so VMD cost stays bounded; each block is decomposed, screened against
+    its slice of the IMU track and rebuilt from the surviving modes.
+    ``accel`` must cover the same duration as ``x``, to within one IMU
+    sample.
 
     This is :func:`join_motion_blocks` of :func:`submit_motion_blocks`
     without an executor: the blocks run one at a time, in block order, and

@@ -87,7 +87,8 @@ class TestStagewiseFlow:
         assert den.n_samples == load_recording(artifacts["pre"]).n_samples
 
     def test_denoise_reports_capped_blocks(self, artifacts, tmp_path, capsys):
-        """denoise prints how many VMD blocks stopped at the iteration cap."""
+        """denoise prints how many VMD blocks stopped at the iteration cap
+        and how many it zeroed."""
         assert main(["denoise", "--in", str(artifacts["pre"]), "--out", str(tmp_path / "d")]) == 0
         out = capsys.readouterr().out
         pre = load_recording(artifacts["pre"])
@@ -97,8 +98,22 @@ class TestStagewiseFlow:
             for r in remove_motion_artifacts(x, pre.sample_rate, pre.imu, pre.imu_rate)[1]
         ]
         capped = sum(not r.converged for r in reports)
+        zeroed = sum(bool(r.excluded.all()) for r in reports)
         assert f"{capped} of {len(reports)} blocks hit the VMD iteration cap" in out
-        assert len(reports) == 2 * len(pre.channels)  # 40 s -> two 30 s blocks
+        assert f"{zeroed} of {len(reports)} blocks zeroed" in out
+        assert len(reports) == len(pre.channels)  # 40 s -> one 40 s block
+
+    def test_denoise_reports_zeroed_blocks(self, artifacts, tmp_path, capsys):
+        """With every mode flagged (--threshold -1), denoise zeroes every
+        block and says so."""
+        argv = ["denoise", "--in", str(artifacts["pre"]), "--out", str(tmp_path / "d"),
+                "--threshold", "-1"]
+        with pytest.warns(UserWarning, match="every mode correlates with motion"):
+            assert main(argv) == 0
+        blocks = len(load_recording(artifacts["pre"]).channels)  # one 40 s block each
+        assert f"{blocks} of {blocks} blocks zeroed" in capsys.readouterr().out
+        for x in load_recording(tmp_path / "d").channels.values():
+            np.testing.assert_array_equal(x, 0.0)
 
     def test_template_bank_loads(self, artifacts):
         bank = load_templates(artifacts["bank"])

@@ -361,7 +361,7 @@ class TestScreenMotion:
         """screen_motion cleans each channel as remove_motion_artifacts does
         and returns the per-channel reports concatenated in channel order,
         submitting blocks through the evaluation module once per channel."""
-        rec = synthesize_recording(patient_spec(0, duration_s=40.0))
+        rec = synthesize_recording(patient_spec(0, duration_s=60.0))
         calls = []
 
         def spy(x, *args, real=evaluation.submit_motion_blocks, **kwargs):
@@ -376,7 +376,7 @@ class TestScreenMotion:
             cleaned, blocks = remove_motion_artifacts(x, rec.sample_rate, rec.imu, rec.imu_rate)
             np.testing.assert_array_equal(out.channels[role], cleaned)
             expected += blocks
-        assert len(reports) == len(expected) == 4
+        assert len(reports) == len(expected) == 4  # two per 60 s channel
         for got, want in zip(reports, expected):
             np.testing.assert_array_equal(got.r, want.r)
             np.testing.assert_array_equal(got.excluded, want.excluded)
@@ -523,7 +523,7 @@ class TestStageAJobGraph:
 
     @pytest.fixture
     def recordings(self):
-        return [synthesize_recording(patient_spec(i, duration_s=40.0)) for i in range(2)]
+        return [synthesize_recording(patient_spec(i, duration_s=60.0)) for i in range(2)]
 
     def _pool(self, monkeypatch, **kwargs):
         pool = _FakePool(**kwargs)
@@ -537,7 +537,7 @@ class TestStageAJobGraph:
         inline = evaluation._prepare_all(recordings, cfg, None)
         pool = self._pool(monkeypatch)
         pooled = evaluation._prepare_all(recordings, cfg, None)
-        blocks = 2 * sum(len(r.channels) for r in recordings)  # two per 40 s channel
+        blocks = 2 * sum(len(r.channels) for r in recordings)  # two per 60 s channel
         assert pool.log == ["submit"] * blocks + ["read"] * blocks
         assert pool.closed
         for got, want in zip(pooled, inline, strict=True):
@@ -556,7 +556,7 @@ class TestStageAJobGraph:
         assert [str(w.message) for w in caught] == [
             f"{rec.patient_id} {role.value} block {span}: every mode correlates with motion; "
             "returning zeros"
-            for rec in recordings for role in rec.channels for span in ("0–30 s", "10–40 s")
+            for rec in recordings for role in rec.channels for span in ("0–30 s", "29–60 s")
         ]
 
     def test_failing_recording_cancels_every_queued_block(self, recordings, monkeypatch):

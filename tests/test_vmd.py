@@ -2,7 +2,7 @@
 
 import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,7 +306,7 @@ class TestRemoveMotionArtifacts:
     def test_each_zeroed_block_warns_with_its_span(self):
         """Python's default filter shows one warning per distinct message and
         location; the span in the message keeps a second zeroed block visible."""
-        _, noisy, accel, imu_rate = _burst_recording(duration_s=45.0)
+        _, noisy, accel, imu_rate = _burst_recording(duration_s=60.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             out, _ = remove_motion_artifacts(
@@ -314,7 +314,7 @@ class TestRemoveMotionArtifacts:
             )
         assert [str(w.message) for w in caught] == [
             "block 0–30 s: every mode correlates with motion; returning zeros",
-            "block 15–45 s: every mode correlates with motion; returning zeros",
+            "block 29–60 s: every mode correlates with motion; returning zeros",
         ]
         np.testing.assert_array_equal(out, 0.0)
 
@@ -328,7 +328,7 @@ class TestRemoveMotionArtifacts:
         assert err_after < 0.5 * err_before
 
     def test_block_report_count(self):
-        """A 90 s signal at 30 s blocks with 1 s overlap gives 4 reports."""
+        """A 90 s signal at 30 s blocks with 1 s overlap gives 3 reports."""
         rng = np.random.default_rng(9)
         x = rng.standard_normal(int(90 * FS))
         accel = np.vstack(
@@ -340,7 +340,7 @@ class TestRemoveMotionArtifacts:
         )
         out, reports = remove_motion_artifacts(x, FS, accel, 50.0, max_iter=10)
         assert len(out) == len(x)
-        assert len(reports) == 4
+        assert len(reports) == 3
 
     @pytest.mark.parametrize("imu_s", [20.0, 95.0])
     def test_imu_duration_mismatch_rejected(self, imu_s):
@@ -365,6 +365,46 @@ class TestRemoveMotionArtifacts:
             )
 
 
+class _RecordingExecutor(Executor):
+    """Records each submitted call and runs none of them."""
+
+    def __init__(self):
+        self.calls = []
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        self.calls.append(args)
+        return Future()
+
+
+class TestBlockLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 20_000), block=st.integers(1, 8_000))
+    def test_fewest_blocks_on_the_overlap_grid(self, data, n, block):
+        """Blocks start every ``block - overlap`` samples, the fewest cover the
+        signal, the last one runs to its end, and no sample is in three."""
+        overlap = data.draw(st.integers(0, (block - 1) // 2), label="overlap")
+        step = block - overlap
+        fs, imu_rate = 250.0, 50.0
+        executor = _RecordingExecutor()
+        queued = submit_motion_blocks(
+            np.zeros(n), fs, np.zeros((3, round(n / fs * imu_rate))), imu_rate,
+            block_s=block / fs, overlap_s=overlap / fs, executor=executor,
+        )
+        spans = queued.spans
+        assert len(spans) == max(1, (n - overlap) // step)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert [len(args[0]) for args in executor.calls] == [b - a for a, b in spans]
+        for (_, stop), (start, _) in zip(spans, spans[1:]):
+            assert stop - start == overlap
+        assert all(b - a == block for a, b in spans[:-1])
+        last = spans[-1][1] - spans[-1][0]
+        assert block <= last < block + step if n >= block else last == n
+        depth = np.zeros(n, dtype=int)
+        for a, b in spans:
+            depth[a:b] += 1
+        assert depth.max() <= 2
+
+
 def _spawn_pool():
     """Two spawned workers, the kind of pool the experiment runner opens."""
     return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
@@ -374,7 +414,8 @@ class TestBlockPool:
     """Blocks screened on a process pool give the inline result bit for bit."""
 
     def test_pool_matches_inline_exactly(self, workers_gone):
-        """Four blocks of an odd-length signal, converged and capped, one mode flagged."""
+        """Three blocks of an odd-length signal (the last one odd too),
+        converged and capped, one mode flagged."""
         _, noisy, accel, imu_rate = _burst_recording(duration_s=90.0, seed=3)
         x = np.append(noisy, noisy[-1])
         kw = dict(k=4, max_iter=60)
@@ -383,7 +424,7 @@ class TestBlockPool:
             pooled, pooled_reports = join_motion_blocks(
                 submit_motion_blocks(x, FS, accel, imu_rate, executor=pool, **kw)
             )
-        assert len(x) % 2 == 1 and len(inline_reports) == 4
+        assert len(x) % 2 == 1 and len(inline_reports) == 3
         assert {r.converged for r in inline_reports} == {True, False}
         assert sum(r.n_excluded for r in inline_reports) >= 1
         assert pooled.tobytes() == inline.tobytes()
@@ -395,7 +436,7 @@ class TestBlockPool:
 
     def test_all_flagged_block_warns_in_caller(self, workers_gone):
         """The warning for a zeroed block is raised where the blocks are joined."""
-        _, noisy, accel, imu_rate = _burst_recording(duration_s=45.0)
+        _, noisy, accel, imu_rate = _burst_recording(duration_s=60.0)
         with _spawn_pool() as pool, pytest.warns(UserWarning, match="every mode") as caught:
             out, reports = join_motion_blocks(submit_motion_blocks(
                 noisy, FS, accel, imu_rate, threshold=-1.0, executor=pool, k=2, max_iter=5
@@ -408,7 +449,7 @@ class TestBlockPool:
     def test_worker_error_reraised_and_pool_closed(self, workers_gone):
         """A block failing in a worker raises the inline error; no worker outlives the pool."""
         x = np.random.default_rng(9).standard_normal(int(90 * FS))
-        x[int(40 * FS)] = np.nan  # in the second of four blocks
+        x[int(40 * FS)] = np.nan  # in the second of three blocks, 29–59 s
         accel = np.ones((3, 90 * 50))
         with pytest.raises(ValueError) as inline_error:
             remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
@@ -425,9 +466,9 @@ class TestBlockPool:
         """Without an executor a failing block is submitted quietly and raises
         at the join, with the message the test above pins for the pool."""
         x = np.random.default_rng(9).standard_normal(int(90 * FS))
-        x[int(40 * FS)] = np.nan  # in the second of four blocks
+        x[int(40 * FS)] = np.nan  # in the second of three blocks, 29–59 s
         queued = submit_motion_blocks(x, FS, np.ones((3, 90 * 50)), 50.0, max_iter=5)
-        assert len(queued.futures) == 4 and all(f.done() for f in queued.futures)
+        assert len(queued.futures) == 3 and all(f.done() for f in queued.futures)
         with pytest.raises(ValueError) as inline_error:
             join_motion_blocks(queued)
         assert type(inline_error.value) is ValueError
