@@ -68,6 +68,19 @@ def beta_divergence(x: np.ndarray, y: np.ndarray, beta: int) -> float:
     raise ValueError("beta must be 0, 1 or 2")
 
 
+def _divergence(v: np.ndarray, wh: np.ndarray, wh_floored: np.ndarray, beta: int) -> float:
+    """:func:`beta_divergence` of ``v`` against ``wh`` for the update loop,
+    whose ``v`` is floored at ``EPS`` and which passes ``wh`` floored too, as
+    ``wh_floored``: nothing is checked or floored again.  Beta 2 reads the
+    unfloored ``wh``, as the public function does."""
+    if beta == 2:
+        return float(0.5 * np.sum((v - wh) ** 2))
+    if beta == 1:
+        return float(np.sum(v * np.log(v / wh_floored) - v + wh_floored))
+    ratio = v / wh_floored
+    return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+
 # ``wh`` is the current ``w @ h`` floored at ``EPS``, formed once by the caller
 def _update_h(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta: int) -> np.ndarray:
     num = w.T @ (wh ** (beta - 2) * v)
@@ -84,16 +97,21 @@ def _update_w(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta:
 def _multiplicative_updates(
     v: np.ndarray, w: np.ndarray, h: np.ndarray, cfg: NnmfConfig, learn_w: bool
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Fit ``v ~ w @ h`` from the given start, keeping ``w`` fixed unless ``learn_w``."""
+    """Fit ``v ~ w @ h`` from the given start, keeping ``w`` fixed unless ``learn_w``.
+
+    ``v`` must already be floored at ``EPS``.
+    """
     wh = w @ h
-    history = [beta_divergence(v, wh, cfg.beta)]
+    wh_floored = np.maximum(wh, EPS)  # shared by the divergence and the next update
+    history = [_divergence(v, wh, wh_floored, cfg.beta)]
     for _ in range(cfg.max_iter):
-        h = _update_h(v, w, h, np.maximum(wh, EPS), cfg.beta)
+        h = _update_h(v, w, h, wh_floored, cfg.beta)
         wh = w @ h
         if learn_w:
             w = _update_w(v, w, h, np.maximum(wh, EPS), cfg.beta)
             wh = w @ h
-        history.append(beta_divergence(v, wh, cfg.beta))
+        wh_floored = np.maximum(wh, EPS)
+        history.append(_divergence(v, wh, wh_floored, cfg.beta))
         prev, cur = history[-2], history[-1]
         if prev > 0 and (prev - cur) / prev < cfg.tol:
             break

@@ -7,8 +7,36 @@ spectral centroid of their mode, and an optional dual ascent step
 (tau > 0) enforces exact reconstruction.  The input is mirror-extended by
 half its length on each side to soften boundary effects.
 
+The sweeps run in single precision and everything around them in double,
+the usual mixed-precision split (Higham and Mary, Acta Numerica 2022):
+
+- double: the mirror extension and the forward FFT; the rebuild of the
+  modes by a float64 inverse FFT; :func:`motion_correlation`, the kept-mode
+  sum, the cross-fade and everything downstream;
+- single: the positive half-spectrum, the modes, the Wiener denominators
+  and their reciprocals, the per-mode power, the ``|u_new - u_old|^2``
+  buffer, the dual variable and the center frequencies, computed from the
+  float32 power;
+- before the cast, the spectrum is scaled by ``2**-e``, with ``e`` the
+  binary exponent of its largest magnitude, and the rebuilt modes are
+  scaled back by ``2**e``.  Both steps are exact, so float32's range never
+  depends on the signal's units, and ``x * 2**j`` decomposes into exactly
+  ``2**j`` times the modes of ``x``.
+
+On the 144 blocks of the ``lopo-vmd`` benchmark, seeds 0-2, the single
+sweeps keep the float64 loop's sweep counts, convergence flags and
+exclusion masks on every block; the modes' IMU correlations move by at most
+4.9e-5 and a block's kept-mode sum by at most 3e-5 of its peak.  On seeds
+3-11, 3 of 432 blocks stop one sweep earlier or later, with the same masks.
+The 144 blocks take 13.5-15.4 s inline against 25.5-27.2 s in float64
+(1.8-1.9x, two runs, 2-core Xeon VM with 2 MB of L2 per core): a sweep is
+about 90 numpy passes, each limited by memory bandwidth, and a 30 s
+block's sweep buffers come to about 2.5 MB in single precision against
+4.9 MB in double.
+
 Each sweep reuses what it has already computed, with the same operations
-on the same operands as the textbook loop, so results are bit-identical:
+on the same operands as the textbook loop run at the same precision, so
+results are bit-identical to it:
 
 - the k Wiener denominators are built once per sweep as one k x bins
   array of reciprocals (mode i only reads ``omega[i]`` from before its own
@@ -24,18 +52,18 @@ on the same operands as the textbook loop, so results are bit-identical:
 Within a process, blocks are decomposed one at a time, not stacked.  A
 prototype that ran every block of a recording as one (blocks x k x bins)
 array, compacting converged blocks out, was also bit-identical but only
-1.7x faster than the textbook loop, against 2.07x for this kernel (2-core
-Xeon VM): four blocks' working set (~3.8 MB) does not fit in L2, while one
-block's does.  Across processes, blocks run in parallel: no block reads
-another's result, so :func:`remove_motion_artifacts` is a submit half,
-:func:`submit_motion_blocks`, which hands every block to a process pool (or
-runs it at once without one), and a join half, :func:`join_motion_blocks`,
-which cross-fades what comes back in block order, with the same bits either
-way.  A caller with many channels submits all of them before joining any
-(as stage A does), so the pool never idles between channels; after a
-failure, the pool's owner cancels what is still queued.  A block returns
-only the sum of its kept modes and its :class:`MotionCorrelation`, not its
-eight modes, so blocks queued ahead of the join hold little memory.
+1.7x faster than the textbook loop, against 2.07x for this kernel (both in
+float64, 2-core Xeon VM).  Across processes, blocks run in parallel: no
+block reads another's result, so :func:`remove_motion_artifacts` is a
+submit half, :func:`submit_motion_blocks`, which hands every block to a
+process pool (or runs it at once without one), and a join half,
+:func:`join_motion_blocks`, which cross-fades what comes back in block
+order, with the same bits either way.  A caller with many channels
+submits all of them before joining any (as stage A does), so the pool
+never idles between channels; after a failure, the pool's owner cancels
+what is still queued.  A block returns only the sum of its kept modes and
+its :class:`MotionCorrelation`, not its eight modes, so blocks queued
+ahead of the join hold little memory.
 Processes, not threads: a sweep is ~90 short numpy calls, and the
 interpreter lock between them held two threads to 1.05-1.34x.
 
@@ -145,6 +173,17 @@ def vmd_decompose(
     if n_orig < 4:
         raise ValueError("signal too short to decompose")
 
+    if not np.any(x):
+        zeros = np.zeros((k, n_orig))
+        return VmdResult(
+            modes=zeros,
+            center_freqs_hz=np.sort(_init_omegas(k, init, seed)) * fs,
+            residual=np.zeros(n_orig),
+            sample_rate=fs,
+            iterations=0,
+            converged=True,
+        )
+
     padded_odd = n_orig % 2 == 1
     if padded_odd:
         x = np.append(x, x[-1])
@@ -159,35 +198,28 @@ def vmd_decompose(
 
     # the negative half-spectrum stays identically zero through every update,
     # so the iteration runs on the positive half only
-    half_slice = slice(t_len // 2, t_len)
-    f_plus = f_hat[half_slice].copy()
-    freqs_pos = freqs[half_slice]
-
-    omega = _init_omegas(k, init, seed)
-    u_hat = np.zeros((k, len(f_plus)), dtype=complex)
-    lam = np.zeros(len(f_plus), dtype=complex)
-
-    if not np.any(x):
-        zeros = np.zeros((k, n_orig))
-        return VmdResult(
-            modes=zeros,
-            center_freqs_hz=np.sort(omega) * fs,
-            residual=np.zeros(n_orig),
-            sample_rate=fs,
-            iterations=0,
-            converged=True,
-        )
-
+    f_plus = f_hat[t_len // 2:]
     bins = len(f_plus)
+    freqs_pos = freqs[t_len // 2:].astype(np.float32)
+    omega = _init_omegas(k, init, seed).astype(np.float32)
+
+    # scaling by 2**-exp brings the largest bin into [0.5, 1); ldexp is exact
+    # on the real and imaginary parts, so the single-precision sweeps see the
+    # same numbers whatever the signal's units, and the modes are scaled back
+    exp = int(np.frexp(np.abs(f_plus).max())[1])
+    f_plus = np.ldexp(f_plus.view(np.float64), -exp).astype(np.float32).view(np.complex64)
+
     # per-sweep buffers; see the module docstring for what each one saves
-    denom = np.empty((k, bins))
-    recip = np.zeros((k, bins), dtype=complex)  # imaginary parts stay 0
-    sum_all = np.empty(bins, dtype=complex)
-    num = np.empty(bins, dtype=complex)
-    delta = np.empty((k, bins), dtype=complex)
-    power = np.zeros((k, bins))
-    delta_sq = np.empty((k, bins))
-    lam_half = np.zeros(bins, dtype=complex)
+    u_hat = np.zeros((k, bins), dtype=np.complex64)
+    denom = np.empty((k, bins), dtype=np.float32)
+    recip = np.zeros((k, bins), dtype=np.complex64)  # imaginary parts stay 0
+    sum_all = np.empty(bins, dtype=np.complex64)
+    num = np.empty(bins, dtype=np.complex64)
+    delta = np.empty((k, bins), dtype=np.complex64)
+    power = np.zeros((k, bins), dtype=np.float32)
+    delta_sq = np.empty((k, bins), dtype=np.float32)
+    lam = np.zeros(bins, dtype=np.complex64)
+    lam_half = np.zeros(bins, dtype=np.complex64)
 
     iterations = 0
     converged = False
@@ -224,17 +256,17 @@ def vmd_decompose(
             converged = True
             break
 
-    # rebuild time-domain modes from the positive half-spectrum
+    # rebuild time-domain modes from the positive half-spectrum, in double
     full = np.zeros((k, t_len), dtype=complex)
     full[:, t_len // 2:] = u_hat
     full[:, 1: t_len // 2 + 1] = np.conj(full[:, -1: t_len // 2 - 1: -1])
     full[:, 0] = np.conj(full[:, -1])
     u = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=1), axis=1))
-    modes = u[:, half: half + n][:, :n_orig]
+    modes = np.ldexp(u[:, half: half + n][:, :n_orig], exp)
 
     order = np.argsort(omega)
     modes = modes[order]
-    center_hz = omega[order] * fs
+    center_hz = omega[order].astype(np.float64) * fs
 
     x_orig = x[:n_orig]
     return VmdResult(

@@ -454,6 +454,8 @@ def test_12_end_to_end_lopo_detection(e2e):
         f"the pinned run moved from 0.9778 / 0.9487 to {acc:.4f} / {rec:.4f}; "
         "a change that moves it must say so, and why, in CHANGES.md"
     )
+    micro = e2e["on"].micro
+    assert (micro.tp, micro.fp, micro.tn, micro.fn) == (210, 23, 1374, 13)
     assert e2e["elapsed_on"] < 600.0
     _ok(12, f"accuracy {acc:.4f}, recall {rec:.4f} in {e2e['elapsed_on']:.0f} s")
 

@@ -6,9 +6,11 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import hilbert
 
+from earpipe.corpus import make_synthetic_corpus
+from earpipe.preprocess import preprocess_recording
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
     VmdResult,
@@ -80,14 +82,19 @@ class TestReconstruction:
         assert 0 < res.iterations <= 500
 
 
-def _reference_vmd(x, fs, k, alpha, tau, tol, max_iter, init, seed):
+def _reference_vmd(x, fs, k, alpha, tau, tol, max_iter, init, seed, dtype=np.complex64):
     """The textbook ADMM loop, kept as the oracle for the fast kernel.
 
     Mirror extension, spectrum, sweep and rebuild as ``vmd_decompose`` did
     before it reused per-sweep quantities: every sweep copies the modes,
     divides by each mode's denominator and recomputes the convergence sums.
+    The sweeps run with every array in ``dtype`` (complex64, the kernel's
+    sweep precision, or complex128) and its real counterpart; the spectrum
+    and the rebuild stay in double.  The spectrum is not rescaled: scaling
+    by a power of two is exact, so the kernel must match it all the same.
     Returns (modes, center_freqs_hz, iterations, converged).
     """
+    real = np.finfo(dtype).dtype
     x = np.asarray(x, dtype=np.float64)
     n_orig = len(x)
     if n_orig % 2 == 1:
@@ -99,12 +106,12 @@ def _reference_vmd(x, fs, k, alpha, tau, tol, max_iter, init, seed):
     freqs = np.arange(1, t_len + 1) / t_len - 0.5 - 1.0 / t_len
     f_hat = np.fft.fftshift(np.fft.fft(f))
     half_slice = slice(t_len // 2, t_len)
-    f_plus = f_hat[half_slice].copy()
-    freqs_pos = freqs[half_slice]
+    f_plus = f_hat[half_slice].astype(dtype)
+    freqs_pos = freqs[half_slice].astype(real)
 
-    omega = _init_omegas(k, init, seed)
-    u_hat = np.zeros((k, len(f_plus)), dtype=complex)
-    lam = np.zeros(len(f_plus), dtype=complex)
+    omega = _init_omegas(k, init, seed).astype(real)
+    u_hat = np.zeros((k, len(f_plus)), dtype=dtype)
+    lam = np.zeros(len(f_plus), dtype=dtype)
 
     iterations = 0
     converged = False
@@ -137,7 +144,7 @@ def _reference_vmd(x, fs, k, alpha, tau, tol, max_iter, init, seed):
     u = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=1), axis=1))
     modes = u[:, half: half + n][:, :n_orig]
     order = np.argsort(omega)
-    return modes[order], omega[order] * fs, iterations, converged
+    return modes[order], omega[order].astype(np.float64) * fs, iterations, converged
 
 
 class TestReferenceKernel:
@@ -179,6 +186,74 @@ class TestReferenceKernel:
         np.testing.assert_array_equal(res.modes, modes)
         np.testing.assert_array_equal(res.center_freqs_hz, centers)
         assert (res.iterations, res.converged) == (iterations, converged)
+
+
+def _block_peak_error(modes, reference):
+    """Largest mode difference, relative to the block's largest mode sample."""
+    return np.abs(modes - reference).max() / np.abs(reference).max()
+
+
+class TestDoublePrecisionPin:
+    """The single-precision sweeps against the float64 textbook loop: the
+    same sweep count, convergence and exclusion masks, and modes within
+    1e-4 of the block's peak (worst measured 6.1e-5, the capped tau 0.5
+    tone block; at most 1.3e-5 on the recording's blocks)."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_two_tone_block(self, tau):
+        x = _tones([3.0, 11.0], [1.0, 0.4], 30.0)
+        x += 0.05 * np.random.default_rng(11).standard_normal(len(x))
+        res = vmd_decompose(x, FS, tau=tau)
+        modes, _, iterations, converged = _reference_vmd(
+            x, FS, 8, 2000.0, tau, 1e-7, 500, "uniform", 0, dtype=np.complex128
+        )
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert _block_peak_error(res.modes, modes) < 1e-4
+
+    def test_synthetic_recording_blocks(self):
+        """All six blocks of one conditioned synthetic patient (two channels,
+        three blocks each), screened against their IMU slices."""
+        rec = preprocess_recording(make_synthetic_corpus(1, master_seed=0)[0])
+        executor = _RecordingExecutor()
+        for x in rec.channels.values():
+            submit_motion_blocks(x, rec.sample_rate, rec.imu, rec.imu_rate, executor=executor)
+        assert len(executor.calls) == 6
+        for seg, fs, accel, imu_rate, threshold, _ in executor.calls:
+            res = vmd_decompose(seg, fs)
+            modes, centers, iterations, converged = _reference_vmd(
+                seg, fs, 8, 2000.0, 0.0, 1e-7, 500, "uniform", 0, dtype=np.complex128
+            )
+            assert (res.iterations, res.converged) == (iterations, converged)
+            assert _block_peak_error(res.modes, modes) < 1e-4
+            double = VmdResult(modes, centers, seg - modes.sum(axis=0), fs, iterations, converged)
+            np.testing.assert_array_equal(
+                motion_correlation(res, accel, imu_rate, threshold).excluded,
+                motion_correlation(double, accel, imu_rate, threshold).excluded,
+            )
+
+
+class TestScaleInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        j=st.integers(min_value=-200, max_value=200),
+        n=st.integers(min_value=4, max_value=700),
+        tau=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(j=-200, n=500, tau=0.0, seed=0)
+    @example(j=200, n=500, tau=0.0, seed=0)
+    def test_power_of_two_scale_is_exact(self, j, n, tau, seed):
+        """Scaling the input by 2**j scales the modes and residual by 2**j bit
+        for bit and leaves centers, sweeps and convergence alone; float32
+        alone would overflow or flush to zero at the ends of the range."""
+        x = np.random.default_rng(seed).standard_normal(n)
+        kw = dict(k=4, tau=tau, max_iter=60)
+        base = vmd_decompose(x, FS, **kw)
+        scaled = vmd_decompose(x * 2.0**j, FS, **kw)
+        assert scaled.modes.tobytes() == np.ldexp(base.modes, j).tobytes()
+        assert scaled.residual.tobytes() == np.ldexp(base.residual, j).tobytes()
+        assert scaled.center_freqs_hz.tobytes() == base.center_freqs_hz.tobytes()
+        assert (scaled.iterations, scaled.converged) == (base.iterations, base.converged)
 
 
 class TestValidation:
