@@ -123,11 +123,13 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    from .evaluation import screen_motion
+    from .evaluation import ExperimentConfig, screen_motion
     from .io import load_recording, save_recording
 
-    cleaned, reports = screen_motion(load_recording(args.input), args.threshold)
+    cfg = ExperimentConfig(motion_threshold=args.threshold)
+    cleaned, by_channel = screen_motion(load_recording(args.input), cfg).join()
     save_recording(cleaned, args.out, payload=args.payload)
+    reports = [r for blocks in by_channel.values() for r in blocks]
     excluded = sum(r.n_excluded for r in reports)
     capped = sum(not r.converged for r in reports)
     zeroed = sum(bool(r.excluded.all()) for r in reports)

@@ -9,16 +9,18 @@ A sweep runs stage A once per distinct setting of the fields stage A reads
 (once for stride and ratio sweeps, once per value for motion) and cuts each
 recording once for all of its strides.
 
-Stage A's motion step screens each channel with IMU-correlated VMD
-(:func:`screen_motion` for one recording).  :func:`_prepare_all` runs stage
-A as one job graph: it conditions every recording and submits every VMD
-block of every channel first, then joins the recordings in input order.
-When motion handling is VMD and more than one core is available, the blocks
-go to a process pool opened once per run; otherwise each runs in this
-process as it is submitted.  Each join cross-fades the blocks (warning about
-zeroed ones) and separates the sources here, in block and channel order, so
-pooled and inline runs give the same bits; on the pool, while NNMF separates
-one recording, the workers are already decomposing the next one's blocks.
+:func:`screen_motion` is stage A's one motion step, shared with ``earpipe
+denoise``: by default it screens each channel with IMU-correlated VMD.
+:func:`prepare_corpus` runs stage A as one job graph: it conditions every
+recording and submits every VMD block of every channel first, then joins
+the recordings in input order and returns each one separated, with the
+block reports of its channels.  When motion handling is VMD and more than
+one core is available, the blocks go to a process pool opened once per run;
+otherwise each runs in this process as it is submitted.  Each join
+cross-fades the blocks (warning about zeroed ones) and separates the
+sources here, in block and channel order, so pooled and inline runs give
+the same bits; on the pool, while NNMF separates one recording, the workers
+are already decomposing the next one's blocks.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from .vmd import (
     join_motion_blocks,
     submit_motion_blocks,
 )
-# No stage A code calls this.  perfbench/tracing.py looks the name up here to
-# wrap it in traced runs; ROADMAP item 2 moves those counters to the block
-# reports and removes this import.
+# No stage A code calls this: prepare_corpus returns the block reports.  The
+# import stays only because perfbench/tracing.py looks every name it wraps up
+# in this namespace; ROADMAP item 2 has the tracer read the reports instead.
 from .vmd import remove_motion_artifacts  # noqa: F401
 
 SNR_EPS = 1e-20
@@ -255,93 +257,74 @@ class ExperimentResult:
 
 @dataclass
 class QueuedRecording:
-    """A conditioned recording with the VMD blocks of its channels submitted.
+    """A recording with the VMD blocks of its channels in flight.
 
     ``blocks`` is empty when motion handling is not VMD: then the join is
-    the conditioned recording itself.
+    ``rec`` itself, with no block reports.
     """
 
-    conditioned: Recording
+    rec: Recording
     blocks: dict[ChannelRole, QueuedBlocks]
 
-    def join(self) -> tuple[Recording, list[MotionCorrelation]]:
+    def join(self) -> tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]:
         """Cross-fade each channel's blocks, channel after channel.
 
-        Returns the cleaned recording and the block reports of all
-        channels, in that order.
+        Returns the screened recording and each channel's block reports.
         """
         if not self.blocks:
-            return self.conditioned, []
-        channels, reports = {}, []
+            return self.rec, {}
+        channels, reports = {}, {}
         for role, queued in self.blocks.items():
-            channels[role], blocks = join_motion_blocks(queued)
-            reports.extend(blocks)
-        return self.conditioned.with_channels(channels), reports
+            channels[role], reports[role] = join_motion_blocks(queued)
+        return self.rec.with_channels(channels), reports
 
 
-def _submit_channels(
-    rec: Recording, threshold: float, executor: Executor | None = None
-) -> QueuedRecording:
-    """Submit every VMD block of every channel of ``rec`` to ``executor``
-    (without one, each block runs here as it is submitted)."""
-    if rec.imu is None:
-        raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-    return QueuedRecording(rec, {
-        role: submit_motion_blocks(
-            x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=threshold,
-            executor=executor, label=f"{rec.patient_id} {role.value}",
-        )
-        for role, x in rec.channels.items()
-    })
-
-
-def screen_motion(rec: Recording, threshold: float) -> tuple[Recording, list[MotionCorrelation]]:
-    """Drop the IMU-correlated VMD modes of every channel of ``rec``.
-
-    Returns the cleaned recording and the block reports of all channels,
-    channel after channel.
-    """
-    return _submit_channels(rec, threshold).join()
-
-
-def _submit_recording(
+def screen_motion(
     rec: Recording, cfg: ExperimentConfig, executor: Executor | None = None
 ) -> QueuedRecording:
-    """Stage A up to the join: condition ``rec`` and handle motion.
+    """Stage A's motion step (``cfg.motion``) on every channel of ``rec``.
 
     For VMD, every block of every channel is submitted to ``executor``
-    (run here without one); band-pass and motion off finish here.
+    (without one, each block runs here as it is submitted), and the join
+    drops the modes that correlate with the IMU above
+    ``cfg.motion_threshold``.  Band-pass and motion off finish here.
     """
-    conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
     if cfg.motion == "vmd":
-        return _submit_channels(conditioned, cfg.motion_threshold, executor)
+        if rec.imu is None:
+            raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
+        return QueuedRecording(rec, {
+            role: submit_motion_blocks(
+                x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=cfg.motion_threshold,
+                executor=executor, label=f"{rec.patient_id} {role.value}",
+            )
+            for role, x in rec.channels.items()
+        })
     if cfg.motion == "bandpass":
-        conditioned = conditioned.with_channels({
-            role: bandpass_filter(x, conditioned.sample_rate, 1.0, 30.0)
-            for role, x in conditioned.channels.items()
+        rec = rec.with_channels({
+            role: bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
+            for role, x in rec.channels.items()
         })
     elif cfg.motion != "off":
         raise ValueError(f"unknown motion mode {cfg.motion!r}")
-    return QueuedRecording(conditioned, {})
+    return QueuedRecording(rec, {})
 
 
 def prepare_recording(
     rec: Recording,
     cfg: ExperimentConfig,
     templates: TemplateBank | None = None,
-    queued: QueuedRecording | None = None,
+    screened: Recording | None = None,
 ) -> Recording:
-    """Stage A: condition, handle motion, separate into the six roles.
+    """Stage A for one recording: condition, handle motion, separate the sources.
 
-    ``queued`` is ``rec`` as :func:`_prepare_all` submitted it.  Without
-    it, ``rec`` is submitted here with no executor, so its VMD blocks run
-    here one at a time.  Either way the join and the separation run here,
-    in block and channel order.
+    ``screened`` is ``rec`` conditioned and motion-screened already, as
+    :func:`prepare_corpus` joins it.  Without it, both steps run here, the
+    VMD blocks one at a time, and the block reports are dropped.
     """
-    if queued is None:
-        queued = _submit_recording(rec, cfg)
-    conditioned, _ = queued.join()
-    return separate_sources(conditioned, cfg.separation, templates)
+    if screened is None:
+        conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
+        screened, _ = screen_motion(conditioned, cfg).join()
+    return separate_sources(screened, cfg.separation, templates)
 
 
 def separate_sources(rec: Recording, method: str, templates: TemplateBank | None = None) -> Recording:
@@ -369,12 +352,14 @@ def _check_sample_rates(recordings: list[Recording]) -> None:
         )
 
 
-def _prepare_all(
-    recordings: list[Recording], cfg: ExperimentConfig, templates: TemplateBank | None
-) -> list[Recording]:
+def prepare_corpus(
+    recordings: list[Recording], cfg: ExperimentConfig, templates: TemplateBank | None = None
+) -> list[tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]]:
     """Stage A for every recording, with VMD blocks spread over all cores.
 
-    The pool is opened only for VMD, whose blocks take seconds per
+    Returns, in input order, each recording separated into the six roles
+    and its channels' VMD block reports (empty unless motion handling is
+    VMD).  The pool is opened only for VMD, whose blocks take seconds per
     recording: band-pass and motion-off runs finish stage A in less time
     than the workers take to start.  Pool or not, every recording is
     conditioned and all its blocks are submitted before the first one is
@@ -390,12 +375,16 @@ def _prepare_all(
     if cfg.motion == "vmd" and cores >= 2:
         pool = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn"))
     try:
-        queue = [_submit_recording(rec, cfg, pool) for rec in recordings]
-        separated = []
+        conditioning = PreprocessConfig(mains_hz=cfg.mains_hz)
+        queue = [
+            screen_motion(preprocess_recording(rec, conditioning), cfg, pool) for rec in recordings
+        ]
+        prepared = []
         for i, rec in enumerate(recordings):
-            separated.append(prepare_recording(rec, cfg, templates, queued=queue[i]))
+            screened, report = queue[i].join()
             queue[i] = None  # drop the joined blocks' results
-        return separated
+            prepared.append((prepare_recording(rec, cfg, templates, screened=screened), report))
+        return prepared
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -469,14 +458,14 @@ def run_experiment(
     ``separated`` may carry precomputed stage A outputs, or ``windows`` the
     per-patient windows and feature rows already cut from them at
     ``cfg.stride_s`` by :func:`window_tables` (as sweeps do); otherwise every
-    recording runs through :func:`prepare_recording` and is windowed here.
+    recording runs through :func:`prepare_corpus` and is windowed here.
     Evaluation folds never balance the held-out patient and normalization
     statistics come from the training folds alone.
     """
     use_windows = cfg.model == "cnn"
     if windows is None:
         if separated is None:
-            separated = _prepare_all(recordings, cfg, templates)
+            separated = [rec for rec, _ in prepare_corpus(recordings, cfg, templates)]
         windows = window_tables(separated, [cfg.stride_s], with_features=not use_windows)[0]
 
     folds = lopo_folds(windows)
@@ -552,7 +541,7 @@ def sweep(
         if (stage_a, sub.stride_s) not in windows:  # first value of its group
             group = [c for c in configs if _stage_a_fields(c) == stage_a]
             strides = list(dict.fromkeys(c.stride_s for c in group))
-            separated = _prepare_all(recordings, sub, templates)
+            separated = [rec for rec, _ in prepare_corpus(recordings, sub, templates)]
             tables = window_tables(separated, strides, with_features=cfg.model != "cnn")
             windows.update(((stage_a, s), table) for s, table in zip(strides, tables))
         result = run_experiment(recordings, sub, templates, windows=windows[stage_a, sub.stride_s])

@@ -423,7 +423,7 @@ def e2e():
     cfg_on = ExperimentConfig(normalization="minmax")
 
     t0 = time.perf_counter()
-    separated = evaluation._prepare_all(corpus, cfg_on, bank)
+    separated = [rec for rec, _ in evaluation.prepare_corpus(corpus, cfg_on, bank)]
     result_on = run_experiment(corpus, cfg_on, bank, separated=separated)
     elapsed_on = time.perf_counter() - t0
 

@@ -27,6 +27,7 @@ from earpipe.evaluation import (
 )
 from earpipe.features import WindowSpec, features_for_epochs, segment_recording
 from earpipe.io import save_recording
+from earpipe.preprocess import bandpass_filter
 from earpipe.signals import (
     ChannelRole,
     Recording,
@@ -34,7 +35,7 @@ from earpipe.signals import (
     SEPARATED_ROLES,
     synthesize_recording,
 )
-from earpipe.vmd import MOTION_R_THRESHOLD, remove_motion_artifacts
+from earpipe.vmd import remove_motion_artifacts
 
 FS = 250.0
 
@@ -320,7 +321,8 @@ class TestSweep:
     def test_stride_rows_match_standalone_runs(self, separated, monkeypatch):
         """Features shared across strides change no row of the sweep."""
         # the fixture is stage A output already: skip stage A
-        monkeypatch.setattr(evaluation, "_prepare_all", lambda recordings, cfg, templates: recordings)
+        monkeypatch.setattr(evaluation, "prepare_corpus",
+                            lambda recordings, cfg, templates: [(r, {}) for r in recordings])
         cfg = ExperimentConfig(model="rfc", normalization="minmax")
         rows = sweep(separated, cfg, "stride")
         assert [r["value"] for r in rows] == list(range(1, 10))
@@ -340,10 +342,11 @@ class TestSweep:
         def stage_a(recordings, cfg, templates):
             calls.append(cfg.motion)
             if cfg.motion == "vmd":
-                return recordings
-            return [_separated_patient(rec.patient_id, seed=10 + i) for i, rec in enumerate(recordings)]
+                return [(rec, {}) for rec in recordings]
+            return [(_separated_patient(rec.patient_id, seed=10 + i), {})
+                    for i, rec in enumerate(recordings)]
 
-        monkeypatch.setattr(evaluation, "_prepare_all", stage_a)
+        monkeypatch.setattr(evaluation, "prepare_corpus", stage_a)
         cfg = ExperimentConfig(stride_s=3, model="knn", normalization="minmax")
         rows = sweep(separated, cfg, "motion")
         assert calls == ["vmd", "off"]
@@ -359,7 +362,7 @@ class TestSweep:
 class TestScreenMotion:
     def test_reports_are_channel_reports_in_order(self, monkeypatch):
         """screen_motion cleans each channel as remove_motion_artifacts does
-        and returns the per-channel reports concatenated in channel order,
+        and its join returns each channel's reports, in channel order,
         submitting blocks through the evaluation module once per channel."""
         rec = synthesize_recording(patient_spec(0, duration_s=60.0))
         calls = []
@@ -369,19 +372,40 @@ class TestScreenMotion:
             return real(x, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "submit_motion_blocks", spy)
-        out, reports = evaluation.screen_motion(rec, MOTION_R_THRESHOLD)
+        out, reports = evaluation.screen_motion(rec, ExperimentConfig()).join()
         assert len(calls) == len(rec.channels)
-        expected = []
+        assert list(reports) == list(rec.channels)
         for role, x in rec.channels.items():
-            cleaned, blocks = remove_motion_artifacts(x, rec.sample_rate, rec.imu, rec.imu_rate)
+            cleaned, expected = remove_motion_artifacts(x, rec.sample_rate, rec.imu, rec.imu_rate)
             np.testing.assert_array_equal(out.channels[role], cleaned)
-            expected += blocks
-        assert len(reports) == len(expected) == 4  # two per 60 s channel
-        for got, want in zip(reports, expected):
-            np.testing.assert_array_equal(got.r, want.r)
-            np.testing.assert_array_equal(got.excluded, want.excluded)
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert len(reports[role]) == len(expected) == 2  # two per 60 s channel
+            for got, want in zip(reports[role], expected):
+                np.testing.assert_array_equal(got.r, want.r)
+                np.testing.assert_array_equal(got.excluded, want.excluded)
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert not np.shares_memory(out.imu, rec.imu)
+
+    @pytest.mark.parametrize("motion", ["bandpass", "off"])
+    def test_no_blocks_and_no_reports_without_vmd(self, motion, monkeypatch):
+        """Band-pass and motion off finish at once: nothing is submitted,
+        the join has no reports, and motion off returns the recording itself."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a VMD block was submitted")
+
+        monkeypatch.setattr(evaluation, "submit_motion_blocks", refuse)
+        rec = synthesize_recording(patient_spec(0, duration_s=20.0))
+        out, reports = evaluation.screen_motion(rec, ExperimentConfig(motion=motion)).join()
+        assert reports == {}
+        if motion == "off":
+            assert out is rec
+        for role, x in rec.channels.items():
+            want = x if motion == "off" else bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
+            np.testing.assert_array_equal(out.channels[role], want)
+
+    def test_unknown_motion_mode_rejected(self):
+        rec = synthesize_recording(patient_spec(0, duration_s=20.0))
+        with pytest.raises(ValueError, match="unknown motion mode 'ica'"):
+            evaluation.screen_motion(rec, ExperimentConfig(motion="ica"))
 
 
 class TestSeparateSources:
@@ -426,40 +450,53 @@ class TestStageAPool:
         _set_cores(monkeypatch, cores)
         rec = synthesize_recording(patient_spec(0, duration_s=40.0))
         cfg = ExperimentConfig(motion=motion, separation="emd")
-        (out,) = evaluation._prepare_all([rec], cfg, None)
+        ((out, report),) = evaluation.prepare_corpus([rec], cfg)
         assert set(out.channels) == set(SEPARATED_ROLES)
+        if motion == "vmd":  # one block per 40 s channel
+            assert list(report) == list(rec.channels)
+            assert [len(blocks) for blocks in report.values()] == [1] * len(rec.channels)
+        else:
+            assert report == {}
 
     def test_pool_run_equals_inline_run(self, monkeypatch, workers_gone):
-        """Each recording is prepared in this process, once, with or without the pool."""
+        """Each recording is prepared in this process, once, through this
+        module's namespace, with or without the pool."""
         recordings = make_synthetic_corpus(n_patients=2)
         templates = train_corpus_templates()
         cfg = ExperimentConfig(stride_s=3, normalization="minmax")
-        calls, submitted, done_at_first_join = [], [], []
+        calls, submitted, joined, done_at_first_join = [], [], [], []
 
-        def submit_spy(rec, cfg, executor=None, real=evaluation._submit_recording):
+        def submit_spy(rec, cfg, executor=None, real=evaluation.screen_motion):
             submitted.append(real(rec, cfg, executor))
             return submitted[-1]
 
-        def spy(rec, cfg, templates, queued=None, real=evaluation.prepare_recording):
+        def join_spy(queued, real=evaluation.QueuedRecording.join):
+            joined.append((queued, real(queued)))
+            return joined[-1][1]
+
+        def spy(rec, cfg, templates, screened=None, real=evaluation.prepare_recording):
             if not calls:  # the inline run's first join
                 done_at_first_join.extend(
                     f.done() for q in submitted for b in q.blocks.values() for f in b.futures
                 )
-            calls.append(queued)
-            return real(rec, cfg, templates, queued=queued)
+            calls.append((rec.patient_id, screened))
+            return real(rec, cfg, templates, screened=screened)
 
-        monkeypatch.setattr(evaluation, "_submit_recording", submit_spy)
+        monkeypatch.setattr(evaluation, "screen_motion", submit_spy)
+        monkeypatch.setattr(evaluation.QueuedRecording, "join", join_spy)
         monkeypatch.setattr(evaluation, "prepare_recording", spy)
         _set_cores(monkeypatch, 1)
         inline = run_experiment(recordings, cfg, templates).to_dict()
         _set_cores(monkeypatch, 2)
         pooled = run_experiment(recordings, cfg, templates).to_dict()
-        assert len(calls) == 4
-        # every call joins blocks that were already submitted; inline, they have run
-        for queued in calls:
+        assert [patient for patient, _ in calls] == [r.patient_id for r in recordings] * 2
+        # every call separates the join of blocks that were already
+        # submitted; inline, they have run
+        for queued in submitted:
             assert queued.blocks
             assert all(blocks.futures for blocks in queued.blocks.values())
-        assert all(c is q for c, q in zip(calls, submitted, strict=True))
+        assert all(q is s for (q, _), s in zip(joined, submitted, strict=True))
+        assert all(c is j for (_, c), (_, (j, _)) in zip(calls, joined, strict=True))
         inline_blocks = sum(len(b.futures) for q in submitted[:2] for b in q.blocks.values())
         assert len(done_at_first_join) == inline_blocks and all(done_at_first_join)
         assert pooled == inline
@@ -471,7 +508,7 @@ class TestStageAPool:
         bad = dataclasses.replace(good, patient_id="p09", imu=None)
         _set_cores(monkeypatch, 2)
         with pytest.raises(ValueError, match="p09 has no IMU track"):
-            evaluation._prepare_all([good, bad], ExperimentConfig(separation="emd"), None)
+            evaluation.prepare_corpus([good, bad], ExperimentConfig(separation="emd"))
         assert workers_gone()
 
 
@@ -534,29 +571,48 @@ class TestStageAJobGraph:
     def test_every_block_submitted_before_the_first_is_read(self, recordings, monkeypatch):
         cfg = ExperimentConfig(separation="emd")
         _set_cores(monkeypatch, 1)
-        inline = evaluation._prepare_all(recordings, cfg, None)
+        inline = evaluation.prepare_corpus(recordings, cfg)
         pool = self._pool(monkeypatch)
-        pooled = evaluation._prepare_all(recordings, cfg, None)
+        pooled = evaluation.prepare_corpus(recordings, cfg)
         blocks = 2 * sum(len(r.channels) for r in recordings)  # two per 60 s channel
         assert pool.log == ["submit"] * blocks + ["read"] * blocks
         assert pool.closed
-        for got, want in zip(pooled, inline, strict=True):
+        for (got, got_report), (want, want_report), rec in zip(pooled, inline, recordings,
+                                                                strict=True):
             assert list(got.channels) == list(want.channels)
             for role, x in want.channels.items():
                 assert got.channels[role].tobytes() == x.tobytes()
+            # the block reports too, field by field, in channel and block order
+            assert list(got_report) == list(want_report) == list(rec.channels)
+            for role, want_blocks in want_report.items():
+                assert len(got_report[role]) == len(want_blocks) == 2
+                for g, w in zip(got_report[role], want_blocks):
+                    assert g.r.tobytes() == w.r.tobytes()
+                    assert g.excluded.tobytes() == w.excluded.tobytes()
+                    assert (g.iterations, g.converged) == (w.iterations, w.converged)
 
     def test_zeroed_blocks_warn_in_join_order_with_their_names(self, recordings, monkeypatch):
         """Each zeroed block's warning names recording, channel and span, so
-        Python's default filter hides none of them."""
+        Python's default filter hides none of them, and each matches, in
+        order, a report entry with every mode excluded."""
         self._pool(monkeypatch)
         cfg = ExperimentConfig(separation="emd", motion_threshold=-1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            evaluation._prepare_all(recordings, cfg, None)
-        assert [str(w.message) for w in caught] == [
+            prepared = evaluation.prepare_corpus(recordings, cfg)
+        messages = [str(w.message) for w in caught]
+        spans = ("0–30 s", "29–60 s")
+        assert messages == [
             f"{rec.patient_id} {role.value} block {span}: every mode correlates with motion; "
             "returning zeros"
-            for rec in recordings for role in rec.channels for span in ("0–30 s", "29–60 s")
+            for rec in recordings for role in rec.channels for span in spans
+        ]
+        assert messages == [
+            f"{rec.patient_id} {role.value} block {spans[i]}: every mode correlates with motion; "
+            "returning zeros"
+            for rec, (_, report) in zip(recordings, prepared, strict=True)
+            for role, blocks in report.items()
+            for i, corr in enumerate(blocks) if corr.excluded.all()
         ]
 
     def test_failing_recording_cancels_every_queued_block(self, recordings, monkeypatch):
@@ -564,7 +620,7 @@ class TestStageAJobGraph:
         bad = dataclasses.replace(recordings[0], patient_id="p09", imu=None)
         pool = self._pool(monkeypatch, run=False)
         with pytest.raises(ValueError, match="p09 has no IMU track"):
-            evaluation._prepare_all([*recordings, bad], ExperimentConfig(separation="emd"), None)
+            evaluation.prepare_corpus([*recordings, bad], ExperimentConfig(separation="emd"))
         assert len(pool.futures) == 8
         assert all(f.cancelled() for f in pool.futures)
         assert "read" not in pool.log and pool.closed
@@ -573,7 +629,7 @@ class TestStageAJobGraph:
         """The first block raises in the first join; no other block runs."""
         pool = self._pool(monkeypatch, run=False, fail_first=True)
         with pytest.raises(RuntimeError, match="block failed"):
-            evaluation._prepare_all(recordings, ExperimentConfig(separation="emd"), None)
+            evaluation.prepare_corpus(recordings, ExperimentConfig(separation="emd"))
         assert len(pool.futures) == 8
         assert all(f.cancelled() for f in pool.futures[1:])
         assert pool.closed
