@@ -93,6 +93,9 @@ def cmd_synth(args) -> int:
 
     cfg = _merged(args, ["duration_s", "patient_id", "seed"])
     comps = [SynthComponent(**c) for c in cfg.pop("components", [])]
+    if not comps:
+        raise ValueError("the synthesis spec has no components, so every channel would be "
+                         "zero; list at least one under \"components\" in --config")
     spec = SynthesisSpec(
         duration_s=float(cfg.get("duration_s", 60.0)),
         components=tuple(comps),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -46,9 +47,10 @@ from .features import (
     balance_indices,
     features_for_epochs,
     fit_normalizer,
+    parse_ratio,
     segment_recording,
 )
-from .models import make_model
+from .models import MODEL_CLASSES, make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
 from .signals import ChannelRole, Recording
@@ -235,6 +237,22 @@ class ExperimentConfig:
     cnn_epochs: int = 350
     master_seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Reject a bad setting here, before stage A spends any time."""
+        WindowSpec(stride_s=self.stride_s)
+        parse_ratio(self.ratio)
+        for name, value, allowed in (
+            ("model kind", self.model, sorted(MODEL_CLASSES)),
+            ("separation method", self.separation, ["nnmf", "emd"]),
+            ("motion mode", self.motion, ["vmd", "bandpass", "off"]),
+            ("normalization mode", self.normalization, ["zscore", "minmax"]),
+        ):
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
+        epochs = self.cnn_epochs
+        if isinstance(epochs, bool) or not (isinstance(epochs, numbers.Integral) and epochs >= 1):
+            raise ValueError(f"cnn_epochs must be an integer of at least 1, got {epochs!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -304,26 +322,15 @@ def screen_motion(
             role: bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
             for role, x in rec.channels.items()
         })
-    elif cfg.motion != "off":
-        raise ValueError(f"unknown motion mode {cfg.motion!r}")
     return QueuedRecording(rec, {})
 
 
 def prepare_recording(
-    rec: Recording,
-    cfg: ExperimentConfig,
-    templates: TemplateBank | None = None,
-    screened: Recording | None = None,
+    screened: Recording, cfg: ExperimentConfig, templates: TemplateBank | None = None
 ) -> Recording:
-    """Stage A for one recording: condition, handle motion, separate the sources.
-
-    ``screened`` is ``rec`` conditioned and motion-screened already, as
-    :func:`prepare_corpus` joins it.  Without it, both steps run here, the
-    VMD blocks one at a time, and the block reports are dropped.
-    """
-    if screened is None:
-        conditioned = preprocess_recording(rec, PreprocessConfig(mains_hz=cfg.mains_hz))
-        screened, _ = screen_motion(conditioned, cfg).join()
+    """Stage A's last step for one recording: separate the sources of
+    ``screened``, a recording conditioned and motion-screened already, as
+    :func:`prepare_corpus` joins it."""
     return separate_sources(screened, cfg.separation, templates)
 
 
@@ -380,10 +387,10 @@ def prepare_corpus(
             screen_motion(preprocess_recording(rec, conditioning), cfg, pool) for rec in recordings
         ]
         prepared = []
-        for i, rec in enumerate(recordings):
+        for i in range(len(queue)):
             screened, report = queue[i].join()
             queue[i] = None  # drop the joined blocks' results
-            prepared.append((prepare_recording(rec, cfg, templates, screened=screened), report))
+            prepared.append((prepare_recording(screened, cfg, templates), report))
         return prepared
     finally:
         if pool is not None:

@@ -42,7 +42,8 @@ class WindowSpec:
 
     def __post_init__(self) -> None:
         # the hop, stride_s * round(fs) samples, must be a whole number
-        if not (isinstance(self.stride_s, numbers.Integral) and 1 <= self.stride_s <= 9):
+        stride = self.stride_s
+        if isinstance(stride, bool) or not (isinstance(stride, numbers.Integral) and 1 <= stride <= 9):
             raise ValueError(f"stride_s must be an integer in 1..9, got {self.stride_s}")
 
 
@@ -238,7 +239,7 @@ def features_for_epochs(epochs: list[LabeledEpoch], fs: float) -> np.ndarray:
 
 def parse_ratio(ratio: str) -> int:
     """'1:k' -> k, the number of background epochs kept per seizure epoch."""
-    parts = ratio.split(":")
+    parts = str(ratio).split(":")
     if len(parts) != 2 or parts[0] != "1" or parts[1] not in ("1", "2", "3"):
         raise ValueError(f"ratio must be one of 1:1, 1:2, 1:3, got {ratio!r}")
     return int(parts[1])

@@ -6,11 +6,14 @@ minimizing the Itakura-Saito divergence with multiplicative updates
 concatenated into a bank; separating a mixture runs the same update loop
 with the bank fixed, fits only the activations, and rebuilds each modality
 through a soft Wiener-style mask applied to the complex mixture spectrogram.
-The loop forms ``w @ h`` once per factor update.
+The loop is written for Itakura-Saito alone (beta = 0): it forms ``w @ h``
+once per factor update and floors it once, and the divergence and the next
+update both read that floored product.
 
 The IS divergence is the natural fit for audio-like power spectra because
 it is scale invariant: quiet time-frequency cells cost as much to misfit
-as loud ones.
+as loud ones.  :func:`beta_divergence` still reports the Kullback-Leibler
+and Euclidean members of the family, for comparison.
 """
 
 from __future__ import annotations
@@ -33,14 +36,11 @@ MODALITIES = ("eeg", "emg", "eog")
 @dataclass(frozen=True)
 class NnmfConfig:
     rank_per_modality: int = 10
-    beta: int = 0  # 0 = Itakura-Saito, 1 = KL, 2 = Euclidean
     max_iter: int = 200
     tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.beta not in (0, 1, 2):
-            raise ValueError("beta must be 0, 1 or 2")
         if self.rank_per_modality < 1:
             raise ValueError("rank_per_modality must be positive")
 
@@ -63,34 +63,28 @@ def beta_divergence(x: np.ndarray, y: np.ndarray, beta: int) -> float:
     if beta == 1:
         return float(np.sum(xf * np.log(xf / yf) - xf + yf))
     if beta == 0:
-        ratio = xf / yf
-        return float(np.sum(ratio - np.log(ratio) - 1.0))
+        return _divergence(xf, yf)
     raise ValueError("beta must be 0, 1 or 2")
 
 
-def _divergence(v: np.ndarray, wh: np.ndarray, wh_floored: np.ndarray, beta: int) -> float:
-    """:func:`beta_divergence` of ``v`` against ``wh`` for the update loop,
-    whose ``v`` is floored at ``EPS`` and which passes ``wh`` floored too, as
-    ``wh_floored``: nothing is checked or floored again.  Beta 2 reads the
-    unfloored ``wh``, as the public function does."""
-    if beta == 2:
-        return float(0.5 * np.sum((v - wh) ** 2))
-    if beta == 1:
-        return float(np.sum(v * np.log(v / wh_floored) - v + wh_floored))
-    ratio = v / wh_floored
+# In the update loop, ``v`` and ``wh`` (the current ``w @ h``) are both
+# already floored at ``EPS``: nothing is checked or floored again.
+def _divergence(v: np.ndarray, wh: np.ndarray) -> float:
+    """Itakura-Saito divergence of ``v`` from ``wh``, summed."""
+    ratio = v / wh
     return float(np.sum(ratio - np.log(ratio) - 1.0))
 
 
-# ``wh`` is the current ``w @ h`` floored at ``EPS``, formed once by the caller
-def _update_h(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta: int) -> np.ndarray:
-    num = w.T @ (wh ** (beta - 2) * v)
-    den = np.maximum(w.T @ wh ** (beta - 1), EPS)
+# The Itakura-Saito multiplicative updates (beta = 0)
+def _update_h(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    num = w.T @ (wh ** -2 * v)
+    den = np.maximum(w.T @ wh ** -1, EPS)
     return np.maximum(h * num / den, EPS)
 
 
-def _update_w(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray, beta: int) -> np.ndarray:
-    num = (wh ** (beta - 2) * v) @ h.T
-    den = np.maximum(wh ** (beta - 1) @ h.T, EPS)
+def _update_w(v: np.ndarray, w: np.ndarray, h: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    num = (wh ** -2 * v) @ h.T
+    den = np.maximum(wh ** -1 @ h.T, EPS)
     return np.maximum(w * num / den, EPS)
 
 
@@ -99,19 +93,18 @@ def _multiplicative_updates(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Fit ``v ~ w @ h`` from the given start, keeping ``w`` fixed unless ``learn_w``.
 
-    ``v`` must already be floored at ``EPS``.
+    ``v`` must already be floored at ``EPS``.  ``wh``, the floored product,
+    is shared by the divergence and the next update.
     """
-    wh = w @ h
-    wh_floored = np.maximum(wh, EPS)  # shared by the divergence and the next update
-    history = [_divergence(v, wh, wh_floored, cfg.beta)]
+    wh = np.maximum(w @ h, EPS)
+    history = [_divergence(v, wh)]
     for _ in range(cfg.max_iter):
-        h = _update_h(v, w, h, wh_floored, cfg.beta)
-        wh = w @ h
+        h = _update_h(v, w, h, wh)
+        wh = np.maximum(w @ h, EPS)
         if learn_w:
-            w = _update_w(v, w, h, np.maximum(wh, EPS), cfg.beta)
-            wh = w @ h
-        wh_floored = np.maximum(wh, EPS)
-        history.append(_divergence(v, wh, wh_floored, cfg.beta))
+            w = _update_w(v, w, h, wh)
+            wh = np.maximum(w @ h, EPS)
+        history.append(_divergence(v, wh))
         prev, cur = history[-2], history[-1]
         if prev > 0 and (prev - cur) / prev < cfg.tol:
             break

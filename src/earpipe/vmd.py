@@ -1,11 +1,12 @@
 """Variational mode decomposition and IMU-guided motion artifact removal.
 
 The decomposition runs the frequency-domain ADMM scheme of Dragomiretskiy
-and Zosso (IEEE TSP 2014): each mode is refined by a Wiener-like update
-around its current center frequency, center frequencies move to the
-spectral centroid of their mode, and an optional dual ascent step
-(tau > 0) enforces exact reconstruction.  The input is mirror-extended by
-half its length on each side to soften boundary effects.
+and Zosso (IEEE TSP 2014) with the dual ascent step off (tau = 0, the
+noise-tolerant setting): each mode is refined by a Wiener-like update
+around its current center frequency, and center frequencies, which start
+evenly spaced at ``(0.5 / k) * i``, move to the spectral centroid of their
+mode.  The input is mirror-extended by half its length on each side to
+soften boundary effects.
 
 The sweeps run in single precision and everything around them in double,
 the usual mixed-precision split (Higham and Mary, Acta Numerica 2022):
@@ -15,8 +16,7 @@ the usual mixed-precision split (Higham and Mary, Acta Numerica 2022):
   sum, the cross-fade and everything downstream;
 - single: the positive half-spectrum, the modes, the Wiener denominators
   and their reciprocals, the per-mode power, the ``|u_new - u_old|^2``
-  buffer, the dual variable and the center frequencies, computed from the
-  float32 power;
+  buffer and the center frequencies, computed from the float32 power;
 - before the cast, the spectrum is scaled by ``2**-e``, with ``e`` the
   binary exponent of its largest magnitude, and the rebuilt modes are
   scaled back by ``2**e``.  Both steps are exact, so float32's range never
@@ -46,8 +46,7 @@ results are bit-identical to it:
   mode sum and, squared and summed, is the convergence numerator;
 - each mode's power ``|u_new|^2`` is kept; it gives the new center
   frequency, and its sum is the next sweep's convergence denominator;
-- all buffers are allocated once per call, and the dual variable is
-  skipped entirely when ``tau == 0``.
+- all buffers are allocated once per call.
 
 Within a process, blocks are decomposed one at a time, not stacked.  A
 prototype that ran every block of a recording as one (blocks x k x bins)
@@ -101,7 +100,6 @@ from scipy import fft as sp_fft
 
 DEFAULT_K = 8
 DEFAULT_ALPHA = 2000.0
-DEFAULT_TAU = 0.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 500
 MOTION_R_THRESHOLD = 0.3
@@ -119,26 +117,13 @@ class VmdResult:
     converged: bool
 
 
-def _init_omegas(k: int, init: str, seed: int) -> np.ndarray:
-    if init == "uniform":
-        return (0.5 / k) * np.arange(k)
-    if init == "zero":
-        return np.zeros(k)
-    if init == "random":
-        return np.sort(0.5 * np.random.default_rng(seed).random(k))
-    raise ValueError(f"unknown init {init!r}; use uniform, zero or random")
-
-
 def vmd_decompose(
     x: np.ndarray,
     fs: float,
     k: int = DEFAULT_K,
     alpha: float = DEFAULT_ALPHA,
-    tau: float = DEFAULT_TAU,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    init: str = "uniform",
-    seed: int = 0,
 ) -> VmdResult:
     """Decompose ``x`` into ``k`` narrowband modes.
 
@@ -152,15 +137,16 @@ def vmd_decompose(
         Number of modes.
     alpha : float
         Bandwidth penalty; larger values give narrower modes.
-    tau : float
-        Dual-ascent step.  0 disables the exact-reconstruction constraint,
-        which tolerates noise; positive values tighten reconstruction.
     tol : float
         Relative change of the mode set that counts as converged.
     max_iter : int
         Iteration cap.
-    init : str
-        Center frequency initialization: "uniform", "zero" or "random".
+
+    There is no dual ascent (tau = 0): the modes need not add up to the
+    input exactly, which tolerates noise, and ``residual`` holds what they
+    leave out.  Center frequencies start at ``(0.5 / k) * arange(k)`` in
+    cycles per sample; a zero signal returns zero modes at those centers
+    after 0 sweeps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -173,11 +159,11 @@ def vmd_decompose(
     if n_orig < 4:
         raise ValueError("signal too short to decompose")
 
+    omega = (0.5 / k) * np.arange(k)
     if not np.any(x):
-        zeros = np.zeros((k, n_orig))
         return VmdResult(
-            modes=zeros,
-            center_freqs_hz=np.sort(_init_omegas(k, init, seed)) * fs,
+            modes=np.zeros((k, n_orig)),
+            center_freqs_hz=omega * fs,
             residual=np.zeros(n_orig),
             sample_rate=fs,
             iterations=0,
@@ -201,7 +187,7 @@ def vmd_decompose(
     f_plus = f_hat[t_len // 2:]
     bins = len(f_plus)
     freqs_pos = freqs[t_len // 2:].astype(np.float32)
-    omega = _init_omegas(k, init, seed).astype(np.float32)
+    omega = omega.astype(np.float32)
 
     # scaling by 2**-exp brings the largest bin into [0.5, 1); ldexp is exact
     # on the real and imaginary parts, so the single-precision sweeps see the
@@ -218,8 +204,6 @@ def vmd_decompose(
     delta = np.empty((k, bins), dtype=np.complex64)
     power = np.zeros((k, bins), dtype=np.float32)
     delta_sq = np.empty((k, bins), dtype=np.float32)
-    lam = np.zeros(bins, dtype=np.complex64)
-    lam_half = np.zeros(bins, dtype=np.complex64)
 
     iterations = 0
     converged = False
@@ -234,8 +218,6 @@ def vmd_decompose(
         for i in range(k):
             np.subtract(sum_all, u_hat[i], out=num)  # the other modes
             np.subtract(f_plus, num, out=num)
-            if tau:
-                num += lam_half
             num *= recip[i]
             np.subtract(num, u_hat[i], out=delta[i])
             sum_all += delta[i]
@@ -245,9 +227,6 @@ def vmd_decompose(
             total = power[i].sum()
             if total > 0:
                 omega[i] = float(np.dot(freqs_pos, power[i]) / total)
-        if tau:
-            lam = lam + tau * (f_plus - sum_all)
-            np.divide(lam, 2, out=lam_half)
 
         np.abs(delta, out=delta_sq)
         np.square(delta_sq, out=delta_sq)

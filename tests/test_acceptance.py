@@ -57,7 +57,7 @@ def test_01_factorization_objective_never_increases():
     t0 = time.perf_counter()
     for _ in range(50):
         v = rng.uniform(0.05, 2.0, size=(64, 128))
-        _, _, hist = nnmf_factorize(v, 10, NnmfConfig(beta=0, max_iter=30, tol=0.0))
+        _, _, hist = nnmf_factorize(v, 10, NnmfConfig(max_iter=30, tol=0.0))
         hist = np.asarray(hist)
         increases = np.diff(hist) / np.maximum(hist[:-1], 1e-300)
         assert np.all(increases < 1e-9)
@@ -73,7 +73,7 @@ def test_02_fixed_point_and_scale_invariance():
     w = rng.uniform(0.1, 1.0, size=(64, 5))
     h = rng.uniform(0.1, 1.0, size=(5, 128))
     v = w @ h
-    h2 = _update_h(v, w, h, w @ h, beta=0)
+    h2 = _update_h(v, w, h, w @ h)
     move = np.linalg.norm(h2 - h) / np.linalg.norm(h)
     assert move < 1e-10
 

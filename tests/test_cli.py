@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from earpipe import evaluation
 from earpipe.cli import main
 from earpipe.io import load_recording, save_recording
 from earpipe.nnmf import load_templates
@@ -234,6 +235,44 @@ class TestFailureReporting:
         assert err["error"] == "RecordingFormatError"
         assert err["message"].startswith(f"{corpus / 'p02'}: {message}")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"model": "xgb"}, "unknown model kind 'xgb'"),
+        ({"ratio": "1:4"}, "ratio must be one of 1:1, 1:2, 1:3, got '1:4'"),
+    ])
+    def test_bad_config_file_rejected_before_stage_a(
+        self, capsys, tmp_path, monkeypatch, config, message
+    ):
+        """A --config file skips argparse's choices, so the config itself
+        rejects the value, before any recording is prepared."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage A ran")
+
+        monkeypatch.setattr(evaluation, "prepare_corpus", refuse)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = main(["evaluate", "--synthetic", "2", "--separation", "emd", "--motion", "off",
+                     "--config", str(path), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("spec", [None, {"duration_s": 10.0, "seed": 3}, {"components": []}],
+                             ids=["no-config", "no-components", "empty-components"])
+    def test_synth_without_components_rejected(self, capsys, tmp_path, spec):
+        """A spec with nothing to render is refused by name, not written as
+        an all-zero recording."""
+        argv = ["synth", "--out", str(tmp_path / "raw")]
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv += ["--config", str(tmp_path / "spec.json")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert '"components"' in err["message"]
+        assert not (tmp_path / "raw").exists()
 
     def test_nnmf_separation_needs_templates(self, artifacts, capsys, tmp_path):
         code = main([

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import warnings
 from concurrent.futures import Executor, Future
 
@@ -188,6 +189,32 @@ def _separated_patient(patient_id, seed, duration_s=60.0, fs=FS):
 @pytest.fixture(scope="module")
 def separated():
     return [_separated_patient(f"p{i:02d}", seed=i) for i in range(3)]
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("stride_s", 0, "stride_s must be an integer in 1..9"),
+        ("stride_s", 10, "stride_s must be an integer in 1..9"),
+        ("stride_s", 2.5, "stride_s must be an integer in 1..9"),
+        ("stride_s", "3", "stride_s must be an integer in 1..9"),
+        ("stride_s", True, "stride_s must be an integer in 1..9"),
+        ("ratio", "1:4", "ratio must be one of 1:1, 1:2, 1:3, got '1:4'"),
+        ("ratio", "2:1", "ratio must be one of"),
+        ("ratio", 2, "ratio must be one of 1:1, 1:2, 1:3, got 2"),
+        ("model", "xgb", "unknown model kind 'xgb'"),
+        ("separation", "ica", "unknown separation method 'ica'"),
+        ("motion", "ica", "unknown motion mode 'ica'"),
+        ("normalization", "robust", "unknown normalization mode 'robust'"),
+        ("cnn_epochs", 0, "cnn_epochs must be an integer of at least 1, got 0"),
+        ("cnn_epochs", 2.5, "cnn_epochs must be an integer of at least 1"),
+        ("cnn_epochs", "350", "cnn_epochs must be an integer of at least 1"),
+        ("cnn_epochs", True, "cnn_epochs must be an integer of at least 1"),
+    ])
+    def test_bad_value_rejected_when_built(self, field, value, message):
+        """A bad setting fails where the config is built, naming itself,
+        not after stage A has run."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**{field: value})
 
 
 class TestRunExperiment:
@@ -410,16 +437,17 @@ class TestScreenMotion:
 
 class TestSeparateSources:
     def test_stage_a_and_cli_reach_splitters_through_this_module(self, monkeypatch, tmp_path):
-        """prepare_recording and `earpipe separate` share one dispatch, which
-        looks the splitters up in earpipe.evaluation, where wrappers replace them."""
+        """prepare_recording (which separates a screened recording) and
+        `earpipe separate` share one dispatch, which looks the splitters up
+        in earpipe.evaluation, where wrappers replace them."""
         calls = []
         monkeypatch.setattr(evaluation, "separate_recording_emd",
                             lambda rec: calls.append("emd") or rec)
         monkeypatch.setattr(evaluation, "separate_recording_nnmf",
                             lambda rec, bank: calls.append(("nnmf", bank)) or rec)
         rec = synthesize_recording(patient_spec(0, duration_s=20.0))
-        evaluation.prepare_recording(rec, ExperimentConfig(separation="emd", motion="off"))
-        evaluation.prepare_recording(rec, ExperimentConfig(separation="nnmf", motion="off"), "bank")
+        evaluation.prepare_recording(rec, ExperimentConfig(separation="emd"))
+        evaluation.prepare_recording(rec, ExperimentConfig(separation="nnmf"), "bank")
         save_recording(rec, tmp_path / "raw")
         code = main(["separate", "--in", str(tmp_path / "raw"), "--method", "emd",
                      "--out", str(tmp_path / "sep")])
@@ -474,13 +502,13 @@ class TestStageAPool:
             joined.append((queued, real(queued)))
             return joined[-1][1]
 
-        def spy(rec, cfg, templates, screened=None, real=evaluation.prepare_recording):
+        def spy(screened, cfg, templates, real=evaluation.prepare_recording):
             if not calls:  # the inline run's first join
                 done_at_first_join.extend(
                     f.done() for q in submitted for b in q.blocks.values() for f in b.futures
                 )
-            calls.append((rec.patient_id, screened))
-            return real(rec, cfg, templates, screened=screened)
+            calls.append((screened.patient_id, screened))
+            return real(screened, cfg, templates)
 
         monkeypatch.setattr(evaluation, "screen_motion", submit_spy)
         monkeypatch.setattr(evaluation.QueuedRecording, "join", join_spy)
