@@ -25,6 +25,7 @@ from .signals import (
 DURATION_S = 90.0
 SEIZURE_START_S = 30.0
 SEIZURE_STOP_S = 58.0
+TEMPLATE_DURATION_S = 60.0
 
 
 def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_S) -> SynthesisSpec:
@@ -77,15 +78,15 @@ def make_synthetic_corpus(n_patients: int = 20, master_seed: int = 0) -> list[Re
     return [synthesize_recording(patient_spec(i, master_seed)) for i in range(n_patients)]
 
 
-def template_sources(master_seed: int = 0, duration_s: float = 60.0) -> dict[str, np.ndarray]:
+def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
     """Clean per-modality tracks covering background and ictal regimes.
 
     Each modality's track spends the middle third of the recording in its
     ictal state so the learned spectral dictionary spans both regimes.
     """
-    third, two_thirds = duration_s / 3, 2 * duration_s / 3
+    third, two_thirds = TEMPLATE_DURATION_S / 3, 2 * TEMPLATE_DURATION_S / 3
     spec = SynthesisSpec(
-        duration_s=duration_s,
+        duration_s=TEMPLATE_DURATION_S,
         components=(
             SynthComponent("alpha_burst", 0.10),
             SynthComponent("spike_wave_seizure", 0.30, freq_hz=3.0, start_s=third, stop_s=two_thirds),

@@ -71,10 +71,10 @@ def _mirrored_envelope(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
     return CubicSpline(ts, vs)(np.arange(n))
 
 
-def _sift(x: np.ndarray, sd_threshold: float, max_siftings: int) -> np.ndarray | None:
+def _sift(x: np.ndarray) -> np.ndarray | None:
     """Extract one IMF from ``x``; None when no envelope pair exists."""
     h = x.copy()
-    for _ in range(max_siftings):
+    for _ in range(MAX_SIFTINGS):
         maxima, minima = _local_extrema(h)
         if len(maxima) < 2 or len(minima) < 2:
             return None
@@ -84,22 +84,19 @@ def _sift(x: np.ndarray, sd_threshold: float, max_siftings: int) -> np.ndarray |
             return None
         sd = float(np.sum(mean**2)) / denom
         h = h - mean
-        if sd < sd_threshold:
+        if sd < SD_THRESHOLD:
             break
     return h
 
 
-def emd_decompose(
-    x: np.ndarray,
-    max_imfs: int = MAX_IMFS,
-    sd_threshold: float = SD_THRESHOLD,
-    max_siftings: int = MAX_SIFTINGS,
-) -> EmdResult:
-    """Decompose ``x`` into IMFs ordered fast to slow plus a residual.
+def emd_decompose(x: np.ndarray, max_imfs: int = MAX_IMFS) -> EmdResult:
+    """Decompose ``x`` into up to ``max_imfs`` IMFs, fast to slow, plus a residual.
 
-    The residual is literally ``x - sum(imfs)``, so additivity holds to
-    floating-point accuracy by construction.  A signal with fewer than four
-    extrema is already a residual and yields no IMFs.
+    Each IMF is sifted until the Cauchy-style ratio drops below
+    ``SD_THRESHOLD`` or ``MAX_SIFTINGS`` passes have run.  The residual is
+    literally ``x - sum(imfs)``, so additivity holds to floating-point
+    accuracy by construction.  A signal with fewer than four extrema is
+    already a residual and yields no IMFs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -112,7 +109,7 @@ def emd_decompose(
     while len(imfs) < max_imfs:
         # maxima and minima alternate, so fewer than four extrema leave fewer
         # than two of one kind, and _sift's first pass returns None
-        imf = _sift(residual, sd_threshold, max_siftings)
+        imf = _sift(residual)
         if imf is None:
             break
         imfs.append(imf)

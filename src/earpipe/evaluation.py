@@ -92,11 +92,9 @@ def band_snr(x: np.ndarray, fs: float, band: tuple[float, float | None]) -> floa
     return float(10.0 * np.log10(num / den))
 
 
-def epoch_band_snr(
-    x: np.ndarray, fs: float, band: tuple[float, float | None], epoch_s: float = 10.0
-) -> np.ndarray:
-    """Band SNR of each non-overlapping ``epoch_s`` chunk."""
-    n = int(round(epoch_s * fs))
+def epoch_band_snr(x: np.ndarray, fs: float, band: tuple[float, float | None]) -> np.ndarray:
+    """Band SNR of each whole, non-overlapping ``WINDOW_S`` (10 s) epoch."""
+    n = int(round(WINDOW_S * fs))
     count = len(x) // n
     if count == 0:
         raise ValueError("signal shorter than one epoch")
@@ -108,13 +106,12 @@ def compare_snr(
     processed: np.ndarray,
     fs: float,
     bands: dict[str, tuple[float, float | None]],
-    epoch_s: float = 10.0,
 ) -> dict[str, dict[str, float]]:
     """Epoch-averaged band SNR before/after processing, plus the delta in dB."""
     out = {}
     for name, band in bands.items():
-        raw_db = float(np.mean(epoch_band_snr(raw, fs, band, epoch_s)))
-        proc_db = float(np.mean(epoch_band_snr(processed, fs, band, epoch_s)))
+        raw_db = float(np.mean(epoch_band_snr(raw, fs, band)))
+        proc_db = float(np.mean(epoch_band_snr(processed, fs, band)))
         out[name] = {"raw_db": raw_db, "processed_db": proc_db, "delta_db": proc_db - raw_db}
     return out
 
@@ -249,9 +246,18 @@ class ExperimentConfig:
         ):
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
-        epochs = self.cnn_epochs
-        if isinstance(epochs, bool) or not (isinstance(epochs, numbers.Integral) and epochs >= 1):
-            raise ValueError(f"cnn_epochs must be an integer of at least 1, got {epochs!r}")
+        for name, least in (("cnn_epochs", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        def finite(value) -> bool:
+            return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+        # a nan threshold would flag no mode, silently turning the motion screen off
+        if not finite(self.motion_threshold):
+            raise ValueError(f"motion_threshold must be a finite number, got {self.motion_threshold!r}")
+        if not (finite(self.mains_hz) and self.mains_hz > 0):
+            raise ValueError(f"mains_hz must be a finite number above 0, got {self.mains_hz!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -76,9 +76,9 @@ def epoch_start_indices(n_samples: int, fs: float, spec: WindowSpec) -> np.ndarr
     return np.arange(count) * s
 
 
-def window_label(start_s: float, annotations: list[SeizureAnnotation], window_s: float = WINDOW_S) -> int:
-    """1 when [start, start + window] sits entirely inside an annotation."""
-    stop_s = start_s + window_s
+def window_label(start_s: float, annotations: list[SeizureAnnotation]) -> int:
+    """1 when the window [start_s, start_s + WINDOW_S] lies inside an annotation."""
+    stop_s = start_s + WINDOW_S
     tol = 1e-9
     for a in annotations:
         if start_s >= a.onset_s - tol and stop_s <= a.offset_s + tol:

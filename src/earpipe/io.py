@@ -83,7 +83,7 @@ def _read_recording(path: Path) -> Recording:
         raise RecordingFormatError(f"no {HEADER_NAME}")
     try:
         header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
         raise RecordingFormatError(f"malformed {HEADER_NAME}: {exc}") from exc
 
     for key in ("payload", "patient_id", "sample_rate", "channels", "n_samples"):

@@ -47,16 +47,16 @@ class CnnConfig:
         return length
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+FOCAL_GAMMA = 2.0  # the focusing exponent training uses
+VAL_FRACTION = 0.2  # share of the training windows held out for validation loss
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 350
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    focal_gamma: float = 2.0
-    val_fraction: float = 0.2
     seed: int = 0
 
 
@@ -73,7 +73,7 @@ def focal_loss(
     logits: np.ndarray,
     targets: np.ndarray,
     alpha: np.ndarray,
-    gamma: float = 2.0,
+    gamma: float = FOCAL_GAMMA,
 ) -> tuple[float, np.ndarray]:
     """Mean focal loss and its gradient with respect to the logits.
 
@@ -227,15 +227,14 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
         self.t += 1
         for k in params:
             g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g**2
-            m_hat = self.m[k] / (1 - c.beta1**self.t)
-            v_hat = self.v[k] / (1 - c.beta2**self.t)
-            params[k] -= c.lr * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g**2
+            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
+            params[k] -= self.cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -271,7 +270,7 @@ class CnnClassifier:
         epoch_rng = np.random.default_rng(seeds[2])
 
         order = split_rng.permutation(len(y))
-        n_val = int(round(cfg.val_fraction * len(order)))
+        n_val = int(round(VAL_FRACTION * len(order)))
         val_idx = order[:n_val]
         train_idx = order[n_val:]
         if len(train_idx) == 0 or len(np.unique(y[train_idx])) < 2:
@@ -287,14 +286,14 @@ class CnnClassifier:
             for lo in range(0, len(perm), cfg.batch_size):
                 batch = perm[lo:lo + cfg.batch_size]
                 logits, cache = self.net.forward(windows[batch], train=True, drop_rng=drop_rng)
-                loss, dlogits = focal_loss(logits, y[batch], alpha, cfg.focal_gamma)
+                loss, dlogits = focal_loss(logits, y[batch], alpha, FOCAL_GAMMA)
                 grads = self.net.backward(cache, dlogits)
                 opt.step(self.net.params, grads)
                 losses.append(loss)
             self.report.train_loss.append(float(np.mean(losses)))
             if len(val_idx):
                 logits, _ = self.net.forward(windows[val_idx])
-                val, _ = focal_loss(logits, y[val_idx], alpha, cfg.focal_gamma)
+                val, _ = focal_loss(logits, y[val_idx], alpha, FOCAL_GAMMA)
                 self.report.val_loss.append(val)
             self.report.epochs_run += 1
         return self

@@ -50,6 +50,5 @@ class KnnClassifier:
     @classmethod
     def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "KnnClassifier":
         model = cls(KnnConfig(**header["config"]))
-        model._x = arrays[0]
-        model._y = arrays[1].ravel().astype(int)
+        model._x, model._y = training_set(arrays[0], arrays[1].ravel())
         return model

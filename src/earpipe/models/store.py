@@ -37,7 +37,7 @@ def load_model(path: str | Path):
     header, arrays = containers.read_container(path)
     kind = header.get("kind")
     if kind not in MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {kind!r} in {path}")
+        raise containers.RecordingFormatError(f"{path}: unknown model kind {kind!r}")
     try:
         return MODEL_CLASSES[kind].from_state(header, arrays)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -14,13 +14,14 @@ Labels are handled internally as -1/+1; the public interface speaks 0/1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .forest import training_set
 
 _TINY = 1e-12  # multipliers this close to 0 or C count as at the bound
+MAX_ITER = 200_000  # SMO steps before fit gives up on the tolerance and warns
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class SvmConfig:
     c: float = 20.0
     gamma: float = 0.5
     tol: float = 1e-3
-    max_iter: int = 200_000
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -73,7 +73,7 @@ class SvmClassifier:
         alpha = np.zeros(len(ys))
         grad = -np.ones(len(ys))  # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
-        for _ in range(self.config.max_iter):
+        for _ in range(MAX_ITER):
             viol, up, low = _violations(alpha, ys, grad, c)
             if not up.any() or not low.any():
                 break
@@ -124,8 +124,7 @@ class SvmClassifier:
         """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
         if self._sv_x is None:
             raise ValueError("cannot save an unfitted model")
-        cfg = self.config
-        header = {"config": {"c": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol}, "b": self.b}
+        header = {"config": asdict(self.config), "b": self.b}
         return header, [self._sv_x, self._sv_coef]
 
     @classmethod

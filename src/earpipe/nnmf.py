@@ -230,19 +230,24 @@ def save_templates(bank: TemplateBank, path: str | Path) -> Path:
 
 
 def load_templates(path: str | Path) -> TemplateBank:
+    """The template bank saved at ``path``; a damaged file raises
+    :class:`~earpipe.io.RecordingFormatError` starting with the path."""
     header, arrays = containers.read_container(path)
     if header.get("kind") != "nnmf_templates":
-        raise ValueError(f"{path}: not a template bank file")
-    bank = TemplateBank(
-        w=arrays[0],
-        modalities=tuple(header["modalities"]),
-        rank=int(header["rank"]),
-        stft_config=StftConfig(**header["stft"]),
-        sample_rate=float(header["sample_rate"]),
-    )
+        raise containers.RecordingFormatError(f"{path}: not a template bank file")
+    try:
+        bank = TemplateBank(
+            w=arrays[0],
+            modalities=tuple(header["modalities"]),
+            rank=int(header["rank"]),
+            stft_config=StftConfig(**header["stft"]),
+            sample_rate=float(header["sample_rate"]),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise containers.RecordingFormatError(f"{path}: damaged template bank: {exc!r}") from exc
     want = (bank.stft_config.window_len // 2 + 1, bank.rank * len(bank.modalities))
     if bank.w.shape != want:
-        raise ValueError(
+        raise containers.RecordingFormatError(
             f"{path}: template payload is {bank.w.shape}, but the header (window_len "
             f"{bank.stft_config.window_len}, rank {bank.rank} x {len(bank.modalities)} "
             f"modalities) needs bins x columns = {want}"

@@ -30,6 +30,8 @@ EEG_BANDS = {
 EOG_BAND = (0.3, 10.0)
 EMG_BAND = (10.0, 100.0)
 
+TONE_SPACING_HZ = 1.5  # line spacing of a chew burst's tone comb, a multiple of 0.5 Hz
+
 
 class ChannelRole(str, enum.Enum):
     """Identity of a biopotential channel within a recording."""
@@ -290,16 +292,16 @@ def _bandlimited_noise(rng: np.random.Generator, n: int, fs: float, lo: float, h
     return y / rms if rms > 0 else y
 
 
-def _tone_comb(n: int, fs: float, lo: float, hi: float, spacing: float = 1.5) -> np.ndarray:
+def _tone_comb(n: int, fs: float, lo: float, hi: float) -> np.ndarray:
     """Unit-RMS sum of equal-amplitude tones filling [lo, hi] Hz.
 
-    Line frequencies sit on a 0.5 Hz grid so any 2 s analysis frame holds
+    Lines ``TONE_SPACING_HZ`` apart sit on a 0.5 Hz grid so any 2 s frame holds
     a whole number of cycles of every line, making frame energies
     independent of frame placement.  Phases follow the Schroeder rule,
     which keeps the crest factor near that of a single sinusoid instead
     of letting the lines ever peak together.
     """
-    freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, spacing)
+    freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, TONE_SPACING_HZ)
     k = np.arange(len(freqs))
     phases = -np.pi * k * (k + 1) / len(freqs)
     t = np.arange(n) / fs

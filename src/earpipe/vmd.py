@@ -99,12 +99,13 @@ import numpy as np
 from scipy import fft as sp_fft
 
 DEFAULT_K = 8
-DEFAULT_ALPHA = 2000.0
+ALPHA = 2000.0  # bandwidth penalty: larger values give narrower modes
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 500
 MOTION_R_THRESHOLD = 0.3
 BLOCK_S = 30.0
 BLOCK_OVERLAP_S = 1.0
+ENVELOPE_SMOOTH_S = 0.5  # moving-average length of a mode's envelope
 
 
 @dataclass
@@ -121,7 +122,6 @@ def vmd_decompose(
     x: np.ndarray,
     fs: float,
     k: int = DEFAULT_K,
-    alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> VmdResult:
@@ -135,18 +135,16 @@ def vmd_decompose(
         Sampling rate in Hz; center frequencies are reported in Hz.
     k : int
         Number of modes.
-    alpha : float
-        Bandwidth penalty; larger values give narrower modes.
     tol : float
         Relative change of the mode set that counts as converged.
     max_iter : int
         Iteration cap.
 
-    There is no dual ascent (tau = 0): the modes need not add up to the
-    input exactly, which tolerates noise, and ``residual`` holds what they
-    leave out.  Center frequencies start at ``(0.5 / k) * arange(k)`` in
-    cycles per sample; a zero signal returns zero modes at those centers
-    after 0 sweeps.
+    The bandwidth penalty is ``ALPHA``.  There is no dual ascent (tau = 0):
+    the modes need not add up to the input exactly, which tolerates noise,
+    and ``residual`` holds what they leave out.  Center frequencies start
+    at ``(0.5 / k) * arange(k)`` in cycles per sample; a zero signal returns
+    zero modes at those centers after 0 sweeps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -211,7 +209,7 @@ def vmd_decompose(
         norm = np.sum(power)  # |u_hat|^2 of the previous sweep
         np.subtract(freqs_pos, omega[:, None], out=denom)
         np.square(denom, out=denom)
-        denom *= 2.0 * alpha
+        denom *= 2.0 * ALPHA
         denom += 1.0
         np.divide(1.0, denom, out=recip.real)
         np.sum(u_hat, axis=0, out=sum_all)
@@ -291,11 +289,11 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     return sp_fft.ifft(xf)
 
 
-def _mode_envelope(mode: np.ndarray, fs: float, smooth_s: float = 0.5) -> np.ndarray:
+def _mode_envelope(mode: np.ndarray, fs: float) -> np.ndarray:
     env = np.abs(_analytic_signal(mode))
     # convolve(mode="same") returns the longer operand's length, so the
     # smoothing window must never exceed the signal itself.
-    win = max(1, min(len(env), int(round(smooth_s * fs))))
+    win = max(1, min(len(env), int(round(ENVELOPE_SMOOTH_S * fs))))
     kernel = np.ones(win) / win
     return np.convolve(env, kernel, mode="same")
 

@@ -239,6 +239,10 @@ class TestFailureReporting:
     @pytest.mark.parametrize("config, message", [
         ({"model": "xgb"}, "unknown model kind 'xgb'"),
         ({"ratio": "1:4"}, "ratio must be one of 1:1, 1:2, 1:3, got '1:4'"),
+        ({"motion_threshold": "0.3"}, "motion_threshold must be a finite number, got '0.3'"),
+        ({"motion_threshold": float("nan")}, "motion_threshold must be a finite number, got nan"),
+        ({"mains_hz": 0}, "mains_hz must be a finite number above 0, got 0"),
+        ({"master_seed": -1}, "master_seed must be an integer of at least 0, got -1"),
     ])
     def test_bad_config_file_rejected_before_stage_a(
         self, capsys, tmp_path, monkeypatch, config, message

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from earpipe.emd import (
-    MAX_SIFTINGS,
-    SD_THRESHOLD,
     EmdResult,
     _local_extrema,
     _sift,
@@ -221,7 +219,7 @@ def _decompose_with_extrema_precheck(x, max_imfs):
         maxima, minima = _local_extrema(residual)
         if len(maxima) + len(minima) < 4:
             break
-        imf = _sift(residual, SD_THRESHOLD, MAX_SIFTINGS)
+        imf = _sift(residual)
         if imf is None:
             break
         imfs.append(imf)

@@ -72,13 +72,13 @@ class TestBandSnr:
 
     def test_epoch_chunking(self):
         x = _tone_plus_noise(duration_s=35.0)
-        vals = epoch_band_snr(x, FS, (8.0, 12.0), epoch_s=10.0)
+        vals = epoch_band_snr(x, FS, (8.0, 12.0))
         assert vals.shape == (3,)  # the 5 s remainder is dropped
         assert np.all(vals > 10.0)
 
     def test_epoch_too_long_rejected(self):
         with pytest.raises(ValueError, match="shorter than one epoch"):
-            epoch_band_snr(np.zeros(100), FS, (8.0, 12.0), epoch_s=10.0)
+            epoch_band_snr(np.zeros(100), FS, (8.0, 12.0))
 
     def test_compare_identity_is_zero_delta(self):
         x = _tone_plus_noise()
@@ -209,6 +209,15 @@ class TestExperimentConfig:
         ("cnn_epochs", 2.5, "cnn_epochs must be an integer of at least 1"),
         ("cnn_epochs", "350", "cnn_epochs must be an integer of at least 1"),
         ("cnn_epochs", True, "cnn_epochs must be an integer of at least 1"),
+        ("motion_threshold", "0.3", "motion_threshold must be a finite number, got '0.3'"),
+        ("motion_threshold", float("nan"), "motion_threshold must be a finite number, got nan"),
+        ("motion_threshold", True, "motion_threshold must be a finite number"),
+        ("mains_hz", 0, "mains_hz must be a finite number above 0, got 0"),
+        ("mains_hz", float("inf"), "mains_hz must be a finite number above 0, got inf"),
+        ("mains_hz", True, "mains_hz must be a finite number above 0"),
+        ("master_seed", -1, "master_seed must be an integer of at least 0, got -1"),
+        ("master_seed", 1.5, "master_seed must be an integer of at least 0"),
+        ("master_seed", True, "master_seed must be an integer of at least 0"),
     ])
     def test_bad_value_rejected_when_built(self, field, value, message):
         """A bad setting fails where the config is built, naming itself,

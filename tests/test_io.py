@@ -2,9 +2,12 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe.io import (
     RecordingFormatError,
@@ -13,7 +16,11 @@ from earpipe.io import (
     save_recording,
     write_container,
 )
+from earpipe.models.knn import KnnClassifier, KnnConfig
+from earpipe.models.store import load_model, save_model
+from earpipe.nnmf import MODALITIES, TemplateBank, load_templates, save_templates
 from earpipe.signals import ChannelRole, Recording, SeizureAnnotation
+from earpipe.stft import StftConfig
 
 
 def _sample_recording(seed=0):
@@ -68,6 +75,13 @@ class TestRecordingRoundTrip:
         d = tmp_path / "rec"
         d.mkdir()
         (d / "header.json").write_text("{not json")
+        with pytest.raises(RecordingFormatError, match=_after_path(d, r"malformed header\.json")):
+            load_recording(d)
+
+    def test_header_not_utf8_names_the_directory(self, tmp_path):
+        d = save_recording(_sample_recording(), tmp_path / "rec")
+        raw = (d / "header.json").read_bytes()
+        (d / "header.json").write_bytes(raw[:1] + b"\xff" + raw[2:])
         with pytest.raises(RecordingFormatError, match=_after_path(d, r"malformed header\.json")):
             load_recording(d)
 
@@ -201,3 +215,48 @@ class TestContainerDamage:
         message = r"^blob\.earpipe: malformed header: arrays must be a list of shapes"
         with pytest.raises(RecordingFormatError, match=message):
             read_container(blob)
+
+
+def _saved(kind: str, root: Path):
+    """Save one ``kind`` of file under ``root``.  Returns the file to damage,
+    the path to load (the recording's directory, or the file itself) and
+    the loader."""
+    if kind == "model":
+        rng = np.random.default_rng(3)
+        model = KnnClassifier(KnnConfig(k=3)).fit(rng.standard_normal((8, 4)), [0, 1] * 4)
+        path = save_model(model, root / "model.earpipe")
+        return path, path, load_model
+    if kind == "bank":
+        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
+        path = save_templates(bank, root / "bank.earpipe")
+        return path, path, load_templates
+    rec = save_recording(_sample_recording(), root / "rec")
+    return rec / kind, rec, load_recording
+
+
+class TestReaderFuzz:
+    """A saved file cut short, or with one byte changed, either loads or
+    raises RecordingFormatError naming the file (or the recording's
+    directory); no other error escapes a reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["model", "bank", "header.json", "signals.bin", "imu.bin"]),
+        data=st.data(),
+    )
+    def test_damaged_file_loads_or_names_itself(self, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            damaged, loaded, load = _saved(kind, Path(tmp))
+            raw = damaged.read_bytes()
+            # every header lies within the first 600 bytes; past them, one
+            # payload byte is like any other
+            at = data.draw(st.integers(0, min(len(raw), 600) - 1), label="at")
+            if data.draw(st.booleans(), label="truncate"):
+                damaged.write_bytes(raw[:at])
+            else:
+                byte = data.draw(st.integers(0, 255), label="byte")
+                damaged.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+            try:
+                load(loaded)
+            except RecordingFormatError as exc:
+                assert (loaded.name if loaded.is_file() else str(loaded)) in str(exc)

@@ -1,5 +1,7 @@
 """Divergences, multiplicative updates, and template-bank separation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +311,26 @@ class TestTemplateBank:
         bad = containers.write_container(tmp_path / "bad.npz", header, arrays)
         with pytest.raises(ValueError, match=r"bad\.npz: template payload is \(129, 9\)"):
             load_templates(bad)
+
+    @pytest.mark.parametrize("damage", [
+        lambda header, arrays: header.pop("rank"),
+        lambda header, arrays: header["stft"].update(extra=1),
+        lambda header, arrays: header.update(rank="ten"),
+        lambda header, arrays: arrays.clear(),
+        lambda header, arrays: header.update(modalities=3),
+        lambda header, arrays: header.update(sample_rate="x"),
+        lambda header, arrays: header["stft"].update(hop=0),
+    ], ids=["no-rank", "extra-stft-key", "text-rank", "no-arrays", "integer-modalities",
+            "text-rate", "zero-hop"])
+    def test_damaged_bank_names_the_file(self, tmp_path, damage):
+        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), FS)
+        path = save_templates(bank, tmp_path / "bank.earpipe")
+        header, arrays = containers.read_container(path)
+        damage(header, arrays)
+        containers.write_container(path, header, arrays)
+        pattern = rf"^{re.escape(str(path))}: damaged template bank"
+        with pytest.raises(containers.RecordingFormatError, match=pattern):
+            load_templates(path)
 
 
 @pytest.fixture(scope="module")

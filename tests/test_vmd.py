@@ -158,7 +158,7 @@ class TestReferenceKernel:
         """Modes, centers, iteration count and convergence equal the
         textbook loop's, not merely to a tolerance."""
         x = np.random.default_rng(seed).standard_normal(n)
-        res = vmd_decompose(x, FS, k=k, alpha=2000.0, tol=tol, max_iter=max_iter)
+        res = vmd_decompose(x, FS, k=k, tol=tol, max_iter=max_iter)
         modes, centers, iterations, converged = _reference_vmd(
             x, FS, k, 2000.0, tol, max_iter
         )
