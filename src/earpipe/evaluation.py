@@ -11,16 +11,16 @@ recording once for all of its strides.
 
 :func:`screen_motion` is stage A's one motion step, shared with ``earpipe
 denoise``: by default it screens each channel with IMU-correlated VMD.
-:func:`prepare_corpus` runs stage A as one job graph: it conditions every
-recording and submits every VMD block of every channel first, then joins
-the recordings in input order and returns each one separated, with the
-block reports of its channels.  When motion handling is VMD and more than
-one core is available, the blocks go to a process pool opened once per run;
-otherwise each runs in this process as it is submitted.  Each join
-cross-fades the blocks (warning about zeroed ones) and separates the
-sources here, in block and channel order, so pooled and inline runs give
-the same bits; on the pool, while NNMF separates one recording, the workers
-are already decomposing the next one's blocks.
+:func:`prepare_corpus` conditions every recording and submits every
+channel's screen first, then joins the recordings in input order and
+returns each one separated, with the block reports of its channels.  When
+motion handling is VMD and more than one core is available, each channel is
+one job on a process pool opened once per run; otherwise each channel is
+screened in this process as it is submitted.  Each join reads the channels
+in order, warns about zeroed blocks and separates the sources here, so
+pooled and inline runs give the same bits; on the pool, while NNMF
+separates one recording, the workers are already screening the next one's
+channels.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -54,13 +54,7 @@ from .models import MODEL_CLASSES, make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
 from .signals import ChannelRole, Recording
-from .vmd import (
-    MOTION_R_THRESHOLD,
-    MotionCorrelation,
-    QueuedBlocks,
-    join_motion_blocks,
-    submit_motion_blocks,
-)
+from .vmd import MOTION_R_THRESHOLD, MotionCorrelation, _screen_channel, warn_zeroed_blocks
 # No stage A code calls this: prepare_corpus returns the block reports.  The
 # import stays only because perfbench/tracing.py looks every name it wraps up
 # in this namespace; ROADMAP item 2 has the tracer read the reports instead.
@@ -253,9 +247,15 @@ class ExperimentConfig:
         def finite(value) -> bool:
             return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
-        # a nan threshold would flag no mode, silently turning the motion screen off
+        # a nan threshold, or one of 1 or more (a Pearson |r| never exceeds 1),
+        # would flag no mode, silently turning the motion screen off
         if not finite(self.motion_threshold):
             raise ValueError(f"motion_threshold must be a finite number, got {self.motion_threshold!r}")
+        if self.motion_threshold >= 1:
+            raise ValueError(
+                f"motion_threshold must be below 1, got {self.motion_threshold!r}: no mode's "
+                "|r| exceeds 1, so the screen would drop nothing; use motion=\"off\" to skip it"
+            )
         if not (finite(self.mains_hz) and self.mains_hz > 0):
             raise ValueError(f"mains_hz must be a finite number above 0, got {self.mains_hz!r}")
 
@@ -281,26 +281,36 @@ class ExperimentResult:
 
 @dataclass
 class QueuedRecording:
-    """A recording with the VMD blocks of its channels in flight.
+    """A recording with the VMD screens of its channels in flight.
 
-    ``blocks`` is empty when motion handling is not VMD: then the join is
-    ``rec`` itself, with no block reports.
+    ``screens`` holds one future per channel, each with the channel's clean
+    signal and block reports.  It is empty when motion handling is not VMD:
+    then the join is ``rec`` itself, with no block reports.
     """
 
     rec: Recording
-    blocks: dict[ChannelRole, QueuedBlocks]
+    screens: dict[ChannelRole, Future]
 
     def join(self) -> tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]:
-        """Cross-fade each channel's blocks, channel after channel.
+        """Read each channel's screen, channel after channel, warning for
+        each zeroed block with the recording, channel and span.
 
         Returns the screened recording and each channel's block reports.
         """
-        if not self.blocks:
+        if not self.screens:
             return self.rec, {}
         channels, reports = {}, {}
-        for role, queued in self.blocks.items():
-            channels[role], reports[role] = join_motion_blocks(queued)
+        for role, future in self.screens.items():
+            channels[role], reports[role] = future.result()
+            warn_zeroed_blocks(reports[role], f"{self.rec.patient_id} {role.value}")
         return self.rec.with_channels(channels), reports
+
+
+def _done(value) -> Future:
+    """A future that already holds ``value``: a channel screened without a pool."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 def screen_motion(
@@ -308,21 +318,22 @@ def screen_motion(
 ) -> QueuedRecording:
     """Stage A's motion step (``cfg.motion``) on every channel of ``rec``.
 
-    For VMD, every block of every channel is submitted to ``executor``
-    (without one, each block runs here as it is submitted), and the join
-    drops the modes that correlate with the IMU above
-    ``cfg.motion_threshold``.  Band-pass and motion off finish here.
+    For VMD, each channel's screen is one job on ``executor`` (without one,
+    it runs here at once), which drops the modes that correlate with the
+    IMU above ``cfg.motion_threshold``.  Band-pass and motion off finish
+    here.
     """
     if cfg.motion == "vmd":
         if rec.imu is None:
             raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-        return QueuedRecording(rec, {
-            role: submit_motion_blocks(
-                x, rec.sample_rate, rec.imu, rec.imu_rate, threshold=cfg.motion_threshold,
-                executor=executor, label=f"{rec.patient_id} {role.value}",
-            )
-            for role, x in rec.channels.items()
-        })
+        screens = {}
+        for role, x in rec.channels.items():
+            job = (x, rec.sample_rate, rec.imu, rec.imu_rate, cfg.motion_threshold)
+            if executor is None:
+                screens[role] = _done(_screen_channel(*job))
+            else:
+                screens[role] = executor.submit(_screen_channel, *job)
+        return QueuedRecording(rec, screens)
     if cfg.motion == "bandpass":
         rec = rec.with_channels({
             role: bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
@@ -368,16 +379,17 @@ def _check_sample_rates(recordings: list[Recording]) -> None:
 def prepare_corpus(
     recordings: list[Recording], cfg: ExperimentConfig, templates: TemplateBank | None = None
 ) -> list[tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]]:
-    """Stage A for every recording, with VMD blocks spread over all cores.
+    """Stage A for every recording, with VMD channel screens spread over
+    all cores.
 
     Returns, in input order, each recording separated into the six roles
     and its channels' VMD block reports (empty unless motion handling is
-    VMD).  The pool is opened only for VMD, whose blocks take seconds per
+    VMD).  The pool is opened only for VMD, whose screens take seconds per
     recording: band-pass and motion-off runs finish stage A in less time
     than the workers take to start.  Pool or not, every recording is
-    conditioned and all its blocks are submitted before the first one is
+    conditioned and all its channels are submitted before the first one is
     joined, so the workers never pause; a failure anywhere shuts the pool
-    down with every block not yet started cancelled.
+    down with every channel not yet started cancelled.
     """
     _check_sample_rates(recordings)
     if hasattr(os, "sched_getaffinity"):
@@ -395,7 +407,7 @@ def prepare_corpus(
         prepared = []
         for i in range(len(queue)):
             screened, report = queue[i].join()
-            queue[i] = None  # drop the joined blocks' results
+            queue[i] = None  # drop the joined channels' results
             prepared.append((prepare_recording(screened, cfg, templates), report))
         return prepared
     finally:

@@ -51,4 +51,6 @@ class KnnClassifier:
     def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "KnnClassifier":
         model = cls(KnnConfig(**header["config"]))
         model._x, model._y = training_set(arrays[0], arrays[1].ravel())
+        if len(model._x) < model.config.k:
+            raise ValueError(f"k={model.config.k} but only {len(model._x)} training rows")
         return model

@@ -245,6 +245,11 @@ def load_templates(path: str | Path) -> TemplateBank:
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise containers.RecordingFormatError(f"{path}: damaged template bank: {exc!r}") from exc
+    if bank.modalities != MODALITIES:
+        raise containers.RecordingFormatError(
+            f"{path}: damaged template bank: modalities {list(bank.modalities)}, "
+            f"expected {list(MODALITIES)}"
+        )
     want = (bank.stft_config.window_len // 2 + 1, bank.rank * len(bank.modalities))
     if bank.w.shape != want:
         raise containers.RecordingFormatError(

@@ -52,27 +52,25 @@ Within a process, blocks are decomposed one at a time, not stacked.  A
 prototype that ran every block of a recording as one (blocks x k x bins)
 array, compacting converged blocks out, was also bit-identical but only
 1.7x faster than the textbook loop, against 2.07x for this kernel (both in
-float64, 2-core Xeon VM).  Across processes, blocks run in parallel: no
-block reads another's result, so :func:`remove_motion_artifacts` is a
-submit half, :func:`submit_motion_blocks`, which hands every block to a
-process pool (or runs it at once without one), and a join half,
-:func:`join_motion_blocks`, which cross-fades what comes back in block
-order, with the same bits either way.  A caller with many channels
-submits all of them before joining any (as stage A does), so the pool
-never idles between channels; after a failure, the pool's owner cancels
-what is still queued.  A block returns only the sum of its kept modes and
-its :class:`MotionCorrelation`, not its eight modes, so blocks queued
-ahead of the join hold little memory.
-Processes, not threads: a sweep is ~90 short numpy calls, and the
-interpreter lock between them held two threads to 1.05-1.34x.
+float64, 2-core Xeon VM).  Across processes, channels run in parallel: a
+channel's screen reads nothing of another channel, so a caller with many
+channels hands each one to a process pool as one job and reads the results
+back in channel order, with the same bits as screening them here (stage A
+does this; after a failure, the pool's owner cancels what is still
+queued).  The job is :func:`remove_motion_artifacts` without its warnings,
+since a spawned worker's warnings never reach the caller: each block
+report carries its span, and the caller warns with
+:func:`warn_zeroed_blocks`.  Processes, not threads: a sweep is ~90 short
+numpy calls, and the interpreter lock between them held two threads to
+1.05-1.34x.
 
-A pool worker unpickles :func:`_screen_block` by importing this module,
-which needs only numpy and ``scipy.fft`` (the package namespace loads its
-other modules on first use).  A spawned worker is ready for its first
-block in about 0.4 s at 57 MB peak, against 1.2 s and 108 MB when it also
-imports ``scipy.signal`` and the rest of the package (2-core Xeon VM).  So
-the analytic signal is built here with the calls that
-``scipy.signal.hilbert`` makes, not by importing it.
+A pool worker unpickles the job by importing this module, which needs
+only numpy and ``scipy.fft`` (the package namespace loads its other
+modules on first use).  A spawned worker is ready for its first channel in
+about 0.4 s at 57 MB peak, against 1.2 s and 108 MB when it also imports
+``scipy.signal`` and the rest of the package (2-core Xeon VM).  So the
+analytic signal is built here with the calls that ``scipy.signal.hilbert``
+makes, not by importing it.
 
 Motion handling: every mode's amplitude envelope is compared against the
 accelerometer magnitude; modes that track the IMU are dropped before the
@@ -92,8 +90,7 @@ more than twice: at 30 s blocks with 1 s overlap, a 90 s channel is cut at
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import Executor, Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -265,6 +262,7 @@ class MotionCorrelation:
     excluded: np.ndarray  # boolean mask over modes
     iterations: int  # ADMM sweeps of the block's decomposition
     converged: bool  # False when the block stopped at the iteration cap
+    span_s: tuple[float, float]  # the block's start and end in its channel
 
     @property
     def n_excluded(self) -> int:
@@ -307,7 +305,9 @@ def motion_correlation(
     """Correlate each mode's smoothed envelope with the IMU magnitude.
 
     The envelope is resampled onto the IMU clock before the Pearson
-    correlation; a zero-variance side yields r = 0 for that mode.
+    correlation; a zero-variance side yields r = 0 for that mode.  The
+    report's span is the decomposed signal's own, from 0 s; a channel
+    screen gives each block's report its place in the channel.
     """
     accel = np.asarray(accel, dtype=np.float64)
     if accel.ndim != 2 or accel.shape[0] != 3:
@@ -334,72 +334,33 @@ def motion_correlation(
         excluded=np.abs(rs) > threshold,
         iterations=result.iterations,
         converged=result.converged,
+        span_s=(0.0, result.modes.shape[1] / result.sample_rate),
     )
 
 
 _ALL_FLAGGED = "every mode correlates with motion; returning zeros"
 
 
-def _kept_sum(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
-    """The sum of the modes not flagged; with every mode flagged, that is
-    the empty sum, zeros."""
+def reconstruct_excluding_motion(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
+    """Sum the modes whose envelopes do not track the accelerometer; with
+    every mode flagged, that is the empty sum, zeros, with a warning."""
+    if corr.excluded.all():
+        warnings.warn(_ALL_FLAGGED, stacklevel=2)
     return result.modes[~corr.excluded].sum(axis=0)
 
 
-def reconstruct_excluding_motion(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
-    """Sum the modes whose envelopes do not track the accelerometer."""
-    if corr.excluded.all():
-        warnings.warn(_ALL_FLAGGED, stacklevel=2)
-    return _kept_sum(result, corr)
+def warn_zeroed_blocks(reports: list[MotionCorrelation], channel: str = "") -> None:
+    """Warn, in block order, for each block of a channel screen whose every
+    mode is flagged, naming its span; ``channel`` (say, recording and role)
+    starts each message.  The warning points at the screen's caller."""
+    prefix = f"{channel} " if channel else ""
+    for corr in reports:
+        if corr.excluded.all():
+            a, b = corr.span_s
+            warnings.warn(f"{prefix}block {a:g}–{b:g} s: {_ALL_FLAGGED}", stacklevel=3)
 
 
-def _screen_block(
-    seg: np.ndarray,
-    fs: float,
-    accel: np.ndarray,
-    imu_rate: float,
-    threshold: float,
-    vmd_kwargs: dict,
-) -> tuple[np.ndarray, MotionCorrelation]:
-    """Decompose one block, screen its modes against its IMU slice and sum
-    the modes that survive.
-
-    Module level so that a pool worker can unpickle it by name.  It does
-    not warn: the join warns, in block order, for a block it zeroed.
-    """
-    res = vmd_decompose(seg, fs, **vmd_kwargs)
-    corr = motion_correlation(res, accel, imu_rate, threshold)
-    return _kept_sum(res, corr), corr
-
-
-class _InlineExecutor(Executor):
-    """Runs each call at submit; its future holds the result or the exception."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # raised again where the future is read
-            future.set_exception(exc)
-        return future
-
-
-@dataclass
-class QueuedBlocks:
-    """One channel's blocks, submitted by :func:`submit_motion_blocks`.
-
-    ``futures`` holds each block's kept-mode sum and report, in block order.
-    """
-
-    n: int
-    fs: float
-    spans: list[tuple[int, int]]
-    overlap: int
-    futures: list[Future]
-    label: str  # names the channel in warnings, or is empty
-
-
-def submit_motion_blocks(
+def _screen_channel(
     x: np.ndarray,
     fs: float,
     accel: np.ndarray,
@@ -407,18 +368,14 @@ def submit_motion_blocks(
     threshold: float = MOTION_R_THRESHOLD,
     block_s: float = BLOCK_S,
     overlap_s: float = BLOCK_OVERLAP_S,
-    executor: Executor | None = None,
-    label: str = "",
     **vmd_kwargs,
-) -> QueuedBlocks:
-    """The submit half of :func:`remove_motion_artifacts`.
+) -> tuple[np.ndarray, list[MotionCorrelation]]:
+    """:func:`remove_motion_artifacts` without its warnings: the pool job.
 
-    Checks the input, cuts ``x`` and ``accel`` into blocks on the grid the
-    module docstring describes (every ``block_s - overlap_s``, the last
-    block running to the end of ``x``) and submits every block to
-    ``executor`` (without one, each runs here at once).
-    Nothing is read back here: a block that raised raises at the join.
-    ``label`` (say, recording and channel) starts the join's warnings.
+    Module level so that a pool worker can unpickle it by name.  It does
+    not warn, since a spawned worker's warnings never reach the caller;
+    each report carries its block's span, and whoever reads the result
+    warns with :func:`warn_zeroed_blocks`.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -436,46 +393,27 @@ def submit_motion_blocks(
     step = block - overlap
     starts = [i * step for i in range(max(1, (n - overlap) // step))]
     spans = [(start, start + block) for start in starts[:-1]] + [(starts[-1], n)]
-    jobs = []
-    for start, stop in spans:
-        i0 = int(round(start / fs * imu_rate))
-        i1 = max(i0 + 2, int(round(stop / fs * imu_rate)))
-        jobs.append((x[start:stop], fs, accel[:, i0:i1], imu_rate, threshold, vmd_kwargs))
-    executor = executor or _InlineExecutor()
-    futures = [executor.submit(_screen_block, *job) for job in jobs]
-    return QueuedBlocks(n, fs, spans, overlap, futures, label)
-
-
-def join_motion_blocks(blocks: QueuedBlocks) -> tuple[np.ndarray, list[MotionCorrelation]]:
-    """The join half of :func:`remove_motion_artifacts`.
-
-    Reads the blocks in block order and cross-fades them into the clean
-    channel, warning, with the block's span, for each block whose every
-    mode is flagged.  A block that raised re-raises here; the blocks after
-    it are left to the executor's owner to finish or cancel.
-    """
-    n, fs, spans, overlap = blocks.n, blocks.fs, blocks.spans, blocks.overlap
-    first, last = spans[0][0], spans[-1][0]
-    prefix = f"{blocks.label} " if blocks.label else ""
     clean = np.zeros(n)
     weight = np.zeros(n)
     reports: list[MotionCorrelation] = []
-    for (start, stop), future in zip(spans, blocks.futures):
-        kept, corr = future.result()
+    for start, stop in spans:
+        i0 = int(round(start / fs * imu_rate))
+        i1 = max(i0 + 2, int(round(stop / fs * imu_rate)))
+        res = vmd_decompose(x[start:stop], fs, **vmd_kwargs)
+        corr = replace(
+            motion_correlation(res, accel[:, i0:i1], imu_rate, threshold),
+            span_s=(start / fs, stop / fs),
+        )
         reports.append(corr)
-        if corr.excluded.all():
-            warnings.warn(
-                f"{prefix}block {start / fs:g}–{stop / fs:g} s: {_ALL_FLAGGED}", stacklevel=2
-            )
 
         w = np.ones(stop - start)
         if len(spans) > 1 and overlap > 0:
             ramp = np.sin(0.5 * np.pi * np.arange(overlap) / overlap) ** 2
-            if start != first:
+            if start != starts[0]:
                 w[:overlap] = ramp
-            if start != last:
+            if start != starts[-1]:
                 w[-overlap:] = ramp[::-1]
-        clean[start:stop] += kept * w
+        clean[start:stop] += res.modes[~corr.excluded].sum(axis=0) * w
         weight[start:stop] += w
     covered = weight > 0
     clean[covered] /= weight[covered]
@@ -498,15 +436,14 @@ def remove_motion_artifacts(
     to the end of ``x`` (under ``2 * block_s - overlap_s``), with a
     raised-cosine cross-fade over the ``overlap_s`` that neighbours share,
     so VMD cost stays bounded; each block is decomposed, screened against
-    its slice of the IMU track and rebuilt from the surviving modes.
-    ``accel`` must cover the same duration as ``x``, to within one IMU
-    sample.
-
-    This is :func:`join_motion_blocks` of :func:`submit_motion_blocks`
-    without an executor: the blocks run one at a time, in block order, and
-    a block whose every mode is flagged is zeroed with a warning that names
-    its span.  To run the blocks on a process pool, call the two halves.
+    its slice of the IMU track and rebuilt from the surviving modes, one
+    block after another.  ``accel`` must cover the same duration as ``x``,
+    to within one IMU sample.  Returns the clean channel and one report per
+    block, in block order; a block whose every mode is flagged is zeroed
+    with a warning that names its span.
     """
-    return join_motion_blocks(submit_motion_blocks(
+    clean, reports = _screen_channel(
         x, fs, accel, imu_rate, threshold, block_s, overlap_s, **vmd_kwargs
-    ))
+    )
+    warn_zeroed_blocks(reports)
+    return clean, reports

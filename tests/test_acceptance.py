@@ -416,8 +416,8 @@ def test_11_snr_metric_calibration():
 def e2e():
     """Twenty-patient corpus pushed through the full pipeline once,
     plus the two ablation reruns that reuse its products.  Stage A runs as
-    the CLI runs it, with the VMD blocks on a process pool when the machine
-    has a second core; pooled results equal inline ones bit for bit."""
+    the CLI runs it, one VMD job per channel on a process pool when the
+    machine has a second core; pooled results equal inline ones bit for bit."""
     corpus = make_synthetic_corpus(n_patients=20)
     bank = train_corpus_templates()
     cfg_on = ExperimentConfig(normalization="minmax")

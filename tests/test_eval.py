@@ -212,6 +212,8 @@ class TestExperimentConfig:
         ("motion_threshold", "0.3", "motion_threshold must be a finite number, got '0.3'"),
         ("motion_threshold", float("nan"), "motion_threshold must be a finite number, got nan"),
         ("motion_threshold", True, "motion_threshold must be a finite number"),
+        ("motion_threshold", 1.0, 'motion_threshold must be below 1, got 1.0'),
+        ("motion_threshold", 1.5, 'use motion="off" to skip it'),
         ("mains_hz", 0, "mains_hz must be a finite number above 0, got 0"),
         ("mains_hz", float("inf"), "mains_hz must be a finite number above 0, got inf"),
         ("mains_hz", True, "mains_hz must be a finite number above 0"),
@@ -399,15 +401,15 @@ class TestScreenMotion:
     def test_reports_are_channel_reports_in_order(self, monkeypatch):
         """screen_motion cleans each channel as remove_motion_artifacts does
         and its join returns each channel's reports, in channel order,
-        submitting blocks through the evaluation module once per channel."""
+        screening through the evaluation module once per channel."""
         rec = synthesize_recording(patient_spec(0, duration_s=60.0))
         calls = []
 
-        def spy(x, *args, real=evaluation.submit_motion_blocks, **kwargs):
+        def spy(x, *args, real=evaluation._screen_channel, **kwargs):
             calls.append(x)
             return real(x, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "submit_motion_blocks", spy)
+        monkeypatch.setattr(evaluation, "_screen_channel", spy)
         out, reports = evaluation.screen_motion(rec, ExperimentConfig()).join()
         assert len(calls) == len(rec.channels)
         assert list(reports) == list(rec.channels)
@@ -419,16 +421,29 @@ class TestScreenMotion:
                 np.testing.assert_array_equal(got.r, want.r)
                 np.testing.assert_array_equal(got.excluded, want.excluded)
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
+                assert got.span_s == want.span_s
         assert not np.shares_memory(out.imu, rec.imu)
+
+    def test_inline_channel_error_raised_at_once(self):
+        """Without a pool a failing channel raises where it is submitted,
+        before any join, with the message the pooled screen raises."""
+        rec = synthesize_recording(patient_spec(0, duration_s=90.0))
+        left = rec.channels[ChannelRole.MIXED_LEFT].copy()
+        left[int(40 * rec.sample_rate)] = np.nan  # in the second of three blocks, 29–59 s
+        rec = rec.with_channels({ChannelRole.MIXED_LEFT: left})
+        with pytest.raises(ValueError) as inline_error:
+            evaluation.screen_motion(rec, ExperimentConfig())
+        assert type(inline_error.value) is ValueError
+        assert str(inline_error.value) == "signal contains NaN or Inf"
 
     @pytest.mark.parametrize("motion", ["bandpass", "off"])
     def test_no_blocks_and_no_reports_without_vmd(self, motion, monkeypatch):
-        """Band-pass and motion off finish at once: nothing is submitted,
+        """Band-pass and motion off finish at once: nothing is screened,
         the join has no reports, and motion off returns the recording itself."""
         def refuse(*args, **kwargs):
-            raise AssertionError("a VMD block was submitted")
+            raise AssertionError("a VMD channel screen was run")
 
-        monkeypatch.setattr(evaluation, "submit_motion_blocks", refuse)
+        monkeypatch.setattr(evaluation, "_screen_channel", refuse)
         rec = synthesize_recording(patient_spec(0, duration_s=20.0))
         out, reports = evaluation.screen_motion(rec, ExperimentConfig(motion=motion)).join()
         assert reports == {}
@@ -476,7 +491,7 @@ def _set_cores(monkeypatch, count):
 
 
 class TestStageAPool:
-    """Stage A spreads VMD blocks over a process pool only where that pays."""
+    """Stage A spreads VMD channel screens over a process pool only where that pays."""
 
     @pytest.mark.parametrize("motion, cores", [("bandpass", 2), ("off", 2), ("vmd", 1)])
     def test_no_pool_without_vmd_or_second_core(self, motion, cores, monkeypatch):
@@ -513,9 +528,7 @@ class TestStageAPool:
 
         def spy(screened, cfg, templates, real=evaluation.prepare_recording):
             if not calls:  # the inline run's first join
-                done_at_first_join.extend(
-                    f.done() for q in submitted for b in q.blocks.values() for f in b.futures
-                )
+                done_at_first_join.extend(f.done() for q in submitted for f in q.screens.values())
             calls.append((screened.patient_id, screened))
             return real(screened, cfg, templates)
 
@@ -527,15 +540,14 @@ class TestStageAPool:
         _set_cores(monkeypatch, 2)
         pooled = run_experiment(recordings, cfg, templates).to_dict()
         assert [patient for patient, _ in calls] == [r.patient_id for r in recordings] * 2
-        # every call separates the join of blocks that were already
+        # every call separates the join of channels that were already
         # submitted; inline, they have run
         for queued in submitted:
-            assert queued.blocks
-            assert all(blocks.futures for blocks in queued.blocks.values())
+            assert list(queued.screens) == list(queued.rec.channels)
         assert all(q is s for (q, _), s in zip(joined, submitted, strict=True))
         assert all(c is j for (_, c), (_, (j, _)) in zip(calls, joined, strict=True))
-        inline_blocks = sum(len(b.futures) for q in submitted[:2] for b in q.blocks.values())
-        assert len(done_at_first_join) == inline_blocks and all(done_at_first_join)
+        inline_jobs = sum(len(q.screens) for q in submitted[:2])
+        assert len(done_at_first_join) == inline_jobs and all(done_at_first_join)
         assert pooled == inline
         assert workers_gone()
 
@@ -562,9 +574,9 @@ class _LoggedFuture(Future):
 class _FakePool(Executor):
     """Stands in for the process pool class in ``evaluation``.
 
-    Logs each submit and each result read.  With ``run`` a block runs when
-    it is submitted; without, it stays pending.  With ``fail_first`` the
-    first block submitted raises.
+    Logs each submit and each result read.  With ``run`` a channel's screen
+    runs when it is submitted; without, it stays pending.  With
+    ``fail_first`` the first channel submitted raises.
     """
 
     def __init__(self, run=True, fail_first=False):
@@ -578,7 +590,7 @@ class _FakePool(Executor):
     def submit(self, fn, *args, **kwargs):
         f = _LoggedFuture(self.log)
         if self.fail_first and not self.futures:
-            f.set_exception(RuntimeError("block failed"))
+            f.set_exception(RuntimeError("channel failed"))
         elif self.run:
             f.set_result(fn(*args, **kwargs))
         self.futures.append(f)
@@ -593,7 +605,7 @@ class _FakePool(Executor):
 
 
 class TestStageAJobGraph:
-    """On the pool, stage A queues every block before it joins any."""
+    """On the pool, stage A queues every channel before it joins any."""
 
     @pytest.fixture
     def recordings(self):
@@ -611,8 +623,8 @@ class TestStageAJobGraph:
         inline = evaluation.prepare_corpus(recordings, cfg)
         pool = self._pool(monkeypatch)
         pooled = evaluation.prepare_corpus(recordings, cfg)
-        blocks = 2 * sum(len(r.channels) for r in recordings)  # two per 60 s channel
-        assert pool.log == ["submit"] * blocks + ["read"] * blocks
+        channels = sum(len(r.channels) for r in recordings)
+        assert pool.log == ["submit"] * channels + ["read"] * channels
         assert pool.closed
         for (got, got_report), (want, want_report), rec in zip(pooled, inline, recordings,
                                                                 strict=True):
@@ -653,20 +665,20 @@ class TestStageAJobGraph:
         ]
 
     def test_failing_recording_cancels_every_queued_block(self, recordings, monkeypatch):
-        """The third recording fails after the first two queued their blocks."""
+        """The third recording fails after the first two queued their channels."""
         bad = dataclasses.replace(recordings[0], patient_id="p09", imu=None)
         pool = self._pool(monkeypatch, run=False)
         with pytest.raises(ValueError, match="p09 has no IMU track"):
             evaluation.prepare_corpus([*recordings, bad], ExperimentConfig(separation="emd"))
-        assert len(pool.futures) == 8
+        assert len(pool.futures) == 4
         assert all(f.cancelled() for f in pool.futures)
         assert "read" not in pool.log and pool.closed
 
     def test_failing_block_cancels_every_queued_block(self, recordings, monkeypatch):
-        """The first block raises in the first join; no other block runs."""
+        """The first channel raises in the first join; no other channel runs."""
         pool = self._pool(monkeypatch, run=False, fail_first=True)
-        with pytest.raises(RuntimeError, match="block failed"):
+        with pytest.raises(RuntimeError, match="channel failed"):
             evaluation.prepare_corpus(recordings, ExperimentConfig(separation="emd"))
-        assert len(pool.futures) == 8
+        assert len(pool.futures) == 4
         assert all(f.cancelled() for f in pool.futures[1:])
         assert pool.closed

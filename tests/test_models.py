@@ -659,7 +659,8 @@ class TestModelStore:
     @pytest.mark.parametrize("damage, message", [
         (lambda header, arrays: header["config"].update(bogus=1), r"keyword argument 'bogus'"),
         (lambda header, arrays: arrays.clear(), r"IndexError"),
-    ], ids=["unknown-config-key", "no-arrays"])
+        (lambda header, arrays: header["config"].update(k=13), r"k=13 but only 12 training rows"),
+    ], ids=["unknown-config-key", "no-arrays", "k-above-rows"])
     def test_damaged_file_names_the_file(self, tmp_path, damage, message):
         x, y = _blobs(n_per=6, seed=22)
         path = save_model(KnnClassifier().fit(x, y), tmp_path / "m.npz")

@@ -320,8 +320,9 @@ class TestTemplateBank:
         lambda header, arrays: header.update(modalities=3),
         lambda header, arrays: header.update(sample_rate="x"),
         lambda header, arrays: header["stft"].update(hop=0),
+        lambda header, arrays: header.update(modalities=["eeg", "emg", "eoh"]),
     ], ids=["no-rank", "extra-stft-key", "text-rank", "no-arrays", "integer-modalities",
-            "text-rate", "zero-hop"])
+            "text-rate", "zero-hop", "misspelt-modality"])
     def test_damaged_bank_names_the_file(self, tmp_path, damage):
         bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), FS)
         path = save_templates(bank, tmp_path / "bank.earpipe")

@@ -2,25 +2,27 @@
 
 import multiprocessing
 import warnings
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import hilbert
 
+from earpipe import vmd
 from earpipe.corpus import make_synthetic_corpus
 from earpipe.preprocess import preprocess_recording
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
+    MotionCorrelation,
     VmdResult,
     _analytic_signal,
-    join_motion_blocks,
+    _screen_channel,
     motion_correlation,
     reconstruct_excluding_motion,
     remove_motion_artifacts,
-    submit_motion_blocks,
     vmd_decompose,
+    warn_zeroed_blocks,
 )
 
 FS = 250.0
@@ -201,14 +203,25 @@ class TestDoublePrecisionPin:
 
     def test_synthetic_recording_blocks(self):
         """All six blocks of one conditioned synthetic patient (two channels,
-        three blocks each), screened against their IMU slices."""
+        three blocks each), screened against their IMU slices; each block is
+        cut at the span its report names."""
         rec = preprocess_recording(make_synthetic_corpus(1, master_seed=0)[0])
-        executor = _RecordingExecutor()
+        fs, imu_rate, threshold = rec.sample_rate, rec.imu_rate, MOTION_R_THRESHOLD
+        blocks = []
         for x in rec.channels.values():
-            submit_motion_blocks(x, rec.sample_rate, rec.imu, rec.imu_rate, executor=executor)
-        assert len(executor.calls) == 6
-        for seg, fs, accel, imu_rate, threshold, _ in executor.calls:
+            _, reports = remove_motion_artifacts(x, fs, rec.imu, imu_rate)
+            for report in reports:
+                start, stop = (round(t * fs) for t in report.span_s)
+                i0 = round(start / fs * imu_rate)
+                i1 = max(i0 + 2, round(stop / fs * imu_rate))
+                blocks.append((x[start:stop], rec.imu[:, i0:i1], report))
+        assert len(blocks) == 6
+        for seg, accel, report in blocks:
             res = vmd_decompose(seg, fs)
+            assert (report.iterations, report.converged) == (res.iterations, res.converged)
+            np.testing.assert_array_equal(
+                report.excluded, motion_correlation(res, accel, imu_rate, threshold).excluded
+            )
             modes, centers, iterations, converged = _reference_vmd(
                 seg, fs, 8, 2000.0, 1e-7, 500, dtype=np.complex128
             )
@@ -424,35 +437,37 @@ class TestRemoveMotionArtifacts:
             )
 
 
-class _RecordingExecutor(Executor):
-    """Records each submitted call and runs none of them."""
-
-    def __init__(self):
-        self.calls = []
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        self.calls.append(args)
-        return Future()
-
-
 class TestBlockLayout:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 20_000), block=st.integers(1, 8_000))
     def test_fewest_blocks_on_the_overlap_grid(self, data, n, block):
         """Blocks start every ``block - overlap`` samples, the fewest cover the
-        signal, the last one runs to its end, and no sample is in three."""
+        signal, the last one runs to its end, and no sample is in three.
+        The spans are read from the reports, with the decomposition stubbed
+        out, so blocks of under four samples can be laid out too."""
         overlap = data.draw(st.integers(0, (block - 1) // 2), label="overlap")
         step = block - overlap
         fs, imu_rate = 250.0, 50.0
-        executor = _RecordingExecutor()
-        queued = submit_motion_blocks(
-            np.zeros(n), fs, np.zeros((3, round(n / fs * imu_rate))), imu_rate,
-            block_s=block / fs, overlap_s=overlap / fs, executor=executor,
-        )
-        spans = queued.spans
+        lengths = []
+
+        def decompose(seg, fs, **kwargs):  # one zero mode, at no cost
+            lengths.append(len(seg))
+            return VmdResult(np.zeros((1, len(seg))), np.zeros(1), np.zeros(len(seg)), fs, 0, True)
+
+        def correlate(result, accel, imu_rate, threshold):
+            return MotionCorrelation(np.zeros(1), threshold, np.zeros(1, bool), 0, True, (0.0, 0.0))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vmd, "vmd_decompose", decompose)
+            mp.setattr(vmd, "motion_correlation", correlate)
+            _, reports = _screen_channel(
+                np.zeros(n), fs, np.zeros((3, round(n / fs * imu_rate))), imu_rate,
+                block_s=block / fs, overlap_s=overlap / fs,
+            )
+        spans = [tuple(round(t * fs) for t in r.span_s) for r in reports]
         assert len(spans) == max(1, (n - overlap) // step)
         assert spans[0][0] == 0 and spans[-1][1] == n
-        assert [len(args[0]) for args in executor.calls] == [b - a for a, b in spans]
+        assert lengths == [b - a for a, b in spans]
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert stop - start == overlap
         assert all(b - a == block for a, b in spans[:-1])
@@ -470,7 +485,7 @@ def _spawn_pool():
 
 
 class TestBlockPool:
-    """Blocks screened on a process pool give the inline result bit for bit."""
+    """A channel screened on a process pool gives the inline result bit for bit."""
 
     def test_pool_matches_inline_exactly(self, workers_gone):
         """Three blocks of an odd-length signal (the last one odd too),
@@ -480,9 +495,9 @@ class TestBlockPool:
         kw = dict(k=4, max_iter=60)
         inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate, **kw)
         with _spawn_pool() as pool:
-            pooled, pooled_reports = join_motion_blocks(
-                submit_motion_blocks(x, FS, accel, imu_rate, executor=pool, **kw)
-            )
+            pooled, pooled_reports = pool.submit(
+                _screen_channel, x, FS, accel, imu_rate, **kw
+            ).result()
         assert len(x) % 2 == 1 and len(inline_reports) == 3
         assert {r.converged for r in inline_reports} == {True, False}
         assert sum(r.n_excluded for r in inline_reports) >= 1
@@ -491,17 +506,25 @@ class TestBlockPool:
             assert a.r.tobytes() == b.r.tobytes()
             np.testing.assert_array_equal(a.excluded, b.excluded)
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert a.span_s == b.span_s
         assert workers_gone()
 
     def test_all_flagged_block_warns_in_caller(self, workers_gone):
-        """The warning for a zeroed block is raised where the blocks are joined."""
+        """The pool job does not warn; the warning for a zeroed block is raised
+        where the channel's result is read, from the span in its report."""
         _, noisy, accel, imu_rate = _burst_recording(duration_s=60.0)
+        job = (noisy, FS, accel, imu_rate, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _screen_channel(*job, k=2, max_iter=5)
         with _spawn_pool() as pool, pytest.warns(UserWarning, match="every mode") as caught:
-            out, reports = join_motion_blocks(submit_motion_blocks(
-                noisy, FS, accel, imu_rate, threshold=-1.0, executor=pool, k=2, max_iter=5
-            ))
+            out, reports = pool.submit(_screen_channel, *job, k=2, max_iter=5).result()
+            warn_zeroed_blocks(reports, "p00 mixed_left")
         assert len(reports) == 2
         assert sum("every mode" in str(w.message) for w in caught) == 2
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            "p00 mixed_left block 0–30 s", "p00 mixed_left block 29–60 s"
+        ]
         np.testing.assert_array_equal(out, 0.0)
         assert workers_gone()
 
@@ -514,21 +537,7 @@ class TestBlockPool:
             remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
         with pytest.raises(ValueError) as pooled_error:
             with _spawn_pool() as pool:
-                join_motion_blocks(
-                    submit_motion_blocks(x, FS, accel, 50.0, executor=pool, max_iter=5)
-                )
+                pool.submit(_screen_channel, x, FS, accel, 50.0, max_iter=5).result()
         assert type(pooled_error.value) is ValueError
         assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
         assert workers_gone()
-
-    def test_inline_block_error_raised_at_join(self):
-        """Without an executor a failing block is submitted quietly and raises
-        at the join, with the message the test above pins for the pool."""
-        x = np.random.default_rng(9).standard_normal(int(90 * FS))
-        x[int(40 * FS)] = np.nan  # in the second of three blocks, 29–59 s
-        queued = submit_motion_blocks(x, FS, np.ones((3, 90 * 50)), 50.0, max_iter=5)
-        assert len(queued.futures) == 3 and all(f.done() for f in queued.futures)
-        with pytest.raises(ValueError) as inline_error:
-            join_motion_blocks(queued)
-        assert type(inline_error.value) is ValueError
-        assert str(inline_error.value) == "signal contains NaN or Inf"
