@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "stft": ("Spectrogram", "StftConfig", "istft", "stft"),
     "vmd": (
-        "MotionCorrelation", "VmdResult", "motion_correlation",
-        "reconstruct_excluding_motion", "remove_motion_artifacts", "vmd_decompose",
+        "MotionCorrelation", "VmdResult", "motion_correlation", "remove_motion_artifacts",
+        "vmd_decompose",
     ),
     "emd": (
         "EmdResult", "ModalityAssignment", "assign_modalities", "emd_decompose",

@@ -130,7 +130,7 @@ def cmd_denoise(args) -> int:
     from .io import load_recording, save_recording
 
     cfg = ExperimentConfig(motion_threshold=args.threshold)
-    cleaned, by_channel = screen_motion(load_recording(args.input), cfg).join()
+    ((cleaned, by_channel),) = screen_motion([load_recording(args.input)], cfg)
     save_recording(cleaned, args.out, payload=args.payload)
     reports = [r for blocks in by_channel.values() for r in blocks]
     excluded = sum(r.n_excluded for r in reports)
@@ -304,6 +304,13 @@ def cmd_snr(args) -> int:
     payload: dict = {"bands": {}}
     if args.processed:
         proc = load_recording(args.processed)
+        for name in ("sample_rate", "n_samples"):
+            raw_value, proc_value = getattr(rec, name), getattr(proc, name)
+            if proc_value != raw_value:
+                raise ValueError(
+                    f"processed recording has {name} {proc_value:g}, the raw one {raw_value:g}; "
+                    "band SNR compares only recordings of one rate and length"
+                )
         for role in rec.channels:
             if role not in proc.channels:
                 raise ValueError(f"processed recording lacks channel {role}")

@@ -10,14 +10,15 @@ A sweep runs stage A once per distinct setting of the fields stage A reads
 recording once for all of its strides.
 
 :func:`screen_motion` is stage A's one motion step, shared with ``earpipe
-denoise``: by default it screens each channel with IMU-correlated VMD.
-:func:`prepare_corpus` conditions every recording and submits every
-channel's screen first, then joins the recordings in input order and
-returns each one separated, with the block reports of its channels.  When
-motion handling is VMD and more than one core is available, each channel is
-one job on a process pool opened once per run; otherwise each channel is
-screened in this process as it is submitted.  Each join reads the channels
-in order, warns about zeroed blocks and separates the sources here, so
+denoise``: by default it screens each channel with IMU-correlated VMD, and
+it yields the screened recordings in input order, each with the block
+reports of its channels.  :func:`prepare_corpus` conditions every
+recording, then separates each one as it is read from that iterator.  When
+motion handling is VMD and more than one core is available, the channel
+screens go through ``Executor.map`` on a process pool opened once per run,
+which submits every channel before the first is read; otherwise each
+channel is screened in this process as it is read.  Channels are read in
+order, zeroed blocks are warned about and the sources separated here, so
 pooled and inline runs give the same bits; on the pool, while NNMF
 separates one recording, the workers are already screening the next one's
 channels.
@@ -29,7 +30,9 @@ import math
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -279,67 +282,51 @@ class ExperimentResult:
         }
 
 
-@dataclass
-class QueuedRecording:
-    """A recording with the VMD screens of its channels in flight.
-
-    ``screens`` holds one future per channel, each with the channel's clean
-    signal and block reports.  It is empty when motion handling is not VMD:
-    then the join is ``rec`` itself, with no block reports.
-    """
-
-    rec: Recording
-    screens: dict[ChannelRole, Future]
-
-    def join(self) -> tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]:
-        """Read each channel's screen, channel after channel, warning for
-        each zeroed block with the recording, channel and span.
-
-        Returns the screened recording and each channel's block reports.
-        """
-        if not self.screens:
-            return self.rec, {}
-        channels, reports = {}, {}
-        for role, future in self.screens.items():
-            channels[role], reports[role] = future.result()
-            warn_zeroed_blocks(reports[role], f"{self.rec.patient_id} {role.value}")
-        return self.rec.with_channels(channels), reports
-
-
-def _done(value) -> Future:
-    """A future that already holds ``value``: a channel screened without a pool."""
-    future = Future()
-    future.set_result(value)
-    return future
-
-
 def screen_motion(
-    rec: Recording, cfg: ExperimentConfig, executor: Executor | None = None
-) -> QueuedRecording:
-    """Stage A's motion step (``cfg.motion``) on every channel of ``rec``.
+    recordings: Iterable[Recording], cfg: ExperimentConfig, executor: Executor | None = None
+) -> Iterator[tuple[Recording, dict[ChannelRole, list[MotionCorrelation]]]]:
+    """Stage A's motion step (``cfg.motion``) on every channel of ``recordings``.
 
-    For VMD, each channel's screen is one job on ``executor`` (without one,
-    it runs here at once), which drops the modes that correlate with the
-    IMU above ``cfg.motion_threshold``.  Band-pass and motion off finish
-    here.
+    Yields, in input order, each recording screened, with its channels'
+    block reports (empty unless motion handling is VMD).  For VMD, every
+    recording's IMU track is checked first; then ``executor.map`` takes
+    every channel's screen as one job, or, without a pool, each channel is
+    screened here when it is read.  A screen drops the modes that correlate
+    with the IMU above ``cfg.motion_threshold``; reading it warns for each
+    zeroed block, naming recording, channel and span, at the caller's line.
+    Band-pass and motion off finish here.  No recording is kept once it has
+    been yielded.
     """
+    recordings = deque(recordings)  # popped in turn, so none outlives its yield
     if cfg.motion == "vmd":
-        if rec.imu is None:
-            raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
-        screens = {}
-        for role, x in rec.channels.items():
-            job = (x, rec.sample_rate, rec.imu, rec.imu_rate, cfg.motion_threshold)
-            if executor is None:
-                screens[role] = _done(_screen_channel(*job))
-            else:
-                screens[role] = executor.submit(_screen_channel, *job)
-        return QueuedRecording(rec, screens)
-    if cfg.motion == "bandpass":
-        rec = rec.with_channels({
-            role: bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
-            for role, x in rec.channels.items()
-        })
-    return QueuedRecording(rec, {})
+        for rec in recordings:
+            if rec.imu is None:
+                raise ValueError(f"recording {rec.patient_id} has no IMU track for motion removal")
+        if executor is not None:
+            screens = executor.map(_screen_channel, *zip(*[
+                (x, rec.sample_rate, rec.imu, rec.imu_rate, cfg.motion_threshold)
+                for rec in recordings for x in rec.channels.values()
+            ]))
+    while recordings:
+        rec = recordings.popleft()
+        reports = {}
+        if cfg.motion == "vmd":
+            channels = {}
+            for role in rec.channels:
+                if executor is None:  # a builtin map would keep every input to the end
+                    screen = _screen_channel(rec.channels[role], rec.sample_rate, rec.imu,
+                                             rec.imu_rate, cfg.motion_threshold)
+                else:
+                    screen = next(screens)
+                channels[role], reports[role] = screen
+                warn_zeroed_blocks(reports[role], f"{rec.patient_id} {role.value}")
+            rec = rec.with_channels(channels)
+        elif cfg.motion == "bandpass":
+            rec = rec.with_channels({
+                role: bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
+                for role, x in rec.channels.items()
+            })
+        yield rec, reports
 
 
 def prepare_recording(
@@ -347,7 +334,7 @@ def prepare_recording(
 ) -> Recording:
     """Stage A's last step for one recording: separate the sources of
     ``screened``, a recording conditioned and motion-screened already, as
-    :func:`prepare_corpus` joins it."""
+    :func:`prepare_corpus` reads it from :func:`screen_motion`."""
     return separate_sources(screened, cfg.separation, templates)
 
 
@@ -386,10 +373,11 @@ def prepare_corpus(
     and its channels' VMD block reports (empty unless motion handling is
     VMD).  The pool is opened only for VMD, whose screens take seconds per
     recording: band-pass and motion-off runs finish stage A in less time
-    than the workers take to start.  Pool or not, every recording is
-    conditioned and all its channels are submitted before the first one is
-    joined, so the workers never pause; a failure anywhere shuts the pool
-    down with every channel not yet started cancelled.
+    than the workers take to start.  Every recording is conditioned before
+    the first channel is screened; on the pool, every channel is submitted
+    before the first one is read, so the workers never pause.  A failure
+    anywhere shuts the pool down with every channel not yet started
+    cancelled.
     """
     _check_sample_rates(recordings)
     if hasattr(os, "sched_getaffinity"):
@@ -401,16 +389,12 @@ def prepare_corpus(
         pool = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("spawn"))
     try:
         conditioning = PreprocessConfig(mains_hz=cfg.mains_hz)
-        queue = [
-            screen_motion(preprocess_recording(rec, conditioning), cfg, pool) for rec in recordings
-        ]
-        prepared = []
-        for i in range(len(queue)):
-            screened, report = queue[i].join()
-            queue[i] = None  # drop the joined channels' results
-            prepared.append((prepare_recording(screened, cfg, templates), report))
-        return prepared
+        screened = screen_motion(
+            [preprocess_recording(rec, conditioning) for rec in recordings], cfg, pool
+        )
+        return [(prepare_recording(rec, cfg, templates), report) for rec, report in screened]
     finally:
+        # a traceback keeps the map iterator alive, so its own cancel may never run
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 

@@ -110,12 +110,21 @@ def _read_recording(path: Path) -> Recording:
         roles = [ChannelRole(name) for name in header["channels"]]
     except ValueError as exc:
         raise RecordingFormatError(str(exc)) from exc
+    if len(set(roles)) < len(roles):
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: channels must name each role once, got {header['channels']!r}"
+        )
 
     try:
         n = int(header["n_samples"])
         n_imu = int(header.get("imu_n_samples", 0))
     except (TypeError, ValueError) as exc:
         raise RecordingFormatError(f"{HEADER_NAME}: sample counts must be integers: {exc}") from exc
+    if min(n, n_imu) < 0:
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: sample counts must not be negative, got n_samples {n}, "
+            f"imu_n_samples {n_imu}"
+        )
 
     if payload == "csv":
         signals = _read_csv(path / "signals.csv", len(roles), n)

@@ -341,14 +341,6 @@ def motion_correlation(
 _ALL_FLAGGED = "every mode correlates with motion; returning zeros"
 
 
-def reconstruct_excluding_motion(result: VmdResult, corr: MotionCorrelation) -> np.ndarray:
-    """Sum the modes whose envelopes do not track the accelerometer; with
-    every mode flagged, that is the empty sum, zeros, with a warning."""
-    if corr.excluded.all():
-        warnings.warn(_ALL_FLAGGED, stacklevel=2)
-    return result.modes[~corr.excluded].sum(axis=0)
-
-
 def warn_zeroed_blocks(reports: list[MotionCorrelation], channel: str = "") -> None:
     """Warn, in block order, for each block of a channel screen whose every
     mode is flagged, naming its span; ``channel`` (say, recording and role)

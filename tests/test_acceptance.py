@@ -33,11 +33,7 @@ from earpipe.nnmf import NnmfConfig, _update_h, beta_divergence, nnmf_factorize
 from earpipe.preprocess import bandpass_filter
 from earpipe.signals import SeizureAnnotation
 from earpipe.stft import istft, stft
-from earpipe.vmd import (
-    motion_correlation,
-    reconstruct_excluding_motion,
-    vmd_decompose,
-)
+from earpipe.vmd import remove_motion_artifacts, vmd_decompose
 
 FS = 250.0
 
@@ -166,9 +162,7 @@ def test_05_motion_screening_recovers_rhythm_band():
         ]
     )
 
-    res = vmd_decompose(noisy, FS, k=4)
-    corr = motion_correlation(res, accel, imu_rate)
-    cleaned = reconstruct_excluding_motion(res, corr)
+    cleaned, _ = remove_motion_artifacts(noisy, FS, accel, imu_rate, k=4)  # one 30 s block
 
     band = (8.0, 12.0)
     snr_raw = band_snr(noisy, FS, band)

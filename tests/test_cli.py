@@ -201,6 +201,27 @@ class TestSnrCommand:
         entry = payload["bands"]["mixed_left"]["alpha"]
         assert set(entry) == {"raw_db", "processed_db", "delta_db"}
 
+    @pytest.mark.parametrize("processed, message", [
+        (lambda x: (125.0, x[::2]), "sample_rate 125, the raw one 250"),
+        (lambda x: (250.0, x[:-250]), "n_samples 4750, the raw one 5000"),
+    ], ids=["half-rate", "shorter"])
+    def test_processed_of_another_rate_or_length_rejected(
+        self, tmp_path, capsys, processed, message
+    ):
+        """A 125 Hz copy of a 250 Hz, 10 Hz tone, or one cut 1 s short, is
+        refused, naming both values, instead of scoring a bogus delta."""
+        tone = np.sin(2 * np.pi * 10.0 * np.arange(5000) / 250.0)
+        save_recording(Recording("p01", 250.0, {MIXED_ROLES[0]: tone}), tmp_path / "raw")
+        rate, x = processed(tone)
+        save_recording(Recording("p01", rate, {MIXED_ROLES[0]: x}), tmp_path / "proc")
+        code = main(["snr", "--in", str(tmp_path / "raw"), "--processed", str(tmp_path / "proc"),
+                     "--out", str(tmp_path / "snr.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"processed recording has {message}" in err["message"]
+        assert not (tmp_path / "snr.json").exists()
+
     def test_malformed_band_rejected(self, artifacts, capsys):
         code = main(["snr", "--in", str(artifacts["raw"]), "--band", "alpha"])
         assert code == 2

@@ -4,7 +4,9 @@ import dataclasses
 import os
 import re
 import warnings
+import weakref
 from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -400,8 +402,8 @@ class TestSweep:
 class TestScreenMotion:
     def test_reports_are_channel_reports_in_order(self, monkeypatch):
         """screen_motion cleans each channel as remove_motion_artifacts does
-        and its join returns each channel's reports, in channel order,
-        screening through the evaluation module once per channel."""
+        and yields each channel's reports, in channel order, screening
+        through the evaluation module once per channel."""
         rec = synthesize_recording(patient_spec(0, duration_s=60.0))
         calls = []
 
@@ -410,7 +412,7 @@ class TestScreenMotion:
             return real(x, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "_screen_channel", spy)
-        out, reports = evaluation.screen_motion(rec, ExperimentConfig()).join()
+        ((out, reports),) = evaluation.screen_motion([rec], ExperimentConfig())
         assert len(calls) == len(rec.channels)
         assert list(reports) == list(rec.channels)
         for role, x in rec.channels.items():
@@ -424,28 +426,33 @@ class TestScreenMotion:
                 assert got.span_s == want.span_s
         assert not np.shares_memory(out.imu, rec.imu)
 
-    def test_inline_channel_error_raised_at_once(self):
-        """Without a pool a failing channel raises where it is submitted,
-        before any join, with the message the pooled screen raises."""
-        rec = synthesize_recording(patient_spec(0, duration_s=90.0))
-        left = rec.channels[ChannelRole.MIXED_LEFT].copy()
-        left[int(40 * rec.sample_rate)] = np.nan  # in the second of three blocks, 29–59 s
-        rec = rec.with_channels({ChannelRole.MIXED_LEFT: left})
+    def test_inline_channel_error_raised_when_read(self):
+        """Without a pool, as on it, a failing channel raises when it is
+        read, after the recordings before it were yielded, with the message
+        the pooled screen raises."""
+        good = synthesize_recording(patient_spec(0, duration_s=40.0))
+        left = good.channels[ChannelRole.MIXED_LEFT].copy()
+        left[int(20 * good.sample_rate)] = np.nan
+        bad = dataclasses.replace(good.with_channels({ChannelRole.MIXED_LEFT: left}),
+                                  patient_id="p09")
+        screened = evaluation.screen_motion([good, bad], ExperimentConfig())
+        out, reports = next(screened)
+        assert out.patient_id == good.patient_id and list(reports) == list(good.channels)
         with pytest.raises(ValueError) as inline_error:
-            evaluation.screen_motion(rec, ExperimentConfig())
+            next(screened)
         assert type(inline_error.value) is ValueError
         assert str(inline_error.value) == "signal contains NaN or Inf"
 
     @pytest.mark.parametrize("motion", ["bandpass", "off"])
     def test_no_blocks_and_no_reports_without_vmd(self, motion, monkeypatch):
         """Band-pass and motion off finish at once: nothing is screened,
-        the join has no reports, and motion off returns the recording itself."""
+        no reports are yielded, and motion off yields the recording itself."""
         def refuse(*args, **kwargs):
             raise AssertionError("a VMD channel screen was run")
 
         monkeypatch.setattr(evaluation, "_screen_channel", refuse)
         rec = synthesize_recording(patient_spec(0, duration_s=20.0))
-        out, reports = evaluation.screen_motion(rec, ExperimentConfig(motion=motion)).join()
+        ((out, reports),) = evaluation.screen_motion([rec], ExperimentConfig(motion=motion))
         assert reports == {}
         if motion == "off":
             assert out is rec
@@ -453,10 +460,23 @@ class TestScreenMotion:
             want = x if motion == "off" else bandpass_filter(x, rec.sample_rate, 1.0, 30.0)
             np.testing.assert_array_equal(out.channels[role], want)
 
+    @pytest.mark.parametrize("motion", ["vmd", "bandpass"])
+    def test_no_recording_kept_once_yielded(self, motion):
+        """Once a screened recording is yielded, the screen holds nothing of
+        the recording it came from, so stage A never keeps every input."""
+        recordings = [synthesize_recording(patient_spec(i, duration_s=20.0)) for i in range(2)]
+        inputs = [[weakref.ref(rec), *map(weakref.ref, rec.channels.values())]
+                  for rec in recordings]
+        screened = evaluation.screen_motion(recordings, ExperimentConfig(motion=motion))
+        del recordings
+        next(screened)
+        assert [ref() for ref in inputs[0]] == [None] * 3
+        assert all(ref() is not None for ref in inputs[1])
+
     def test_unknown_motion_mode_rejected(self):
         rec = synthesize_recording(patient_spec(0, duration_s=20.0))
         with pytest.raises(ValueError, match="unknown motion mode 'ica'"):
-            evaluation.screen_motion(rec, ExperimentConfig(motion="ica"))
+            evaluation.screen_motion([rec], ExperimentConfig(motion="ica"))
 
 
 class TestSeparateSources:
@@ -516,38 +536,48 @@ class TestStageAPool:
         recordings = make_synthetic_corpus(n_patients=2)
         templates = train_corpus_templates()
         cfg = ExperimentConfig(stride_s=3, normalization="minmax")
-        calls, submitted, joined, done_at_first_join = [], [], [], []
+        calls, screens, yielded, inline_screens, screened_at_first_call = [], [], [], [], []
 
-        def submit_spy(rec, cfg, executor=None, real=evaluation.screen_motion):
-            submitted.append(real(rec, cfg, executor))
-            return submitted[-1]
+        def screen_spy(recs, cfg, executor=None, real=evaluation.screen_motion):
+            screens.append((list(recs), executor))
+            for out in real(screens[-1][0], cfg, executor):
+                yielded.append(out)
+                yield out
 
-        def join_spy(queued, real=evaluation.QueuedRecording.join):
-            joined.append((queued, real(queued)))
-            return joined[-1][1]
+        def channel_spy(x, *args, real=evaluation._screen_channel):
+            inline_screens.append(x)
+            return real(x, *args)
 
         def spy(screened, cfg, templates, real=evaluation.prepare_recording):
-            if not calls:  # the inline run's first join
-                done_at_first_join.extend(f.done() for q in submitted for f in q.screens.values())
+            if not calls:  # the inline run's first separation
+                screened_at_first_call.append(len(inline_screens))
             calls.append((screened.patient_id, screened))
             return real(screened, cfg, templates)
 
-        monkeypatch.setattr(evaluation, "screen_motion", submit_spy)
-        monkeypatch.setattr(evaluation.QueuedRecording, "join", join_spy)
+        real_channel = evaluation._screen_channel
+        monkeypatch.setattr(evaluation, "screen_motion", screen_spy)
+        monkeypatch.setattr(evaluation, "_screen_channel", channel_spy)
         monkeypatch.setattr(evaluation, "prepare_recording", spy)
         _set_cores(monkeypatch, 1)
         inline = run_experiment(recordings, cfg, templates).to_dict()
+        # a spawned worker unpickles the job by name, so the pool gets the real one
+        monkeypatch.setattr(evaluation, "_screen_channel", real_channel)
         _set_cores(monkeypatch, 2)
         pooled = run_experiment(recordings, cfg, templates).to_dict()
         assert [patient for patient, _ in calls] == [r.patient_id for r in recordings] * 2
-        # every call separates the join of channels that were already
-        # submitted; inline, they have run
-        for queued in submitted:
-            assert list(queued.screens) == list(queued.rec.channels)
-        assert all(q is s for (q, _), s in zip(joined, submitted, strict=True))
-        assert all(c is j for (_, c), (_, (j, _)) in zip(calls, joined, strict=True))
-        inline_jobs = sum(len(q.screens) for q in submitted[:2])
-        assert len(done_at_first_join) == inline_jobs and all(done_at_first_join)
+        # one screen per run is handed every recording, and each call
+        # separates a recording it yielded, with every channel screened
+        assert [[r.patient_id for r in recs] for recs, _ in screens] == [
+            [r.patient_id for r in recordings]] * 2
+        assert screens[0][1] is None
+        assert isinstance(screens[1][1], evaluation.ProcessPoolExecutor)
+        for rec, report in yielded:
+            assert list(report) == list(rec.channels)
+        assert all(c is y for (_, c), (y, _) in zip(calls, yielded, strict=True))
+        # inline, a channel is screened when it is read: the first separation
+        # comes after the first recording's channels only
+        assert len(inline_screens) == sum(len(r.channels) for r in recordings)
+        assert screened_at_first_call == [len(recordings[0].channels)]
         assert pooled == inline
         assert workers_gone()
 
@@ -576,11 +606,13 @@ class _FakePool(Executor):
 
     Logs each submit and each result read.  With ``run`` a channel's screen
     runs when it is submitted; without, it stays pending.  With
-    ``fail_first`` the first channel submitted raises.
+    ``fail_first`` the first channel submitted raises.  With
+    ``refuse_after`` set to n, every submit after the n-th raises
+    ``BrokenProcessPool``, as a pool whose worker died does.
     """
 
-    def __init__(self, run=True, fail_first=False):
-        self.run, self.fail_first = run, fail_first
+    def __init__(self, run=True, fail_first=False, refuse_after=None):
+        self.run, self.fail_first, self.refuse_after = run, fail_first, refuse_after
         self.log, self.futures = [], []
         self.closed = False
 
@@ -588,6 +620,8 @@ class _FakePool(Executor):
         return self
 
     def submit(self, fn, *args, **kwargs):
+        if len(self.futures) == self.refuse_after:
+            raise BrokenProcessPool("a worker died")
         f = _LoggedFuture(self.log)
         if self.fail_first and not self.futures:
             f.set_exception(RuntimeError("channel failed"))
@@ -605,7 +639,7 @@ class _FakePool(Executor):
 
 
 class TestStageAJobGraph:
-    """On the pool, stage A queues every channel before it joins any."""
+    """On the pool, stage A queues every channel before it reads any."""
 
     @pytest.fixture
     def recordings(self):
@@ -665,11 +699,12 @@ class TestStageAJobGraph:
         ]
 
     def test_failing_recording_cancels_every_queued_block(self, recordings, monkeypatch):
-        """The third recording fails after the first two queued their channels."""
-        bad = dataclasses.replace(recordings[0], patient_id="p09", imu=None)
-        pool = self._pool(monkeypatch, run=False)
-        with pytest.raises(ValueError, match="p09 has no IMU track"):
-            evaluation.prepare_corpus([*recordings, bad], ExperimentConfig(separation="emd"))
+        """The pool breaks as the third recording's channels are queued,
+        after the first two queued theirs."""
+        third = dataclasses.replace(recordings[0], patient_id="p09")
+        pool = self._pool(monkeypatch, run=False, refuse_after=4)
+        with pytest.raises(BrokenProcessPool, match="a worker died"):
+            evaluation.prepare_corpus([*recordings, third], ExperimentConfig(separation="emd"))
         assert len(pool.futures) == 4
         assert all(f.cancelled() for f in pool.futures)
         assert "read" not in pool.log and pool.closed
@@ -682,3 +717,22 @@ class TestStageAJobGraph:
         assert len(pool.futures) == 4
         assert all(f.cancelled() for f in pool.futures[1:])
         assert pool.closed
+
+    def test_recording_without_imu_fails_before_any_submit(self, recordings, monkeypatch):
+        """Every recording's IMU track is checked before the first channel
+        is submitted, so a recording without one leaves nothing to cancel."""
+        bad = dataclasses.replace(recordings[1], patient_id="p09", imu=None)
+        pool = self._pool(monkeypatch)
+        with pytest.raises(ValueError, match="p09 has no IMU track"):
+            evaluation.prepare_corpus([recordings[0], bad], ExperimentConfig(separation="emd"))
+        assert pool.futures == [] and pool.log == []
+        assert pool.closed
+
+    def test_empty_corpus_prepares_nothing(self, monkeypatch):
+        """No recording gives no prepared recording, inline and pooled."""
+        cfg = ExperimentConfig(separation="emd")
+        _set_cores(monkeypatch, 1)
+        assert evaluation.prepare_corpus([], cfg) == []
+        pool = self._pool(monkeypatch)
+        assert evaluation.prepare_corpus([], cfg) == []
+        assert pool.futures == [] and pool.closed

@@ -143,7 +143,12 @@ class TestRecordingRoundTrip:
         (lambda h: h.pop("format_version"), r"format_version must be 1, got None"),
         (lambda h: h.update(patient_id=7), r"patient_id must be a string, got 7"),
         (lambda h: h.update(channels=5), r"channels must be a list of role names, got 5"),
-    ], ids=["version-99", "no-version", "integer-patient", "integer-channels"])
+        (lambda h: h.update(channels=["mixed_left", "mixed_left"]),
+         r"channels must name each role once, got \['mixed_left', 'mixed_left'\]"),
+        (lambda h: h.update(channels=[], n_samples=-5),
+         r"sample counts must not be negative, got n_samples -5, imu_n_samples 100"),
+    ], ids=["version-99", "no-version", "integer-patient", "integer-channels",
+            "duplicate-role", "negative-samples"])
     def test_bad_header_field_names_the_file(self, tmp_path, edit, message):
         path = self._with_header(tmp_path, edit)
         with pytest.raises(RecordingFormatError, match=_after_path(path, rf"header\.json: {message}")):

@@ -19,7 +19,6 @@ from earpipe.vmd import (
     _analytic_signal,
     _screen_channel,
     motion_correlation,
-    reconstruct_excluding_motion,
     remove_motion_artifacts,
     vmd_decompose,
     warn_zeroed_blocks,
@@ -340,28 +339,15 @@ class TestMotionScreening:
             motion_correlation(res, np.zeros((2, 100)), 50.0)
 
     def test_exclusion_subtracts_flagged_modes(self):
+        """A 20 s channel is one block, whose cross-fade weight is 1, so the
+        screen returns exactly the sum of the modes its report keeps."""
         _, noisy, accel, imu_rate = _burst_recording(seed=2)
+        rebuilt, (corr,) = remove_motion_artifacts(noisy, FS, accel, imu_rate, k=4)
         res = vmd_decompose(noisy, FS, k=4)
-        corr = motion_correlation(res, accel, imu_rate)
-        rebuilt = reconstruct_excluding_motion(res, corr)
-        np.testing.assert_allclose(
-            rebuilt, res.modes[~corr.excluded].sum(axis=0), atol=1e-12
+        np.testing.assert_array_equal(
+            corr.excluded, motion_correlation(res, accel, imu_rate).excluded
         )
-
-    def test_all_modes_flagged_warns_and_zeroes(self):
-        res = VmdResult(
-            modes=np.ones((2, 100)),
-            center_freqs_hz=np.array([1.0, 2.0]),
-            residual=np.zeros(100),
-            sample_rate=FS,
-            iterations=1,
-            converged=True,
-        )
-        corr = motion_correlation(res, np.zeros((3, 20)) + 1.0, 50.0)
-        corr.excluded[:] = True
-        with pytest.warns(UserWarning, match="every mode"):
-            out = reconstruct_excluding_motion(res, corr)
-        np.testing.assert_allclose(out, 0.0)
+        np.testing.assert_array_equal(rebuilt, res.modes[~corr.excluded].sum(axis=0))
 
 
 class TestAnalyticSignal:
