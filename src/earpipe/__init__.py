@@ -20,8 +20,8 @@ _EXPORTS = {
     ),
     "io": ("load_recording", "save_recording"),
     "preprocess": (
-        "ImpedanceReading", "PreprocessConfig", "bandpass_filter", "detrend_linear",
-        "electrode_impedance", "notch_filter", "outlier_clip", "preprocess_recording",
+        "PreprocessConfig", "bandpass_filter", "detrend_linear", "notch_filter",
+        "outlier_clip", "preprocess_recording",
     ),
     "stft": ("Spectrogram", "StftConfig", "istft", "stft"),
     "vmd": (
@@ -33,7 +33,7 @@ _EXPORTS = {
         "separate_recording_emd",
     ),
     "nnmf": (
-        "NnmfConfig", "TemplateBank", "beta_divergence", "load_templates",
+        "NnmfConfig", "TemplateBank", "is_divergence", "load_templates",
         "nnmf_factorize", "save_templates", "separate_channel",
         "separate_recording_nnmf", "train_templates",
     ),

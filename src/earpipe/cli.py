@@ -2,11 +2,11 @@
 
 ``synth``, ``evaluate`` and ``sweep`` accept ``--config FILE`` (a JSON
 object) whose keys match the command's flags; explicit flags override the
-file.  Stage commands write recording directories, ``train-templates`` and
-``train`` write containers, ``features`` and ``sweep`` write CSV, and
-``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON
-object to stderr and exit nonzero.  All randomness descends from ``--seed``
-(``synth``, ``train-templates``, ``train``) or ``--master-seed``
+file.  Stage commands write recording directories, ``train-templates``
+writes a container, ``features`` and ``sweep`` write CSV, and ``evaluate``
+and ``snr`` write JSON.  Failures print a machine-readable JSON object to
+stderr and exit nonzero.  All randomness descends from ``--seed``
+(``synth``, ``train-templates``) or ``--master-seed``
 (``evaluate``, ``sweep``), so a repeated invocation writes byte-identical
 outputs.
 
@@ -24,8 +24,6 @@ import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .vmd import MOTION_R_THRESHOLD
@@ -197,24 +195,6 @@ def cmd_features(args) -> int:
             values = ",".join("%.17g" % v for v in row)
             fh.write(f"{epoch.patient_id},{epoch.start_s:.3f},{epoch.label},{values}\n")
     print(f"wrote {len(epochs)} epochs x {len(names)} features to {out}")
-    return 0
-
-
-def cmd_train(args) -> int:
-    from .models import make_model, save_model
-
-    if args.model == "cnn":
-        raise ValueError("cnn training consumes raw windows; use `earpipe evaluate --model cnn`")
-    lines = Path(args.features).read_text().splitlines()[1:]  # below the header
-    if not any(line.strip() for line in lines):
-        raise ValueError(f"{args.features}: no feature rows under the header; nothing to train on")
-    rows = np.loadtxt(lines, delimiter=",", dtype=str, ndmin=2)
-    y = rows[:, 2].astype(int)
-    x = rows[:, 3:].astype(np.float64)
-    model = make_model(args.model, seed=args.seed)
-    model.fit(x, y)
-    save_model(model, args.out)
-    print(f"trained {args.model} on {len(y)} epochs; model written to {args.out}")
     return 0
 
 
@@ -396,13 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--allow-short-events", action="store_true")
     p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="fit a classifier on a features CSV")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", choices=["svm", "knn", "rfc", "cnn"], default="svm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     def add_experiment_flags(p):
         p.add_argument("--config", help="JSON experiment config")

@@ -118,17 +118,6 @@ def emd_decompose(x: np.ndarray, max_imfs: int = MAX_IMFS) -> EmdResult:
     return EmdResult(imfs=stack, residual=residual)
 
 
-def orthogonality_index(result: EmdResult) -> float:
-    """Sum of cross-IMF inner products relative to total signal energy."""
-    total = result.imfs.sum(axis=0) + result.residual
-    energy = float(np.sum(total**2))
-    if energy == 0.0:
-        return 0.0
-    gram = result.imfs @ result.imfs.T
-    cross = np.sum(np.abs(gram)) - np.sum(np.abs(np.diag(gram)))
-    return float(cross / energy)
-
-
 @dataclass
 class ModalityAssignment:
     """Fixed-order mapping of IMFs onto the three modalities.

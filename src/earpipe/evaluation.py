@@ -55,7 +55,7 @@ from .features import (
 )
 from .models import MODEL_CLASSES, make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
-from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
+from .preprocess import PreprocessConfig, bandpass_filter, finite, preprocess_recording
 from .signals import ChannelRole, Recording
 from .vmd import MOTION_R_THRESHOLD, MotionCorrelation, _screen_channel, warn_zeroed_blocks
 # No stage A code calls this: prepare_corpus returns the block reports.  The
@@ -247,9 +247,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        def finite(value) -> bool:
-            return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-
         # a nan threshold, or one of 1 or more (a Pearson |r| never exceeds 1),
         # would flag no mode, silently turning the motion screen off
         if not finite(self.motion_threshold):
@@ -259,8 +256,7 @@ class ExperimentConfig:
                 f"motion_threshold must be below 1, got {self.motion_threshold!r}: no mode's "
                 "|r| exceeds 1, so the screen would drop nothing; use motion=\"off\" to skip it"
             )
-        if not (finite(self.mains_hz) and self.mains_hz > 0):
-            raise ValueError(f"mains_hz must be a finite number above 0, got {self.mains_hz!r}")
+        PreprocessConfig(mains_hz=self.mains_hz)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,7 +4,13 @@ from .svm import SvmClassifier, SvmConfig
 from .knn import KnnClassifier, KnnConfig
 from .forest import RandomForestClassifier, ForestConfig
 from .cnn import Cnn1d, CnnConfig, CnnClassifier, TrainConfig, focal_loss
-from .store import MODEL_CLASSES, save_model, load_model
+
+MODEL_CLASSES = {
+    "svm": SvmClassifier,
+    "knn": KnnClassifier,
+    "rfc": RandomForestClassifier,
+    "cnn": CnnClassifier,
+}
 
 
 def make_model(kind: str, seed: int = 0):

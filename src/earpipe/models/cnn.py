@@ -8,7 +8,7 @@ gradient check runs on a shrunken copy of the same code path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -307,21 +307,3 @@ class CnnClassifier:
             logits, _ = self.net.forward(windows[lo:lo + 256])
             out.append(np.argmax(logits, axis=1))
         return np.concatenate(out) if out else np.zeros(0, dtype=int)
-
-    def state(self) -> tuple[dict, list[np.ndarray]]:
-        """Header fields and arrays from which :meth:`from_state` rebuilds the network."""
-        if self.net is None:
-            raise ValueError("cannot save an unfitted model")
-        names = sorted(self.net.params)
-        header = {"config": asdict(self.config), "param_names": names}
-        return header, [self.net.params[n] for n in names]
-
-    @classmethod
-    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "CnnClassifier":
-        raw = dict(header["config"])
-        raw["conv_filters"] = tuple(raw["conv_filters"])
-        raw["fc_units"] = tuple(raw["fc_units"])
-        model = cls(CnnConfig(**raw))
-        model.net = Cnn1d(model.config, seed=0)
-        model.net.params = dict(zip(header["param_names"], arrays))
-        return model

@@ -4,7 +4,7 @@ Each tree sees a bootstrap resample of the training set and, at every
 split, a fresh random subset of ceil(sqrt(d)) features.  Candidate
 thresholds are midpoints between consecutive unique values.  All
 randomness flows from one seed, so a forest is reproducible bit for bit.
-A tree is grown, walked and saved as one node table: a row per node in
+A tree is grown and walked as one node table: a row per node in
 preorder, ``[feature, threshold, left row, right row, class]``, with class
 -1 on inner nodes.
 
@@ -21,7 +21,7 @@ minimum cannot settle, so the search stays linear in the number of cuts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,17 +185,3 @@ class RandomForestClassifier:
             raise RuntimeError("classifier is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return majority_vote(np.stack([t.predict(x) for t in self.trees], axis=1))
-
-    def state(self) -> tuple[dict, list[np.ndarray]]:
-        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
-        if not self.trees:
-            raise ValueError("cannot save an unfitted model")
-        return {"config": asdict(self.config)}, [t.nodes for t in self.trees]
-
-    @classmethod
-    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "RandomForestClassifier":
-        model = cls(ForestConfig(**header["config"]))
-        model.trees = [DecisionTree(model.config.max_depth) for _ in arrays]
-        for tree, nodes in zip(model.trees, arrays):
-            tree.nodes = nodes
-        return model

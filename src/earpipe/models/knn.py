@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,17 +40,3 @@ class KnnClassifier:
         # stable sort so equal distances resolve to the earlier training row
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.config.k]
         return majority_vote(self._y[nearest])
-
-    def state(self) -> tuple[dict, list[np.ndarray]]:
-        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
-        if self._x is None:
-            raise ValueError("cannot save an unfitted model")
-        return {"config": asdict(self.config)}, [self._x, self._y.astype(np.float64)]
-
-    @classmethod
-    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "KnnClassifier":
-        model = cls(KnnConfig(**header["config"]))
-        model._x, model._y = training_set(arrays[0], arrays[1].ravel())
-        if len(model._x) < model.config.k:
-            raise ValueError(f"k={model.config.k} but only {len(model._x)} training rows")
-        return model

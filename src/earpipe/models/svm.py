@@ -14,7 +14,7 @@ Labels are handled internally as -1/+1; the public interface speaks 0/1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,18 +119,3 @@ class SvmClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return (self.decision_function(x) >= 0.0).astype(int)
-
-    def state(self) -> tuple[dict, list[np.ndarray]]:
-        """Header fields and arrays from which :meth:`from_state` rebuilds the model."""
-        if self._sv_x is None:
-            raise ValueError("cannot save an unfitted model")
-        header = {"config": asdict(self.config), "b": self.b}
-        return header, [self._sv_x, self._sv_coef]
-
-    @classmethod
-    def from_state(cls, header: dict, arrays: list[np.ndarray]) -> "SvmClassifier":
-        model = cls(SvmConfig(**header["config"]))
-        model._sv_x, model._sv_coef = arrays[0], arrays[1].ravel()
-        model.b = float(header["b"])
-        model.support_ = np.arange(len(model._sv_x))
-        return model

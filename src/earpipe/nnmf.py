@@ -12,8 +12,7 @@ update both read that floored product.
 
 The IS divergence is the natural fit for audio-like power spectra because
 it is scale invariant: quiet time-frequency cells cost as much to misfit
-as loud ones.  :func:`beta_divergence` still reports the Kullback-Leibler
-and Euclidean members of the family, for comparison.
+as loud ones.
 """
 
 from __future__ import annotations
@@ -45,26 +44,14 @@ class NnmfConfig:
             raise ValueError("rank_per_modality must be positive")
 
 
-def beta_divergence(x: np.ndarray, y: np.ndarray, beta: int) -> float:
-    """Elementwise beta-divergence, summed.
-
-    beta = 2 is half the squared Euclidean distance, beta = 1 the
-    generalized Kullback-Leibler divergence and beta = 0 the Itakura-Saito
-    divergence.  Inputs are floored at ``EPS`` for the ratio-based cases.
-    """
+def is_divergence(x: np.ndarray, y: np.ndarray) -> float:
+    """Itakura-Saito divergence of ``x`` from ``y``, summed; both are
+    floored at ``EPS``."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if beta == 2:
-        return float(0.5 * np.sum((x - y) ** 2))
     if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("beta < 2 divergences need nonnegative inputs")
-    xf = np.maximum(x, EPS)
-    yf = np.maximum(y, EPS)
-    if beta == 1:
-        return float(np.sum(xf * np.log(xf / yf) - xf + yf))
-    if beta == 0:
-        return _divergence(xf, yf)
-    raise ValueError("beta must be 0, 1 or 2")
+        raise ValueError("the Itakura-Saito divergence needs nonnegative inputs")
+    return _divergence(np.maximum(x, EPS), np.maximum(y, EPS))
 
 
 # In the update loop, ``v`` and ``wh`` (the current ``w @ h``) are both

@@ -1,12 +1,13 @@
 """Conditioning applied to every channel before decomposition.
 
 The chain is mains notch, linear detrend, robust outlier interpolation and
-an optional zero-phase band-pass.  Electrode impedance screening lives here
-too since it gates whether a channel is usable at all.
+an optional zero-phase band-pass.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,30 @@ from scipy import signal as sps
 from .signals import Recording
 
 
+def finite(value) -> bool:
+    """Whether ``value`` is a real number (not a bool), neither nan nor infinite."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     mains_hz: float = 60.0
     notch_q: float = 35.0
     outlier_sigma: float = 6.0
     bandpass_hz: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        """Reject a setting that would break a conditioning step or silently
+        skip one (a nan ``outlier_sigma`` flags no sample)."""
+        for name in ("mains_hz", "notch_q", "outlier_sigma"):
+            value = getattr(self, name)
+            if not (finite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+        band = self.bandpass_hz
+        if band is not None and not (
+            len(band) == 2 and all(map(finite, band)) and 0 < band[0] < band[1]
+        ):
+            raise ValueError(f"bandpass_hz must be (lo, hi) with 0 < lo < hi, got {band!r}")
 
 
 def notch_filter(x: np.ndarray, fs: float, mains_hz: float = 60.0, q: float = 35.0) -> np.ndarray:
@@ -69,37 +88,6 @@ def bandpass_filter(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarra
         raise ValueError(f"band [{lo}, {hi}] Hz invalid for fs={fs}")
     sos = sps.butter(4, [lo, hi], btype="band", fs=fs, output="sos")
     return sps.sosfiltfilt(sos, np.asarray(x, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class ImpedanceReading:
-    """Electrode-skin impedance estimate from an injected test current."""
-
-    z_ohm: float
-    in_range: bool
-
-
-def electrode_impedance(
-    v_rms: float,
-    i_amp: float = 6e-9,
-    series_r_ohm: float = 5000.0,
-    z_max_ohm: float = 5000.0,
-) -> ImpedanceReading:
-    """Impedance from the RMS voltage measured across the electrode pair.
-
-    Z = v_rms * sqrt(2) / i_amp - series_r_ohm.  A negative estimate means
-    the measured voltage is below the series resistor's own drop, which is
-    a hardware fault rather than a valid reading.
-    """
-    if i_amp <= 0:
-        raise ValueError("test current must be positive")
-    if v_rms < 0:
-        raise ValueError("v_rms must be nonnegative")
-    z = v_rms * np.sqrt(2.0) / i_amp - series_r_ohm
-    if z < -1e-6 * series_r_ohm:
-        raise ValueError(f"impedance estimate {z:.1f} ohm is negative; check the front end")
-    z = max(z, 0.0)
-    return ImpedanceReading(z_ohm=float(z), in_range=bool(0.0 <= z <= z_max_ohm))
 
 
 def preprocess_channel(x: np.ndarray, fs: float, cfg: PreprocessConfig = PreprocessConfig()) -> np.ndarray:

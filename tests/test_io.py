@@ -16,8 +16,6 @@ from earpipe.io import (
     save_recording,
     write_container,
 )
-from earpipe.models.knn import KnnClassifier, KnnConfig
-from earpipe.models.store import load_model, save_model
 from earpipe.nnmf import MODALITIES, TemplateBank, load_templates, save_templates
 from earpipe.signals import ChannelRole, Recording, SeizureAnnotation
 from earpipe.stft import StftConfig
@@ -226,11 +224,6 @@ def _saved(kind: str, root: Path):
     """Save one ``kind`` of file under ``root``.  Returns the file to damage,
     the path to load (the recording's directory, or the file itself) and
     the loader."""
-    if kind == "model":
-        rng = np.random.default_rng(3)
-        model = KnnClassifier(KnnConfig(k=3)).fit(rng.standard_normal((8, 4)), [0, 1] * 4)
-        path = save_model(model, root / "model.earpipe")
-        return path, path, load_model
     if kind == "bank":
         bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
         path = save_templates(bank, root / "bank.earpipe")
@@ -246,7 +239,7 @@ class TestReaderFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(["model", "bank", "header.json", "signals.bin", "imu.bin"]),
+        kind=st.sampled_from(["bank", "header.json", "signals.bin", "imu.bin"]),
         data=st.data(),
     )
     def test_damaged_file_loads_or_names_itself(self, kind, data):

@@ -1,7 +1,6 @@
-"""From-scratch classifiers: optimization, voting, backprop, persistence."""
+"""From-scratch classifiers: optimization, voting, backprop, fitted shapes."""
 
 import hashlib
-import re
 import time
 import warnings
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from earpipe import io as containers
 from earpipe.models.cnn import (
     Adam,
     Cnn1d,
@@ -30,7 +28,6 @@ from earpipe.models.forest import (
 )
 from earpipe.models.knn import KnnClassifier, KnnConfig
 from earpipe.models import make_model
-from earpipe.models.store import load_model, save_model
 from earpipe.models.svm import SvmClassifier, SvmConfig, rbf_kernel
 
 
@@ -562,119 +559,34 @@ class TestCnnClassifier:
             CnnClassifier(TINY, TrainConfig(epochs=1)).fit(x, y)
 
 
-class TestModelStore:
-    def test_svm_round_trip(self, tmp_path):
-        x, y = _blobs(seed=15)
-        model = SvmClassifier().fit(x, y)
-        loaded = load_model(save_model(model, tmp_path / "m.npz"))
-        np.testing.assert_allclose(
-            loaded.decision_function(x), model.decision_function(x), atol=1e-12
-        )
-
-    def test_knn_round_trip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((20, 4))
-        y = rng.integers(0, 2, 20)
-        model = KnnClassifier().fit(x, y)
-        loaded = load_model(save_model(model, tmp_path / "m.npz"))
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-
-    def test_forest_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((40, 5))
-        y = rng.integers(0, 2, 40)
-        model = RandomForestClassifier(ForestConfig(n_trees=4)).fit(x, y)
-        loaded = load_model(save_model(model, tmp_path / "m.npz"))
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-
-    def test_cnn_round_trip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal((16, 2, 24))
-        y = rng.integers(0, 2, 16)
-        y[:2] = [0, 1]  # both classes survive any split
-        model = CnnClassifier(TINY, TrainConfig(epochs=2, batch_size=8)).fit(x, y)
-        loaded = load_model(save_model(model, tmp_path / "m.npz"))
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-
-    def test_file_header_pinned(self, tmp_path):
-        """Each kind's container header (tag, config, extra fields, array
-        shapes) is fixed, whichever code fills it in."""
+class TestFittedModels:
+    def test_fitted_shapes_pinned(self):
+        """The shapes a fit leaves behind are fixed, whichever code fills
+        them in: the SVM's support vectors, each forest tree's node table
+        and the CNN's parameters."""
         x, y = _blobs(n_per=6, seed=19)
         w = np.random.default_rng(20).standard_normal((8, 2, 24))
-        models = {
-            "svm": SvmClassifier().fit(x, y),
-            "knn": KnnClassifier().fit(x, y),
-            "rfc": RandomForestClassifier(ForestConfig(n_trees=2, max_depth=3, seed=5)).fit(x, y),
-            "cnn": CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(w, [0, 1] * 4),
+        svm = SvmClassifier().fit(x, y)
+        assert svm._sv_x.shape == (8, 2)
+        assert svm._sv_coef.shape == (8,)
+        forest = RandomForestClassifier(ForestConfig(n_trees=2, max_depth=3, seed=5)).fit(x, y)
+        assert [t.nodes.shape for t in forest.trees] == [(3, 5), (3, 5)]
+        cnn = CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(w, [0, 1] * 4)
+        assert {name: p.shape for name, p in cnn.net.params.items()} == {
+            "conv0_b": (3,), "conv0_w": (3, 2, 3), "conv1_b": (4,), "conv1_w": (4, 3, 3),
+            "fc0_b": (6,), "fc0_w": (6, 24), "out_b": (2,), "out_w": (2, 6),
         }
-        expected = {
-            "svm": {
-                "kind": "svm", "config": {"c": 20.0, "gamma": 0.5, "tol": 0.001},
-                "b": models["svm"].b, "arrays": [[8, 2], [8]],
-            },
-            "knn": {"kind": "knn", "config": {"k": 5}, "arrays": [[12, 2], [12]]},
-            "rfc": {
-                "kind": "rfc", "config": {"n_trees": 2, "max_depth": 3, "seed": 5},
-                "arrays": [[3, 5], [3, 5]],
-            },
-            "cnn": {
-                "kind": "cnn",
-                "config": {
-                    "in_channels": 2, "input_len": 24, "conv_filters": [3, 4], "kernel": 3,
-                    "pool": 2, "fc_units": [6], "n_classes": 2, "dropout": 0.0,
-                },
-                "param_names": [
-                    "conv0_b", "conv0_w", "conv1_b", "conv1_w", "fc0_b", "fc0_w", "out_b", "out_w",
-                ],
-                "arrays": [[3], [3, 2, 3], [4], [4, 3, 3], [6], [6, 24], [2], [2, 6]],
-            },
-        }
-        for kind, model in models.items():
-            header, _ = containers.read_container(save_model(model, tmp_path / kind))
-            assert header == expected[kind], kind
 
-    def test_forest_and_knn_files_pinned(self, tmp_path):
-        """Small forest and KNN files hash as they did when a tree was still
-        grown as linked nodes and flattened to its table on save."""
+    def test_forest_nodes_pinned(self):
+        """A small forest's node tables hash as they did when a tree was
+        still grown as linked nodes and flattened to its table."""
         rng = np.random.default_rng(21)
         x = np.round(rng.standard_normal((24, 3)), 1)  # one decimal: tied feature values
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
-        expected = {
-            "rfc": "15770b23d0b0d1dd959eb66b4dc483aa2155c70caf2af2512ed20d7069441f79",
-            "knn": "6f2fa750e415541650a92bd491743e78e2bbfeb9e7dd67b52a2d18ec27e42609",
-        }
-        models = {
-            "rfc": RandomForestClassifier(ForestConfig(n_trees=3, seed=4)),
-            "knn": KnnClassifier(KnnConfig(k=3)),
-        }
-        for kind, model in models.items():
-            path = save_model(model.fit(x, y), tmp_path / kind)
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[kind], kind
-            np.testing.assert_array_equal(load_model(path).predict(x), model.predict(x))
+        model = RandomForestClassifier(ForestConfig(n_trees=3, seed=4)).fit(x, y)
+        digest = hashlib.sha256(b"".join(t.nodes.tobytes() for t in model.trees)).hexdigest()
+        assert digest == "b50ca3de9e518d6aeb12bc33c32731c57f8d90a10adbfeda9ec2ec7fd7a47b18"
 
     def test_unknown_kind_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"expected one of \['cnn', 'knn', 'rfc', 'svm'\]"):
             make_model("lda")
-
-    @pytest.mark.parametrize("damage, message", [
-        (lambda header, arrays: header["config"].update(bogus=1), r"keyword argument 'bogus'"),
-        (lambda header, arrays: arrays.clear(), r"IndexError"),
-        (lambda header, arrays: header["config"].update(k=13), r"k=13 but only 12 training rows"),
-    ], ids=["unknown-config-key", "no-arrays", "k-above-rows"])
-    def test_damaged_file_names_the_file(self, tmp_path, damage, message):
-        x, y = _blobs(n_per=6, seed=22)
-        path = save_model(KnnClassifier().fit(x, y), tmp_path / "m.npz")
-        header, arrays = containers.read_container(path)
-        damage(header, arrays)
-        containers.write_container(path, header, arrays)
-        pattern = rf"^{re.escape(str(path))}: damaged knn model: .*{message}"
-        with pytest.raises(containers.RecordingFormatError, match=pattern):
-            load_model(path)
-
-    def test_unfitted_save_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unfitted"):
-            save_model(SvmClassifier(), tmp_path / "m.npz")
-
-    def test_unknown_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError, match="cannot serialize"):
-            save_model(object(), tmp_path / "m.npz")

@@ -1,5 +1,5 @@
-"""Tests for the conditioning chain: notch, detrend, outlier repair,
-band-pass, and electrode impedance.
+"""Tests for the conditioning chain and its settings: notch, detrend,
+outlier repair and band-pass.
 
 Filter behavior is checked against steady-state RMS ratios measured away
 from filter edges, plus linearity and idempotence properties on random
@@ -13,7 +13,6 @@ from earpipe.preprocess import (
     PreprocessConfig,
     bandpass_filter,
     detrend_linear,
-    electrode_impedance,
     notch_filter,
     outlier_clip,
     preprocess_channel,
@@ -175,34 +174,24 @@ class TestFilterLinearity:
         np.testing.assert_allclose(combined, separate, atol=1e-9 * scale)
 
 
-class TestImpedance:
-    def test_boundary_zero(self):
-        r = electrode_impedance(21.2132e-6)
-        assert r.z_ohm == pytest.approx(0.0, abs=1e-6)
-        assert r.in_range
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("mains_hz", 0.0), ("mains_hz", -60.0), ("mains_hz", float("nan")),
+        ("mains_hz", float("inf")), ("mains_hz", "60"),
+        ("notch_q", 0.0), ("notch_q", -5.0), ("notch_q", float("nan")), ("notch_q", float("inf")),
+        ("outlier_sigma", 0.0), ("outlier_sigma", -1.0), ("outlier_sigma", float("nan")),
+        ("outlier_sigma", float("inf")), ("outlier_sigma", True),
+        ("bandpass_hz", (30.0, 1.0)), ("bandpass_hz", (10.0, 10.0)), ("bandpass_hz", (0.0, 30.0)),
+        ("bandpass_hz", (-1.0, 30.0)), ("bandpass_hz", (float("nan"), 30.0)),
+        ("bandpass_hz", (1.0, float("inf"))), ("bandpass_hz", (1.0,)),
+    ])
+    def test_bad_setting_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            PreprocessConfig(**{field: value})
 
-    def test_five_kilohm(self):
-        r = electrode_impedance(42.4264e-6)
-        assert r.z_ohm == pytest.approx(5000.0, rel=1e-4)
-        assert r.in_range
-
-    def test_ten_kilohm_out_of_range(self):
-        r = electrode_impedance(63.6396e-6)
-        assert r.z_ohm == pytest.approx(10000.0, rel=1e-4)
-        assert not r.in_range
-
-    def test_implausible_measurement_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            electrode_impedance(1e-6)
-
-    def test_monotone_in_voltage(self):
-        voltages = np.linspace(21.3e-6, 100e-6, 50)
-        z = [electrode_impedance(v).z_ohm for v in voltages]
-        assert all(b > a for a, b in zip(z, z[1:]))
-
-    def test_bad_current_rejected(self):
-        with pytest.raises(ValueError):
-            electrode_impedance(42e-6, i_amp=0.0)
+    def test_good_settings_accepted(self):
+        cfg = PreprocessConfig(mains_hz=50, notch_q=0.5, outlier_sigma=1e-3, bandpass_hz=(0.5, 40))
+        assert cfg.bandpass_hz == (0.5, 40)
 
 
 class TestChannelChain:
