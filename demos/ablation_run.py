@@ -7,12 +7,9 @@ training data, and widening the stride starves the folds of seizure
 epochs, which shows up first as lost recall.
 
 The motion sweep runs VMD on a process pool.  Each spawned worker first
-re-runs this script's top-level imports, so they stop at the package
-namespace, which loads a module on first use: a worker then imports only
-what a VMD block needs.
+re-runs this script's top-level imports, so the pipeline modules are
+imported inside ``main``: a worker then imports only what a VMD block needs.
 """
-
-import earpipe
 
 
 def show(title: str, rows: list[dict]) -> None:
@@ -24,13 +21,16 @@ def show(title: str, rows: list[dict]) -> None:
 
 
 def main() -> int:
-    corpus = earpipe.make_synthetic_corpus(n_patients=6)
-    bank = earpipe.train_corpus_templates()
-    cfg = earpipe.ExperimentConfig(stride_s=3, model="svm", normalization="minmax")
+    from earpipe.corpus import make_synthetic_corpus, train_corpus_templates
+    from earpipe.evaluation import ExperimentConfig, sweep
 
-    show("motion screening", earpipe.sweep(corpus, cfg, "motion", bank))
+    corpus = make_synthetic_corpus(n_patients=6)
+    bank = train_corpus_templates()
+    cfg = ExperimentConfig(stride_s=3, model="svm", normalization="minmax")
+
+    show("motion screening", sweep(corpus, cfg, "motion", bank))
     show("window stride (s)", [
-        row for row in earpipe.sweep(corpus, cfg, "stride", bank) if row["value"] in (1, 3, 9)
+        row for row in sweep(corpus, cfg, "stride", bank) if row["value"] in (1, 3, 9)
     ])
     return 0
 

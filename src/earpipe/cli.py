@@ -101,7 +101,7 @@ def cmd_synth(args) -> int:
         seed=int(cfg.get("seed", 0)),
     )
     rec = synthesize_recording(spec)
-    save_recording(rec, args.out, payload=args.payload)
+    save_recording(rec, args.out)
     print(f"wrote {rec.duration_s:.1f} s recording to {args.out}")
     return 0
 
@@ -118,7 +118,7 @@ def cmd_preprocess(args) -> int:
         outlier_sigma=args.outlier_sigma,
         bandpass_hz=band,
     )
-    save_recording(preprocess_recording(rec, cfg), args.out, payload=args.payload)
+    save_recording(preprocess_recording(rec, cfg), args.out)
     print(f"preprocessed recording written to {args.out}")
     return 0
 
@@ -129,7 +129,7 @@ def cmd_denoise(args) -> int:
 
     cfg = ExperimentConfig(motion_threshold=args.threshold)
     ((cleaned, by_channel),) = screen_motion([load_recording(args.input)], cfg)
-    save_recording(cleaned, args.out, payload=args.payload)
+    save_recording(cleaned, args.out)
     reports = [r for blocks in by_channel.values() for r in blocks]
     excluded = sum(r.n_excluded for r in reports)
     capped = sum(not r.converged for r in reports)
@@ -147,7 +147,7 @@ def cmd_separate(args) -> int:
 
     rec = load_recording(args.input)
     templates = load_templates(args.templates) if args.templates else None
-    save_recording(separate_sources(rec, args.method, templates), args.out, payload=args.payload)
+    save_recording(separate_sources(rec, args.method, templates), args.out)
     print(f"separated recording ({args.method}) written to {args.out}")
     return 0
 
@@ -321,17 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"earpipe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_payload(p):
-        p.add_argument("--payload", choices=["csv", "bin"], default="bin",
-                       help="sample payload encoding for written recordings")
-
     p = sub.add_parser("synth", help="render a synthetic recording")
     p.add_argument("--config", help="JSON synthesis spec")
     p.add_argument("--duration-s", dest="duration_s", type=float)
     p.add_argument("--patient-id", dest="patient_id")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    add_payload(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="notch, detrend and de-spike a recording")
@@ -341,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notch-q", type=float, default=35.0)
     p.add_argument("--outlier-sigma", type=float, default=6.0)
     p.add_argument("--bandpass", nargs=2, type=float, metavar=("LO", "HI"))
-    add_payload(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("denoise", help="drop IMU-correlated modes from every channel")
@@ -349,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=MOTION_R_THRESHOLD,
                    help="absolute envelope/IMU correlation above which a mode is dropped")
-    add_payload(p)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("separate", help="split mixed channels into EEG/EMG/EOG")
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["nnmf", "emd"], default="nnmf")
     p.add_argument("--templates", help="template bank file (nnmf)")
-    add_payload(p)
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("train-templates", help="learn NNMF spectral templates")

@@ -23,8 +23,6 @@ from .signals import (
 )
 
 DURATION_S = 90.0
-SEIZURE_START_S = 30.0
-SEIZURE_STOP_S = 58.0
 TEMPLATE_DURATION_S = 60.0
 
 

@@ -1,13 +1,13 @@
 """On-disk formats: recording directories and header+payload containers.
 
-A recording is stored as a directory holding ``header.json`` plus a sample
-payload.  The header carries sampling rates, the ordered channel roles,
-patient id and annotations; the payload is either CSV (one column per
-channel, full-precision decimal) or a little-endian float64 blob in
-channel-major order.  Both payload forms round-trip exactly.
+A recording is stored as a directory holding ``header.json`` plus
+``signals.bin`` (and ``imu.bin`` when it has an IMU track): little-endian
+float64 samples in channel-major order, which round-trip exactly.  The
+header carries sampling rates, the ordered channel roles, patient id and
+annotations.
 
-Trained templates and models re-use a single container layout: a magic tag,
-a JSON header, then a raw little-endian float64 payload.
+A template bank is one container file: a magic tag, a JSON header, then a
+raw little-endian float64 payload.
 """
 
 from __future__ import annotations
@@ -22,23 +22,21 @@ from .signals import ChannelRole, Recording, SeizureAnnotation
 
 HEADER_NAME = "header.json"
 FORMAT_VERSION = 1
-_PAYLOADS = ("csv", "bin")
+PAYLOAD = "bin"
 
 
 class RecordingFormatError(ValueError):
     """Raised when a recording directory is missing pieces or inconsistent."""
 
 
-def save_recording(rec: Recording, path: str | Path, payload: str = "bin") -> Path:
+def save_recording(rec: Recording, path: str | Path) -> Path:
     """Write ``rec`` under directory ``path``; returns the directory path."""
-    if payload not in _PAYLOADS:
-        raise ValueError(f"payload must be one of {_PAYLOADS}, got {payload!r}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
     header = {
         "format_version": FORMAT_VERSION,
-        "payload": payload,
+        "payload": PAYLOAD,
         "patient_id": rec.patient_id,
         "sample_rate": rec.sample_rate,
         "imu_rate": rec.imu_rate,
@@ -53,14 +51,9 @@ def save_recording(rec: Recording, path: str | Path, payload: str = "bin") -> Pa
     (path / HEADER_NAME).write_text(json.dumps(header, indent=2, sort_keys=True))
 
     signals = rec.channel_matrix() if rec.channels else np.zeros((0, 0))
-    if payload == "csv":
-        _write_csv(path / "signals.csv", signals)
-        if rec.imu is not None:
-            _write_csv(path / "imu.csv", rec.imu)
-    else:
-        (path / "signals.bin").write_bytes(np.ascontiguousarray(signals, dtype="<f8").tobytes())
-        if rec.imu is not None:
-            (path / "imu.bin").write_bytes(np.ascontiguousarray(rec.imu, dtype="<f8").tobytes())
+    (path / "signals.bin").write_bytes(np.ascontiguousarray(signals, dtype="<f8").tobytes())
+    if rec.imu is not None:
+        (path / "imu.bin").write_bytes(np.ascontiguousarray(rec.imu, dtype="<f8").tobytes())
     return path
 
 
@@ -98,9 +91,10 @@ def _read_recording(path: Path) -> Recording:
         raise RecordingFormatError(
             f"{HEADER_NAME}: patient_id must be a string, got {header['patient_id']!r}"
         )
-    payload = header["payload"]
-    if payload not in _PAYLOADS:
-        raise RecordingFormatError(f"unknown payload kind {payload!r}")
+    if header["payload"] != PAYLOAD:
+        raise RecordingFormatError(
+            f"{HEADER_NAME}: unknown payload kind {header['payload']!r}"
+        )
 
     if not isinstance(header["channels"], list):
         raise RecordingFormatError(
@@ -126,12 +120,8 @@ def _read_recording(path: Path) -> Recording:
             f"imu_n_samples {n_imu}"
         )
 
-    if payload == "csv":
-        signals = _read_csv(path / "signals.csv", len(roles), n)
-        imu = _read_csv(path / "imu.csv", 3, n_imu) if n_imu else None
-    else:
-        signals = _read_bin(path / "signals.bin", len(roles), n)
-        imu = _read_bin(path / "imu.bin", 3, n_imu) if n_imu else None
+    signals = _read_bin(path / "signals.bin", len(roles), n)
+    imu = _read_bin(path / "imu.bin", 3, n_imu) if n_imu else None
 
     try:
         annotations = [
@@ -152,25 +142,6 @@ def _read_recording(path: Path) -> Recording:
         raise RecordingFormatError(f"{HEADER_NAME}: {exc}") from exc
 
 
-def _write_csv(path: Path, matrix: np.ndarray) -> None:
-    # %.17g keeps every float64 bit-exact through the decimal round trip
-    np.savetxt(path, np.asarray(matrix).T, fmt="%.17g", delimiter=",")
-
-
-def _read_csv(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
-    if not path.is_file():
-        raise RecordingFormatError(f"missing payload file {path.name}")
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise RecordingFormatError(f"{path.name}: {exc}") from exc
-    if data.shape != (n_cols, n_rows):
-        raise RecordingFormatError(
-            f"{path.name}: expected {n_cols} rows x {n_rows} columns, got {data.shape}"
-        )
-    return data.T.copy()
-
-
 def _read_bin(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
     if not path.is_file():
         raise RecordingFormatError(f"missing payload file {path.name}")
@@ -182,10 +153,6 @@ def _read_bin(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
         )
     return np.frombuffer(data, dtype="<f8").reshape(n_rows, n_cols).astype(np.float64)
 
-
-# ---------------------------------------------------------------------------
-# Header + float64 payload container (templates, trained models)
-# ---------------------------------------------------------------------------
 
 _MAGIC = b"EARPIPE1\n"
 

@@ -26,10 +26,6 @@ EEG_BANDS = {
     "gamma": (25.0, None),
 }
 
-#: Frequency extent of the non-EEG modalities (Hz).
-EOG_BAND = (0.3, 10.0)
-EMG_BAND = (10.0, 100.0)
-
 TONE_SPACING_HZ = 1.5  # line spacing of a chew burst's tone comb, a multiple of 0.5 Hz
 
 
@@ -141,9 +137,7 @@ class Recording:
     def channel_matrix(self, roles=None) -> np.ndarray:
         """Stack the requested roles (default: all, recorded order) as C x N."""
         roles = tuple(roles) if roles is not None else self.roles
-        missing = [r for r in roles if r not in self.channels]
-        if missing:
-            raise KeyError(f"recording lacks channels: {[str(r) for r in missing]}")
+        _require_roles(self, roles)
         return np.stack([self.channels[r] for r in roles])
 
     def with_channels(self, channels: dict[ChannelRole, np.ndarray]) -> Recording:
@@ -160,6 +154,20 @@ class Recording:
         )
 
 
+def _require_roles(rec: Recording, roles) -> None:
+    """Raise ``ValueError`` naming the patient and the ``roles`` that ``rec``
+    lacks, and the step that makes them."""
+    missing = [r for r in roles if r not in rec.channels]
+    if not missing:
+        return
+    if any(r in SEPARATED_ROLES for r in missing):
+        step = "`earpipe separate` makes the six separated roles from a mixed recording"
+    else:
+        step = "separation needs a mixed recording, with mixed_left and mixed_right"
+    raise ValueError(f"recording of patient {rec.patient_id!r} lacks channels "
+                     f"{[str(r) for r in missing]}; {step}")
+
+
 def separate_mixed(rec: Recording, split) -> Recording:
     """Split each of ``MIXED_ROLES`` into EEG, EMG and EOG.
 
@@ -167,9 +175,7 @@ def separate_mixed(rec: Recording, split) -> Recording:
     ``"eeg"``, ``"emg"`` and ``"eog"`` signals.  The result carries the six
     roles in ``SEPARATED_ROLES`` order.
     """
-    for mixed in MIXED_ROLES:
-        if mixed not in rec.channels:
-            raise KeyError(f"recording lacks {mixed} channel")
+    _require_roles(rec, MIXED_ROLES)
     separated = {}
     for mixed in MIXED_ROLES:
         side = mixed.value.removeprefix("mixed_")

@@ -36,23 +36,12 @@ class Spectrogram:
     n_samples: int
 
     @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_frames(self) -> int:
         return self.values.shape[1]
 
     def power(self) -> np.ndarray:
         """Magnitude-squared spectrogram (the NNMF observation matrix)."""
         return np.abs(self.values) ** 2
-
-    def freqs_hz(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.config.window_len, 1.0 / self.sample_rate)
-
-    def times_s(self) -> np.ndarray:
-        centers = np.arange(self.n_frames) * self.config.hop + self.config.window_len / 2
-        return centers / self.sample_rate
 
 
 def _window(cfg: StftConfig) -> np.ndarray:

@@ -165,7 +165,8 @@ class TestRecordingSeparation:
     def test_missing_channel_rejected(self):
         rec = self._recording()
         del rec.channels[ChannelRole.MIXED_RIGHT]
-        with pytest.raises(KeyError, match="mixed_right"):
+        message = r"patient 't00' lacks channels \['mixed_right'\]; separation needs a mixed"
+        with pytest.raises(ValueError, match=message):
             separate_recording_emd(rec)
 
 

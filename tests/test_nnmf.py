@@ -409,5 +409,6 @@ class TestSeparation:
         rec = Recording(
             patient_id="t03", sample_rate=FS, channels={ChannelRole.MIXED_LEFT: np.ones(1000)}
         )
-        with pytest.raises(KeyError, match="mixed_right"):
+        message = r"patient 't03' lacks channels \['mixed_right'\]; separation needs a mixed"
+        with pytest.raises(ValueError, match=message):
             separate_recording_nnmf(rec, bank)

@@ -1,6 +1,5 @@
-"""The package namespace: its exported names, loaded on first use."""
+"""Importing a worker's modules stays light: no signal stack, no evaluation."""
 
-import importlib
 import os
 import subprocess
 import sys
@@ -10,45 +9,6 @@ import pytest
 
 import earpipe
 
-# the names, by module, that the package exports
-EXPORTS = {
-    "signals": [
-        "BIOPOTENTIAL_RATE_HZ", "ChannelRole", "EEG_BANDS", "EMG_BAND", "EOG_BAND",
-        "IMU_RATE_HZ", "MIXED_ROLES", "Recording", "SEPARATED_ROLES",
-        "SeizureAnnotation", "SynthComponent", "SynthesisSpec", "synthesize_recording",
-    ],
-    "io": ["load_recording", "save_recording"],
-    "preprocess": [
-        "PreprocessConfig", "bandpass_filter", "detrend_linear", "notch_filter",
-        "outlier_clip", "preprocess_recording",
-    ],
-    "stft": ["Spectrogram", "StftConfig", "istft", "stft"],
-    "vmd": [
-        "MotionCorrelation", "VmdResult", "motion_correlation", "remove_motion_artifacts",
-        "vmd_decompose",
-    ],
-    "emd": [
-        "EmdResult", "ModalityAssignment", "assign_modalities", "emd_decompose",
-        "separate_recording_emd",
-    ],
-    "nnmf": [
-        "NnmfConfig", "TemplateBank", "is_divergence", "load_templates",
-        "nnmf_factorize", "save_templates", "separate_channel",
-        "separate_recording_nnmf", "train_templates",
-    ],
-    "features": [
-        "LabeledEpoch", "WindowSpec", "apply_normalizer", "balance_epochs",
-        "epoch_features", "feature_names", "fit_normalizer", "mfcc_features",
-        "segment_recording", "time_features",
-    ],
-    "models": ["make_model"],
-    "evaluation": [
-        "ExperimentConfig", "ExperimentResult", "Metrics", "band_snr", "compare_snr",
-        "confusion", "lopo_folds", "run_experiment", "sweep",
-    ],
-    "corpus": ["make_synthetic_corpus", "template_sources", "train_corpus_templates"],
-}
-
 
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a new interpreter that imports earpipe from this tree."""
@@ -57,38 +17,6 @@ def _fresh_python(code: str) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout
-
-
-class TestNamespace:
-    def test_all_is_the_eager_export_list(self):
-        names = [name for group in EXPORTS.values() for name in group]
-        assert len(names) == 67
-        assert sorted(earpipe.__all__) == sorted(names)
-
-    @pytest.mark.parametrize("module", sorted(EXPORTS))
-    def test_each_name_is_its_module_object(self, module):
-        source = importlib.import_module(f"earpipe.{module}")
-        for name in EXPORTS[module]:
-            assert getattr(earpipe, name) is getattr(source, name)
-
-    def test_star_import(self):
-        namespace = {}
-        exec("from earpipe import *", namespace)
-        assert set(namespace) - {"__builtins__"} == set(earpipe.__all__)
-        assert namespace["stft"] is importlib.import_module("earpipe.stft").stft
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="has no attribute 'run_everything'"):
-            earpipe.run_everything
-
-    def test_submodules_reachable_from_a_fresh_import(self):
-        out = _fresh_python(
-            "import earpipe\n"
-            "print(earpipe.evaluation.__name__, earpipe.models.make_model.__module__)\n"
-            "import earpipe.stft\n"
-            "print(earpipe.stft.__module__)\n"
-        )
-        assert out.split() == ["earpipe.evaluation", "earpipe.models", "earpipe.stft"]
 
 
 HEAVY = ("scipy.signal", "scipy.interpolate", "earpipe.evaluation")
@@ -114,8 +42,10 @@ class TestLightWorker:
         """The console script's __main__ imports earpipe.cli."""
         assert _heavy_modules_after("import earpipe.cli, earpipe.vmd") == []
 
-    def test_ablation_demo_worker_imports_no_signal_module(self):
-        demo = Path(__file__).resolve().parents[1] / "demos" / "ablation_run.py"
+    @pytest.mark.parametrize("demo", ["ablation_run.py", "feature_space.py"])
+    def test_demo_worker_imports_no_signal_module(self, demo):
+        """Both demos open a pool; they import the pipeline inside ``main``."""
+        demo = Path(__file__).resolve().parents[1] / "demos" / demo
         assert _heavy_modules_after(
             f"import runpy\nrunpy.run_path({str(demo)!r}, run_name='__mp_main__')\n"
             "import earpipe.vmd"

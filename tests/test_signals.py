@@ -77,7 +77,8 @@ class TestRecording:
         rec = Recording(
             patient_id="p", channels={ChannelRole.MIXED_LEFT: np.zeros(8)}
         )
-        with pytest.raises(KeyError):
+        message = r"patient 'p' lacks channels \['eeg_left'\]; `earpipe separate` makes"
+        with pytest.raises(ValueError, match=message):
             rec.channel_matrix((ChannelRole.EEG_LEFT,))
 
     def test_with_channels_copies_imu_and_annotations(self):
