@@ -3,8 +3,8 @@
 ``synth``, ``evaluate`` and ``sweep`` accept ``--config FILE`` (a JSON
 object) whose keys match the command's flags; explicit flags override the
 file.  Stage commands write recording directories, ``train-templates``
-writes a container, ``features`` and ``sweep`` write CSV, and ``evaluate``
-and ``snr`` write JSON.  Failures print a machine-readable JSON object to
+writes a template bank directory, ``features`` and ``sweep`` write CSV, and
+``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON object to
 stderr and exit nonzero.  All randomness descends from ``--seed``
 (``synth``, ``train-templates``) or ``--master-seed``
 (``evaluate``, ``sweep``), so a repeated invocation writes byte-identical
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["nnmf", "emd"], default="nnmf")
-    p.add_argument("--templates", help="template bank file (nnmf)")
+    p.add_argument("--templates", help="template bank directory (nnmf)")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("train-templates", help="learn NNMF spectral templates")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="directory of recording directories")
         p.add_argument("--synthetic", type=int, metavar="N",
                        help="generate an N-patient synthetic corpus instead")
-        p.add_argument("--templates", help="template bank file for nnmf separation")
+        p.add_argument("--templates", help="template bank directory for nnmf separation")
         p.add_argument("--stride-s", dest="stride_s", type=int)
         p.add_argument("--ratio", choices=["1:1", "1:2", "1:3"])
         p.add_argument("--model", choices=["svm", "knn", "rfc", "cnn"])

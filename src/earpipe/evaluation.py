@@ -55,8 +55,8 @@ from .features import (
 )
 from .models import MODEL_CLASSES, make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
-from .preprocess import PreprocessConfig, bandpass_filter, finite, preprocess_recording
-from .signals import ChannelRole, Recording
+from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
+from .signals import ChannelRole, Recording, finite
 from .vmd import MOTION_R_THRESHOLD, MotionCorrelation, _screen_channel, warn_zeroed_blocks
 # No stage A code calls this: prepare_corpus returns the block reports.  The
 # import stays only because perfbench/tracing.py looks every name it wraps up

@@ -1,42 +1,162 @@
-"""On-disk formats: recording directories and header+payload containers.
+"""On-disk format: a directory of ``header.json`` plus raw float64 payloads.
 
-A recording is stored as a directory holding ``header.json`` plus
-``signals.bin`` (and ``imu.bin`` when it has an IMU track): little-endian
-float64 samples in channel-major order, which round-trip exactly.  The
-header carries sampling rates, the ordered channel roles, patient id and
-annotations.
-
-A template bank is one container file: a magic tag, a JSON header, then a
-raw little-endian float64 payload.
+Recordings and NNMF template banks are both stored this way.  A payload
+file holds little-endian float64 values, row-major, in the shape that the
+header gives: ``signals.bin`` (channels x samples) and ``imu.bin``
+(3 x samples) for a recording, ``w.bin`` (bins x columns) for a bank.
+One reader checks every header against the fields its format declares,
+each of one kind below; one reader checks every payload's size and refuses
+NaN and infinite values.  A damaged directory raises
+:class:`RecordingFormatError` starting with its path and naming the file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .signals import ChannelRole, Recording, SeizureAnnotation
+from .signals import ChannelRole, Recording, SeizureAnnotation, finite
 
 HEADER_NAME = "header.json"
 FORMAT_VERSION = 1
-PAYLOAD = "bin"
 
 
 class RecordingFormatError(ValueError):
-    """Raised when a recording directory is missing pieces or inconsistent."""
+    """Raised when a saved directory is missing pieces or inconsistent."""
+
+
+# Field kinds: a test of the decoded JSON value, and what an error says
+# the field must be.  A dict of kinds is an object with exactly those
+# keys, and a one-item list a list of such items.
+def exactly(value) -> tuple:
+    """The one value ``value``, of its own type (``true`` is not ``1``)."""
+    return lambda v: type(v) is type(value) and v == value, repr(value)
+
+
+def integer(least: int) -> tuple:
+    """An integer of at least ``least``; a bool is not one."""
+    return lambda v: type(v) is int and v >= least, f"an integer of at least {least}"
+
+
+NUMBER = (finite, "a finite number")
+RATE = (lambda v: finite(v) and v > 0, "a finite number above 0")
+TEXT = (lambda v: isinstance(v, str), "a string")
+_ROLES = [role.value for role in ChannelRole]
+ROLES = (
+    lambda v: isinstance(v, list) and all(n in _ROLES for n in v) and len(set(v)) == len(v),
+    f"a list of distinct names out of {', '.join(_ROLES)}",
+)
+
+#: The fields of a recording's header.json.
+RECORDING_FIELDS = {
+    "payload": exactly("bin"),
+    "patient_id": TEXT,
+    "sample_rate": RATE,
+    "imu_rate": RATE,
+    "channels": ROLES,
+    "n_samples": integer(0),
+    "imu_n_samples": integer(0),
+    "annotations": [{"onset_s": NUMBER, "offset_s": NUMBER, "label": TEXT}],
+}
+
+
+def save_directory(path: str | Path, header: dict, payloads: dict[str, np.ndarray]) -> Path:
+    """Write ``header`` (plus ``format_version``) as ``header.json`` and each
+    payload array as its raw bytes under directory ``path``; returns the path."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    header = {"format_version": FORMAT_VERSION, **header}
+    (path / HEADER_NAME).write_text(json.dumps(header, indent=2, sort_keys=True))
+    for name, array in payloads.items():
+        (path / name).write_bytes(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return path
+
+
+def load_directory(path: str | Path, fields: dict, build: Callable[[Path, dict], object]):
+    """``build(path, header)`` for the header of directory ``path``, read
+    against ``fields``.
+
+    ``build`` reads its payloads with :func:`read_bin`.  A damaged directory,
+    or a ``ValueError`` from ``build`` (header values that the kinds allow
+    but that contradict each other), raises :class:`RecordingFormatError`
+    starting with ``path``.
+    """
+    path = Path(path)
+    try:
+        return build(path, _read_header(path, fields))
+    except RecordingFormatError as exc:
+        raise RecordingFormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise RecordingFormatError(f"{path}: {HEADER_NAME}: {exc}") from exc
+
+
+def _read_header(path: Path, fields: dict) -> dict:
+    header_path = path / HEADER_NAME
+    if not header_path.is_file():
+        raise RecordingFormatError(f"no {HEADER_NAME}")
+    try:
+        header = json.loads(header_path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise RecordingFormatError(f"malformed {HEADER_NAME}: {exc}") from exc
+    _check(header, {"format_version": exactly(FORMAT_VERSION), **fields}, "")
+    return header
+
+
+def _check(value, kind, name: str) -> None:
+    """Raise unless ``value``, found at ``name`` in the header, is of ``kind``."""
+    if isinstance(kind, dict):
+        where = name or "the header"
+        if not isinstance(value, dict):
+            raise _wrong(where, "a JSON object", value)
+        for key, field_kind in kind.items():
+            field = f"{name}.{key}" if name else key
+            if key not in value:
+                raise RecordingFormatError(f"{HEADER_NAME}: missing {field}")
+            _check(value[key], field_kind, field)
+        extra = sorted(set(value) - set(kind))
+        if extra:
+            raise RecordingFormatError(f"{HEADER_NAME}: unexpected keys {extra} in {where}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise _wrong(name, "a list", value)
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{name}[{i}]")
+    elif not kind[0](value):
+        raise _wrong(name, kind[1], value)
+
+
+def _wrong(name: str, description: str, value) -> RecordingFormatError:
+    return RecordingFormatError(f"{HEADER_NAME}: {name} must be {description}, got {value!r}")
+
+
+def read_bin(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
+    """The ``n_rows x n_cols`` float64 payload at ``path``; a missing file, a
+    wrong byte count or a NaN or infinite value raises
+    :class:`RecordingFormatError` naming the file."""
+    if not path.is_file():
+        raise RecordingFormatError(f"missing payload file {path.name}")
+    data = path.read_bytes()
+    if len(data) != 8 * n_rows * n_cols:
+        raise RecordingFormatError(
+            f"{path.name}: expected {n_rows * n_cols} float64 values "
+            f"({8 * n_rows * n_cols} bytes), got {len(data)} bytes"
+        )
+    values = np.frombuffer(data, dtype="<f8").reshape(n_rows, n_cols).astype(np.float64)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise RecordingFormatError(
+            f"{path.name}: {bad} of {values.size} values are NaN or infinite"
+        )
+    return values
 
 
 def save_recording(rec: Recording, path: str | Path) -> Path:
     """Write ``rec`` under directory ``path``; returns the directory path."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
     header = {
-        "format_version": FORMAT_VERSION,
-        "payload": PAYLOAD,
+        "payload": "bin",
         "patient_id": rec.patient_id,
         "sample_rate": rec.sample_rate,
         "imu_rate": rec.imu_rate,
@@ -48,13 +168,10 @@ def save_recording(rec: Recording, path: str | Path) -> Path:
             for a in rec.annotations
         ],
     }
-    (path / HEADER_NAME).write_text(json.dumps(header, indent=2, sort_keys=True))
-
-    signals = rec.channel_matrix() if rec.channels else np.zeros((0, 0))
-    (path / "signals.bin").write_bytes(np.ascontiguousarray(signals, dtype="<f8").tobytes())
+    payloads = {"signals.bin": rec.channel_matrix() if rec.channels else np.zeros((0, 0))}
     if rec.imu is not None:
-        (path / "imu.bin").write_bytes(np.ascontiguousarray(rec.imu, dtype="<f8").tobytes())
-    return path
+        payloads["imu.bin"] = rec.imu
+    return save_directory(path, header, payloads)
 
 
 def load_recording(path: str | Path) -> Recording:
@@ -63,157 +180,21 @@ def load_recording(path: str | Path) -> Recording:
     A damaged one raises :class:`RecordingFormatError`, its message starting
     with the directory's path.
     """
-    path = Path(path)
-    try:
-        return _read_recording(path)
-    except RecordingFormatError as exc:
-        raise RecordingFormatError(f"{path}: {exc}") from exc
+    return load_directory(path, RECORDING_FIELDS, _build_recording)
 
 
-def _read_recording(path: Path) -> Recording:
-    header_path = path / HEADER_NAME
-    if not header_path.is_file():
-        raise RecordingFormatError(f"no {HEADER_NAME}")
-    try:
-        header = json.loads(header_path.read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
-        raise RecordingFormatError(f"malformed {HEADER_NAME}: {exc}") from exc
-
-    for key in ("payload", "patient_id", "sample_rate", "channels", "n_samples"):
-        if key not in header:
-            raise RecordingFormatError(f"header missing required key {key!r}")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: format_version must be {FORMAT_VERSION}, got {version!r}"
-        )
-    if not isinstance(header["patient_id"], str):
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: patient_id must be a string, got {header['patient_id']!r}"
-        )
-    if header["payload"] != PAYLOAD:
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: unknown payload kind {header['payload']!r}"
-        )
-
-    if not isinstance(header["channels"], list):
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: channels must be a list of role names, got {header['channels']!r}"
-        )
-    try:
-        roles = [ChannelRole(name) for name in header["channels"]]
-    except ValueError as exc:
-        raise RecordingFormatError(str(exc)) from exc
-    if len(set(roles)) < len(roles):
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: channels must name each role once, got {header['channels']!r}"
-        )
-
-    try:
-        n = int(header["n_samples"])
-        n_imu = int(header.get("imu_n_samples", 0))
-    except (TypeError, ValueError) as exc:
-        raise RecordingFormatError(f"{HEADER_NAME}: sample counts must be integers: {exc}") from exc
-    if min(n, n_imu) < 0:
-        raise RecordingFormatError(
-            f"{HEADER_NAME}: sample counts must not be negative, got n_samples {n}, "
-            f"imu_n_samples {n_imu}"
-        )
-
-    signals = _read_bin(path / "signals.bin", len(roles), n)
-    imu = _read_bin(path / "imu.bin", 3, n_imu) if n_imu else None
-
-    try:
-        annotations = [
-            SeizureAnnotation(a["onset_s"], a["offset_s"], a.get("label", "seizure"))
-            for a in header.get("annotations", [])
-        ]
-        return Recording(
-            patient_id=header["patient_id"],
-            sample_rate=float(header["sample_rate"]),
-            channels={role: signals[i] for i, role in enumerate(roles)},
-            imu=imu,
-            imu_rate=float(header.get("imu_rate", 50.0)),
-            annotations=annotations,
-        )
-    except KeyError as exc:
-        raise RecordingFormatError(f"{HEADER_NAME}: annotation without {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise RecordingFormatError(f"{HEADER_NAME}: {exc}") from exc
-
-
-def _read_bin(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
-    if not path.is_file():
-        raise RecordingFormatError(f"missing payload file {path.name}")
-    data = path.read_bytes()
-    if len(data) != 8 * n_rows * n_cols:
-        raise RecordingFormatError(
-            f"{path.name}: expected {n_rows * n_cols} float64 values "
-            f"({8 * n_rows * n_cols} bytes), got {len(data)} bytes"
-        )
-    return np.frombuffer(data, dtype="<f8").reshape(n_rows, n_cols).astype(np.float64)
-
-
-_MAGIC = b"EARPIPE1\n"
-
-
-def write_container(path: str | Path, header: dict, arrays: list[np.ndarray]) -> Path:
-    """Store a JSON header plus named float64 arrays in one file.
-
-    The header gains an ``"arrays"`` entry recording each array's shape so
-    the payload can be sliced back out; arrays are flattened column-major.
-    """
-    path = Path(path)
-    header = dict(header)
-    header["arrays"] = [list(a.shape) for a in arrays]
-    blob = b"".join(np.asfortranarray(a, dtype="<f8").tobytes(order="F") for a in arrays)
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint64(len(head)).tobytes())
-        fh.write(head)
-        fh.write(blob)
-    return path
-
-
-def read_container(path: str | Path) -> tuple[dict, list[np.ndarray]]:
-    """Read a file written by :func:`write_container`; a damaged one raises
-    :class:`RecordingFormatError` naming the file."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise RecordingFormatError(f"{path.name}: not a container file")
-    off = len(_MAGIC) + 8
-    head_len = int.from_bytes(raw[off - 8:off], "little")  # a cut length field still fails below
-    if len(raw) < off + head_len:
-        raise RecordingFormatError(f"{path.name}: truncated header")
-    try:
-        header = json.loads(raw[off:off + head_len].decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
-        raise RecordingFormatError(f"{path.name}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise RecordingFormatError(f"{path.name}: malformed header: not a JSON object")
-    off += head_len
-    shapes = header.get("arrays", [])
-    if not (isinstance(shapes, list) and all(_is_shape(shape) for shape in shapes)):
-        raise RecordingFormatError(
-            f"{path.name}: malformed header: arrays must be a list of shapes of "
-            f"non-negative integers, got {shapes!r}"
-        )
-    counts = [math.prod(shape) for shape in shapes]
-    if len(raw) - off != 8 * sum(counts):
-        raise RecordingFormatError(
-            f"{path.name}: payload of {len(raw) - off} bytes, header declares {8 * sum(counts)}"
-        )
-    arrays = []
-    for shape, count in zip(shapes, counts):
-        flat = np.frombuffer(raw[off:off + 8 * count], dtype="<f8")
-        arrays.append(flat.reshape(shape, order="F").copy())
-        off += 8 * count
-    return header, arrays
-
-
-def _is_shape(shape) -> bool:
-    return isinstance(shape, list) and all(
-        type(n) is int and n >= 0 for n in shape  # bool is an int subclass, not a size
+def _build_recording(path: Path, header: dict) -> Recording:
+    roles = [ChannelRole(name) for name in header["channels"]]
+    signals = read_bin(path / "signals.bin", len(roles), header["n_samples"])
+    n_imu = header["imu_n_samples"]
+    return Recording(
+        patient_id=header["patient_id"],
+        sample_rate=float(header["sample_rate"]),
+        channels={role: signals[i] for i, role in enumerate(roles)},
+        imu=read_bin(path / "imu.bin", 3, n_imu) if n_imu else None,
+        imu_rate=float(header["imu_rate"]),
+        annotations=[
+            SeizureAnnotation(a["onset_s"], a["offset_s"], a["label"])
+            for a in header["annotations"]
+        ],
     )

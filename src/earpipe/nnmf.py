@@ -13,6 +13,9 @@ update both read that floored product.
 The IS divergence is the natural fit for audio-like power spectra because
 it is scale invariant: quiet time-frequency cells cost as much to misfit
 as loud ones.
+
+A bank is saved as a directory, the way a recording is (see
+:mod:`earpipe.io`); loading also refuses a negative template value.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io as containers
+from .io import (
+    RATE,
+    RecordingFormatError,
+    exactly,
+    integer,
+    load_directory,
+    read_bin,
+    save_directory,
+)
 from .signals import Recording, separate_mixed
 from .stft import StftConfig, istft, stft
 
@@ -205,7 +216,19 @@ def separate_recording_nnmf(
     return separate_mixed(rec, lambda x: separate_channel(x, bank, cfg).signals)
 
 
+#: The fields of a template bank's header.json; its ``w.bin`` holds the
+#: bins x columns dictionary, its shape given by ``stft`` and ``rank``.
+BANK_FIELDS = {
+    "kind": exactly("nnmf_templates"),
+    "modalities": exactly(list(MODALITIES)),
+    "rank": integer(1),
+    "stft": {"window_len": integer(1), "hop": integer(1)},
+    "sample_rate": RATE,
+}
+
+
 def save_templates(bank: TemplateBank, path: str | Path) -> Path:
+    """Write ``bank`` as directory ``path`` (``header.json`` and ``w.bin``)."""
     header = {
         "kind": "nnmf_templates",
         "modalities": list(bank.modalities),
@@ -213,35 +236,20 @@ def save_templates(bank: TemplateBank, path: str | Path) -> Path:
         "stft": {"window_len": bank.stft_config.window_len, "hop": bank.stft_config.hop},
         "sample_rate": bank.sample_rate,
     }
-    return containers.write_container(path, header, [bank.w])
+    return save_directory(path, header, {"w.bin": bank.w})
 
 
 def load_templates(path: str | Path) -> TemplateBank:
-    """The template bank saved at ``path``; a damaged file raises
+    """The template bank saved in directory ``path``; a damaged one raises
     :class:`~earpipe.io.RecordingFormatError` starting with the path."""
-    header, arrays = containers.read_container(path)
-    if header.get("kind") != "nnmf_templates":
-        raise containers.RecordingFormatError(f"{path}: not a template bank file")
-    try:
-        bank = TemplateBank(
-            w=arrays[0],
-            modalities=tuple(header["modalities"]),
-            rank=int(header["rank"]),
-            stft_config=StftConfig(**header["stft"]),
-            sample_rate=float(header["sample_rate"]),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise containers.RecordingFormatError(f"{path}: damaged template bank: {exc!r}") from exc
-    if bank.modalities != MODALITIES:
-        raise containers.RecordingFormatError(
-            f"{path}: damaged template bank: modalities {list(bank.modalities)}, "
-            f"expected {list(MODALITIES)}"
-        )
-    want = (bank.stft_config.window_len // 2 + 1, bank.rank * len(bank.modalities))
-    if bank.w.shape != want:
-        raise containers.RecordingFormatError(
-            f"{path}: template payload is {bank.w.shape}, but the header (window_len "
-            f"{bank.stft_config.window_len}, rank {bank.rank} x {len(bank.modalities)} "
-            f"modalities) needs bins x columns = {want}"
-        )
-    return bank
+    return load_directory(path, BANK_FIELDS, _build_bank)
+
+
+def _build_bank(path: Path, header: dict) -> TemplateBank:
+    stft_config = StftConfig(**header["stft"])
+    rank = header["rank"]
+    w = read_bin(path / "w.bin", stft_config.window_len // 2 + 1, rank * len(MODALITIES))
+    negative = np.count_nonzero(w < 0)
+    if negative:
+        raise RecordingFormatError(f"w.bin: {negative} of {w.size} values are negative")
+    return TemplateBank(w, MODALITIES, rank, stft_config, float(header["sample_rate"]))

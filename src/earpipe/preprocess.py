@@ -6,19 +6,12 @@ an optional zero-phase band-pass.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
 
-from .signals import Recording
-
-
-def finite(value) -> bool:
-    """Whether ``value`` is a real number (not a bool), neither nan nor infinite."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+from .signals import Recording, finite
 
 
 @dataclass(frozen=True)

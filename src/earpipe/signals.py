@@ -8,6 +8,8 @@ motion-correlated artifacts can be identified later in the pipeline.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +29,11 @@ EEG_BANDS = {
 }
 
 TONE_SPACING_HZ = 1.5  # line spacing of a chew burst's tone comb, a multiple of 0.5 Hz
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a real number (not a bool), neither nan nor infinite."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 class ChannelRole(str, enum.Enum):
@@ -229,10 +236,19 @@ class SynthComponent:
     stop_s: float | None = None
 
     def __post_init__(self) -> None:
+        """Refuse a value that would crash rendering or render NaN or nothing."""
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.amplitude_mv < 0:
-            raise ValueError("amplitude_mv must be nonnegative")
+        if not (finite(self.amplitude_mv) and self.amplitude_mv >= 0):
+            raise ValueError(f"amplitude_mv must be a finite nonnegative number, "
+                             f"got {self.amplitude_mv!r}")
+        if self.freq_hz is not None and not (finite(self.freq_hz) and self.freq_hz > 0):
+            raise ValueError(f"freq_hz must be a finite number above 0, got {self.freq_hz!r}")
+        if not finite(self.start_s):
+            raise ValueError(f"start_s must be a finite number, got {self.start_s!r}")
+        if self.stop_s is not None and not (finite(self.stop_s) and self.stop_s > self.start_s):
+            raise ValueError(f"stop_s must be a finite number above start_s ({self.start_s!r}), "
+                             f"got {self.stop_s!r}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +263,8 @@ class SynthesisSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (finite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be a finite number above 0, got {self.duration_s!r}")
         object.__setattr__(self, "components", tuple(self.components))
 
 

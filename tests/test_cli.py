@@ -1,6 +1,7 @@
 """End-to-end command-line flows driven through main(argv)."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def artifacts(tmp_path_factory):
         "pre": root / "pre",
         "den": root / "den",
         "sep": root / "sep",
-        "bank": root / "bank.npz",
+        "bank": root / "bank",
         "features": root / "features.csv",
     }
     steps = [
@@ -319,14 +320,51 @@ class TestFailureReporting:
         assert not (tmp_path / "o").exists()
 
     def test_truncated_template_bank_names_the_file(self, artifacts, capsys, tmp_path):
-        bank = tmp_path / "bank.bin"
-        bank.write_bytes(artifacts["bank"].read_bytes()[:-4])
+        bank = shutil.copytree(artifacts["bank"], tmp_path / "bank")
+        (bank / "w.bin").write_bytes((bank / "w.bin").read_bytes()[:-4])
         code = main(["separate", "--in", str(artifacts["raw"]), "--method", "nnmf",
                      "--templates", str(bank), "--out", str(tmp_path / "o")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RecordingFormatError"
-        assert err["message"].startswith("bank.bin: payload of ")
+        assert err["message"].startswith(f"{bank}: w.bin: expected ")
+
+    @pytest.mark.parametrize("argv, damaged", [
+        (["separate", "--in", "{raw}", "--method", "nnmf", "--templates", "{copy}"], "w.bin"),
+        (["snr", "--in", "{copy}"], "signals.bin"),
+    ], ids=["bank", "recording"])
+    def test_nan_payload_names_the_file(self, artifacts, capsys, tmp_path, argv, damaged):
+        """One NaN in a bank's templates or a recording's samples is refused
+        when read, instead of separating into NaN channels or scoring NaN."""
+        source = artifacts["bank"] if damaged == "w.bin" else artifacts["raw"]
+        copy = shutil.copytree(source, tmp_path / "copy")
+        values = np.frombuffer((copy / damaged).read_bytes(), dtype="<f8").copy()
+        values[7] = np.nan
+        (copy / damaged).write_bytes(values.tobytes())
+        argv = [a.format(raw=artifacts["raw"], copy=copy) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RecordingFormatError"
+        assert err["message"].startswith(f"{copy}: {damaged}: 1 of ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("component, message", [
+        ({"kind": "blink", "freq_hz": 0}, "freq_hz must be a finite number above 0, got 0"),
+        ({"kind": "tone", "amplitude_mv": float("nan")},
+         "amplitude_mv must be a finite nonnegative number, got nan"),
+        ({"kind": "tone", "start_s": 5.0, "stop_s": 2.0},
+         "stop_s must be a finite number above start_s (5.0), got 2.0"),
+    ], ids=["zero-rate", "nan-amplitude", "stop-before-start"])
+    def test_bad_synthesis_value_names_the_field(self, capsys, tmp_path, component, message):
+        spec = {"duration_s": 10.0, "components": [{"amplitude_mv": 0.1, **component}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = main(["synth", "--config", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "raw")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == message
+        assert not (tmp_path / "raw").exists()
 
     def test_train_templates_rejects_mixed_rates(self, capsys, tmp_path):
         for name, rate in (("eeg", 250.0), ("emg", 500.0), ("eog", 250.0)):
@@ -335,13 +373,13 @@ class TestFailureReporting:
             save_recording(rec, tmp_path / name)
         code = main([
             "train-templates", "--eeg", str(tmp_path / "eeg"), "--emg", str(tmp_path / "emg"),
-            "--eog", str(tmp_path / "eog"), "--out", str(tmp_path / "bank.npz"),
+            "--eog", str(tmp_path / "eog"), "--out", str(tmp_path / "bank"),
         ])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "eeg 250 Hz, emg 500 Hz, eog 250 Hz" in err["message"]
-        assert not (tmp_path / "bank.npz").exists()
+        assert not (tmp_path / "bank").exists()
 
     def test_train_is_not_a_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

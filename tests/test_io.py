@@ -1,4 +1,4 @@
-"""Round-trip tests for recording directories and binary containers."""
+"""Round trips and damage for the on-disk format: recording and template bank directories."""
 
 import json
 import re
@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earpipe.io import (
+    TEXT,
     RecordingFormatError,
+    load_directory,
     load_recording,
-    read_container,
+    read_bin,
+    save_directory,
     save_recording,
-    write_container,
 )
 from earpipe.nnmf import MODALITIES, TemplateBank, load_templates, save_templates
 from earpipe.signals import ChannelRole, Recording, SeizureAnnotation
@@ -34,6 +36,10 @@ def _sample_recording(seed=0):
         imu_rate=50.0,
         annotations=[SeizureAnnotation(0.4, 1.2, "synthetic")],
     )
+
+
+#: How an error describes the channel names a header may list.
+_NAMES = r"a list of distinct names out of mixed_left, mixed_right, eeg_left, .*eog_right"
 
 
 def _after_path(path, message):
@@ -108,13 +114,13 @@ class TestRecordingRoundTrip:
 
     def test_annotation_without_offset_names_the_file(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["annotations"][0].pop("offset_s"))
-        message = r"header\.json: annotation without 'offset_s'"
+        message = r"header\.json: missing annotations\[0\]\.offset_s$"
         with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
     def test_non_integer_sample_count_names_the_file(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h.update(n_samples="lots"))
-        message = r"header\.json: sample counts must be integers"
+        message = r"header\.json: n_samples must be an integer of at least 0, got 'lots'$"
         with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
             load_recording(path)
 
@@ -130,114 +136,125 @@ class TestRecordingRoundTrip:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h.update(format_version=99), r"format_version must be 1, got 99"),
-        (lambda h: h.pop("format_version"), r"format_version must be 1, got None"),
+        (lambda h: h.pop("format_version"), r"missing format_version"),
         (lambda h: h.update(patient_id=7), r"patient_id must be a string, got 7"),
-        (lambda h: h.update(channels=5), r"channels must be a list of role names, got 5"),
+        (lambda h: h.update(channels=5), rf"channels must be {_NAMES}, got 5"),
         (lambda h: h.update(channels=["mixed_left", "mixed_left"]),
-         r"channels must name each role once, got \['mixed_left', 'mixed_left'\]"),
+         rf"channels must be {_NAMES}, got \['mixed_left', 'mixed_left'\]"),
         (lambda h: h.update(channels=[], n_samples=-5),
-         r"sample counts must not be negative, got n_samples -5, imu_n_samples 100"),
-        (lambda h: h.update(payload="csv"), r"unknown payload kind 'csv'"),
+         r"n_samples must be an integer of at least 0, got -5"),
+        (lambda h: h.update(payload="csv"), r"payload must be 'bin', got 'csv'"),
+        (lambda h: h.update(sample_rate=True),
+         r"sample_rate must be a finite number above 0, got True"),
+        (lambda h: h.update(imu_rate=True), r"imu_rate must be a finite number above 0, got True"),
+        (lambda h: h.update(n_samples=4.9),
+         r"n_samples must be an integer of at least 0, got 4\.9"),
+        (lambda h: h.update(sample_rate="250"),
+         r"sample_rate must be a finite number above 0, got '250'"),
+        (lambda h: h.update(format_version=True), r"format_version must be 1, got True"),
+        (lambda h: h["annotations"][0].update(onset_s="1"),
+         r"annotations\[0\]\.onset_s must be a finite number, got '1'"),
+        (lambda h: h.update(annotations={}), r"annotations must be a list, got \{\}"),
+        (lambda h: h["annotations"][0].update(onset_s=2.0),
+         r"annotation offset \(1\.2\) must exceed onset \(2\.0\)"),
+        (lambda h: h.update(gain=2), r"unexpected keys \['gain'\] in the header"),
     ], ids=["version-99", "no-version", "integer-patient", "integer-channels",
-            "duplicate-role", "negative-samples", "csv-payload"])
+            "duplicate-role", "negative-samples", "csv-payload", "true-rate", "true-imu-rate",
+            "fractional-count", "text-rate", "true-version", "text-onset", "object-annotations",
+            "onset-after-offset", "extra-key"])
     def test_bad_header_field_names_the_file(self, tmp_path, edit, message):
         path = self._with_header(tmp_path, edit)
         with pytest.raises(RecordingFormatError, match=_after_path(path, rf"header\.json: {message}")):
             load_recording(path)
 
+    @pytest.mark.parametrize("name, at, value", [
+        ("signals.bin", 17, float("nan")), ("imu.bin", 299, float("-inf")),
+    ])
+    def test_non_finite_payload_names_the_file(self, tmp_path, name, at, value):
+        """A NaN or infinite sample is refused where it is read, naming the
+        file, before conditioning, features or SNR could see it."""
+        path = save_recording(_sample_recording(), tmp_path / "rec")
+        values = np.frombuffer((path / name).read_bytes(), dtype="<f8").copy()
+        values[at] = value
+        (path / name).write_bytes(values.tobytes())
+        message = rf"{re.escape(name)}: 1 of {values.size} values are NaN or infinite$"
+        with pytest.raises(RecordingFormatError, match=_after_path(path, message)):
+            load_recording(path)
+
 
 class TestContainer:
+    """The directory format itself: a header and named payloads."""
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        arrays = [rng.standard_normal((4, 7)), rng.standard_normal(13)]
-        header = {"kind": "test", "note": "x"}
-        path = tmp_path / "blob.earpipe"
-        write_container(path, header, arrays)
-        back_header, back_arrays = read_container(path)
-        assert back_header["kind"] == "test"
-        assert back_header["note"] == "x"
-        assert len(back_arrays) == 2
-        for a, b in zip(arrays, back_arrays):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "blob.earpipe"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(RecordingFormatError):
-            read_container(path)
+        arrays = {"a.bin": rng.standard_normal((4, 7)), "b.bin": rng.standard_normal((1, 13))}
+        path = save_directory(tmp_path / "blob", {"note": "x"}, arrays)
+        header, back = load_directory(path, {"note": TEXT}, lambda directory, header: (
+            header, {name: read_bin(directory / name, *a.shape) for name, a in arrays.items()}
+        ))
+        assert header == {"format_version": 1, "note": "x"}
+        for name, a in arrays.items():
+            np.testing.assert_array_equal(back[name], a)
 
 
 class TestContainerDamage:
-    """Every way a container can be cut or padded names the file."""
+    """Every way a saved bank's header or payload can be cut, padded or
+    garbled names the directory and the file."""
 
     @pytest.fixture
-    def blob(self, tmp_path):
-        path = tmp_path / "blob.earpipe"
-        write_container(path, {"kind": "test"}, [np.arange(6.0).reshape(2, 3), np.ones(4)])
-        return path
+    def bank(self, tmp_path):
+        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
+        return save_templates(bank, tmp_path / "bank")
 
-    @staticmethod
-    def _head_end(raw):
-        return 9 + 8 + int.from_bytes(raw[9:17], "little")  # magic, length, header
+    @pytest.mark.parametrize("name, cut, message", [
+        ("header.json", lambda raw: raw[:20], r"malformed header\.json"),
+        ("w.bin", lambda raw: raw[:-4], r"w\.bin: expected 387 float64 values \(3096 bytes\), "
+                                        r"got 3092 bytes$"),
+        ("w.bin", lambda raw: raw + b"\x00" * 8, r"w\.bin: expected 387 float64 values "
+                                                  r"\(3096 bytes\), got 3104 bytes$"),
+    ], ids=["cut-header", "cut-payload", "trailing-bytes"])
+    def test_damaged_file_names_itself(self, bank, name, cut, message):
+        (bank / name).write_bytes(cut((bank / name).read_bytes()))
+        with pytest.raises(RecordingFormatError, match=_after_path(bank, message)):
+            load_templates(bank)
 
-    @pytest.mark.parametrize("cut, message", [
-        (lambda raw: raw[:9], "truncated header"),  # the magic bytes only
-        (lambda raw: raw[:13], "truncated header"),
-        (lambda raw: raw[:20], "truncated header"),
-        (lambda raw: raw[:-4], "payload of 76 bytes, header declares 80"),
-        (lambda raw: raw + b"\x00" * 8, "payload of 88 bytes, header declares 80"),
-    ], ids=["magic-only", "cut-length", "cut-header", "cut-payload", "trailing-bytes"])
-    def test_damaged_file_names_itself(self, blob, cut, message):
-        blob.write_bytes(cut(blob.read_bytes()))
-        with pytest.raises(RecordingFormatError, match=rf"^blob\.earpipe: {message}"):
-            read_container(blob)
-
-    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[1, 2]"])
-    def test_malformed_header_names_the_file(self, blob, header):
-        raw = blob.read_bytes()
-        blob.write_bytes(raw[:9] + len(header).to_bytes(8, "little") + header
-                         + raw[self._head_end(raw):])
-        with pytest.raises(RecordingFormatError, match=r"^blob\.earpipe: malformed header"):
-            read_container(blob)
-
-    @pytest.mark.parametrize("arrays", [
-        "2x3", [[2, "3"]], [[2, -3]], [[2.0, 3]], [[True]], [6], {"a": [2, 3]},
-    ])
-    def test_bad_array_shapes_name_the_file(self, blob, arrays):
-        raw = blob.read_bytes()
-        header = json.dumps({"kind": "test", "arrays": arrays}).encode()
-        blob.write_bytes(raw[:9] + len(header).to_bytes(8, "little") + header
-                         + raw[self._head_end(raw):])
-        message = r"^blob\.earpipe: malformed header: arrays must be a list of shapes"
-        with pytest.raises(RecordingFormatError, match=message):
-            read_container(blob)
+    @pytest.mark.parametrize("header, message", [
+        (b"{not json", "malformed header\\.json"),
+        (b"\xff\xfe", "malformed header\\.json"),
+        (b"[1, 2]", r"header\.json: the header must be a JSON object, got \[1, 2\]"),
+    ], ids=["{not json", "\xff\xfe", "[1, 2]"])
+    def test_malformed_header_names_the_file(self, bank, header, message):
+        (bank / "header.json").write_bytes(header)
+        with pytest.raises(RecordingFormatError, match=_after_path(bank, message)):
+            load_templates(bank)
 
 
 def _saved(kind: str, root: Path):
-    """Save one ``kind`` of file under ``root``.  Returns the file to damage,
-    the path to load (the recording's directory, or the file itself) and
-    the loader."""
+    """Save a recording (``kind`` "recording") or a template bank ("bank")
+    under ``root``.  Returns its directory and the loader."""
     if kind == "bank":
         bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
-        path = save_templates(bank, root / "bank.earpipe")
-        return path, path, load_templates
-    rec = save_recording(_sample_recording(), root / "rec")
-    return rec / kind, rec, load_recording
+        return save_templates(bank, root / "bank"), load_templates
+    return save_recording(_sample_recording(), root / "rec"), load_recording
 
 
 class TestReaderFuzz:
     """A saved file cut short, or with one byte changed, either loads or
-    raises RecordingFormatError naming the file (or the recording's
-    directory); no other error escapes a reader."""
+    raises RecordingFormatError naming its directory; no other error
+    escapes a reader."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(["bank", "header.json", "signals.bin", "imu.bin"]),
+        kind=st.sampled_from([
+            ("recording", "header.json"), ("recording", "signals.bin"), ("recording", "imu.bin"),
+            ("bank", "header.json"), ("bank", "w.bin"),
+        ]),
         data=st.data(),
     )
     def test_damaged_file_loads_or_names_itself(self, kind, data):
         with tempfile.TemporaryDirectory() as tmp:
-            damaged, loaded, load = _saved(kind, Path(tmp))
+            directory, load = _saved(kind[0], Path(tmp))
+            damaged = directory / kind[1]
             raw = damaged.read_bytes()
             # every header lies within the first 600 bytes; past them, one
             # payload byte is like any other
@@ -248,6 +265,74 @@ class TestReaderFuzz:
                 byte = data.draw(st.integers(0, 255), label="byte")
                 damaged.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
             try:
-                load(loaded)
+                load(directory)
             except RecordingFormatError as exc:
-                assert (loaded.name if loaded.is_file() else str(loaded)) in str(exc)
+                assert str(directory) in str(exc)
+
+
+#: Where each field of each header sits, as keys into the decoded JSON.
+_FIELDS = {
+    "recording": [
+        ("format_version",), ("payload",), ("patient_id",), ("sample_rate",), ("imu_rate",),
+        ("channels",), ("n_samples",), ("imu_n_samples",), ("annotations",),
+        ("annotations", 0), ("annotations", 0, "onset_s"), ("annotations", 0, "offset_s"),
+        ("annotations", 0, "label"),
+    ],
+    "bank": [
+        ("format_version",), ("kind",), ("modalities",), ("rank",), ("stft",),
+        ("stft", "window_len"), ("stft", "hop"), ("sample_rate",),
+    ],
+}
+
+#: JSON values of the wrong type, sign or range for some field, and of the
+#: right one for others.
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["bin", "nnmf_templates", "mixed_left", "eeg", "emg", "eog"]),
+    st.lists(st.one_of(st.integers(-2, 2), st.sampled_from(["mixed_left", "eeg", "eoh"])),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["onset_s", "offset_s", "label", "hop", "x"]),
+                    st.one_of(st.integers(-2, 300), st.floats(), st.text(max_size=2)),
+                    max_size=3),
+)
+
+
+class TestHeaderValues:
+    """A header field given a value of the wrong type, sign or range, or
+    dropped, either loads a valid object or raises RecordingFormatError
+    naming the directory; no other error escapes a reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(_FIELDS)), data=st.data())
+    def test_field_value_loads_or_names_the_directory(self, kind, data):
+        keys = data.draw(st.sampled_from(_FIELDS[kind]), label="field")
+        drop = data.draw(st.booleans(), label="drop")
+        value = None if drop else data.draw(_VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            directory, load = _saved(kind, Path(tmp))
+            header = json.loads((directory / "header.json").read_text())
+            parent = header
+            for key in keys[:-1]:
+                parent = parent[key]
+            if drop:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+            (directory / "header.json").write_text(json.dumps(header))
+            try:
+                loaded = load(directory)
+            except RecordingFormatError as exc:
+                assert str(exc).startswith(f"{directory}: ")
+                return
+        if kind == "bank":
+            bins = loaded.stft_config.window_len // 2 + 1
+            assert loaded.w.shape == (bins, loaded.rank * len(MODALITIES))
+            assert np.all(loaded.w >= 0) and loaded.sample_rate > 0
+        else:
+            assert isinstance(loaded.sample_rate, float) and loaded.sample_rate > 0
+            assert all(isinstance(a.label, str) for a in loaded.annotations)
+            assert all(len(x) == loaded.n_samples for x in loaded.channels.values())

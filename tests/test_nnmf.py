@@ -1,12 +1,13 @@
 """Divergences, multiplicative updates, and template-bank separation."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earpipe import io as containers
+from earpipe.io import RecordingFormatError, save_recording
 from earpipe.nnmf import (
     EPS,
     MODALITIES,
@@ -268,7 +269,8 @@ class TestTemplateBank:
         bank, _ = train_templates(
             _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=20)
         )
-        path = save_templates(bank, tmp_path / "bank.npz")
+        path = save_templates(bank, tmp_path / "bank")
+        assert sorted(p.name for p in path.iterdir()) == ["header.json", "w.bin"]
         loaded = load_templates(path)
         np.testing.assert_array_equal(loaded.w, bank.w)
         assert loaded.modalities == bank.modalities
@@ -277,11 +279,18 @@ class TestTemplateBank:
         assert loaded.sample_rate == bank.sample_rate
 
     def test_load_rejects_other_containers(self, tmp_path):
-        path = containers.write_container(
-            tmp_path / "other.npz", {"kind": "something_else"}, [np.ones(3)]
-        )
-        with pytest.raises(ValueError, match="not a template bank"):
-            load_templates(path)
+        """A recording directory, or a bank saved as one file (the format
+        before banks were directories), is refused by path."""
+        rec = Recording("p01", channels={ChannelRole.MIXED_LEFT: np.zeros(10)})
+        recording = save_recording(rec, tmp_path / "rec")
+        with pytest.raises(RecordingFormatError,
+                           match=rf"^{re.escape(str(recording))}: header\.json: missing kind$"):
+            load_templates(recording)
+        single_file = tmp_path / "bank.earpipe"
+        single_file.write_bytes(b"EARPIPE1\n" + bytes(64))
+        with pytest.raises(RecordingFormatError,
+                           match=rf"^{re.escape(str(single_file))}: no header\.json$"):
+            load_templates(single_file)
 
     @pytest.mark.parametrize(
         "field, value", [("rank", 2), ("rank", 4), ("stft", {"window_len": 128, "hop": 64})]
@@ -292,33 +301,58 @@ class TestTemplateBank:
         bank, _ = train_templates(
             _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=5)
         )
-        path = save_templates(bank, tmp_path / "bank.npz")
-        header, arrays = containers.read_container(path)
+        path = save_templates(bank, tmp_path / "bank")
+        header = json.loads((path / "header.json").read_text())
         header[field] = value
-        bad = containers.write_container(tmp_path / "bad.npz", header, arrays)
-        with pytest.raises(ValueError, match=r"bad\.npz: template payload is \(129, 9\)"):
-            load_templates(bad)
-
-    @pytest.mark.parametrize("damage", [
-        lambda header, arrays: header.pop("rank"),
-        lambda header, arrays: header["stft"].update(extra=1),
-        lambda header, arrays: header.update(rank="ten"),
-        lambda header, arrays: arrays.clear(),
-        lambda header, arrays: header.update(modalities=3),
-        lambda header, arrays: header.update(sample_rate="x"),
-        lambda header, arrays: header["stft"].update(hop=0),
-        lambda header, arrays: header.update(modalities=["eeg", "emg", "eoh"]),
-    ], ids=["no-rank", "extra-stft-key", "text-rank", "no-arrays", "integer-modalities",
-            "text-rate", "zero-hop", "misspelt-modality"])
-    def test_damaged_bank_names_the_file(self, tmp_path, damage):
-        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), FS)
-        path = save_templates(bank, tmp_path / "bank.earpipe")
-        header, arrays = containers.read_container(path)
-        damage(header, arrays)
-        containers.write_container(path, header, arrays)
-        pattern = rf"^{re.escape(str(path))}: damaged template bank"
-        with pytest.raises(containers.RecordingFormatError, match=pattern):
+        (path / "header.json").write_text(json.dumps(header))
+        message = rf"^{re.escape(str(path))}: w\.bin: expected \d+ float64 values \(\d+ bytes\), "
+        message += "got 9288 bytes$"
+        with pytest.raises(RecordingFormatError, match=message):
             load_templates(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda header, w: header.pop("rank"), r"header\.json: missing rank$"),
+        (lambda header, w: header["stft"].update(extra=1),
+         r"header\.json: unexpected keys \['extra'\] in stft$"),
+        (lambda header, w: header.update(rank="ten"),
+         r"header\.json: rank must be an integer of at least 1, got 'ten'$"),
+        (lambda header, w: w.unlink(), r"missing payload file w\.bin$"),
+        (lambda header, w: header.update(modalities=3),
+         r"header\.json: modalities must be \['eeg', 'emg', 'eog'\], got 3$"),
+        (lambda header, w: header.update(sample_rate="x"),
+         r"header\.json: sample_rate must be a finite number above 0, got 'x'$"),
+        (lambda header, w: header["stft"].update(hop=0),
+         r"header\.json: stft\.hop must be an integer of at least 1, got 0$"),
+        (lambda header, w: header.update(modalities=["eeg", "emg", "eoh"]),
+         r"header\.json: modalities must be \['eeg', 'emg', 'eog'\], "
+         r"got \['eeg', 'emg', 'eoh'\]$"),
+        (lambda header, w: header.update(kind="recording"),
+         r"header\.json: kind must be 'nnmf_templates', got 'recording'$"),
+        (lambda header, w: header["stft"].update(hop=512),
+         r"header\.json: hop larger than the window breaks overlap-add$"),
+        (lambda header, w: header.update(rank=True),
+         r"header\.json: rank must be an integer of at least 1, got True$"),
+        (lambda header, w: _set_cell(w, 40, float("nan")),
+         r"w\.bin: 1 of 387 values are NaN or infinite$"),
+        (lambda header, w: _set_cell(w, 40, -1.0), r"w\.bin: 1 of 387 values are negative$"),
+    ], ids=["no-rank", "extra-stft-key", "text-rank", "no-arrays", "integer-modalities",
+            "text-rate", "zero-hop", "misspelt-modality", "another-kind", "hop-over-window",
+            "true-rank", "nan-cell", "negative-cell"])
+    def test_damaged_bank_names_the_file(self, tmp_path, damage, message):
+        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), FS)
+        path = save_templates(bank, tmp_path / "bank")
+        header = json.loads((path / "header.json").read_text())
+        damage(header, path / "w.bin")
+        (path / "header.json").write_text(json.dumps(header))
+        with pytest.raises(RecordingFormatError, match=rf"^{re.escape(str(path))}: {message}"):
+            load_templates(path)
+
+
+def _set_cell(path, at, value):
+    """Overwrite float64 number ``at`` of the payload file ``path``."""
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[at] = value
+    path.write_bytes(values.tobytes())
 
 
 @pytest.fixture(scope="module")

@@ -140,6 +140,32 @@ class TestComponentValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             SynthComponent("tone", -0.1)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SynthComponent("tone", float("nan")), "amplitude_mv must be a finite"),
+        (lambda: SynthComponent("tone", float("inf")), "amplitude_mv must be a finite"),
+        (lambda: SynthComponent("blink", 0.1, freq_hz=0),
+         "freq_hz must be a finite number above 0"),
+        (lambda: SynthComponent("spike_wave_seizure", 0.1, freq_hz=0.0), "freq_hz must be"),
+        (lambda: SynthComponent("chew", 0.1, freq_hz=-1), "freq_hz must be"),
+        (lambda: SynthComponent("motion_burst", 0.1, freq_hz=float("inf")), "freq_hz must be"),
+        (lambda: SynthComponent("tone", 0.1, freq_hz=True), "freq_hz must be"),
+        (lambda: SynthComponent("tone", 0.1, start_s=float("nan")), "start_s must be a finite"),
+        (lambda: SynthComponent("tone", 0.1, start_s=3.0, stop_s=1.0),
+         r"stop_s must be a finite number above start_s \(3\.0\), got 1\.0"),
+        (lambda: SynthComponent("tone", 0.1, start_s=3.0, stop_s=3.0), "stop_s must be"),
+        (lambda: SynthComponent("tone", 0.1, stop_s=float("inf")), "stop_s must be"),
+        (lambda: SynthesisSpec(duration_s=float("nan")),
+         "duration_s must be a finite number above 0"),
+        (lambda: SynthesisSpec(duration_s=0.0), "duration_s must be a finite number above 0"),
+    ], ids=["nan-amplitude", "inf-amplitude", "zero-blink-rate", "zero-seizure-rate",
+            "negative-chew-rate", "inf-motion-rate", "true-rate", "nan-start", "stop-before-start",
+            "empty-interval", "inf-stop", "nan-duration", "zero-duration"])
+    def test_bad_value_names_the_field(self, make, message):
+        """A value that would crash rendering, render NaN, or render nothing
+        is refused where the spec is built."""
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestToneSynthesis:
     """A lone tone component must come out analytically exact."""
