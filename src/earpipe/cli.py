@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -57,6 +58,20 @@ def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
     return cfg
 
 
+def _check_keys(obj, cls, where: str) -> None:
+    """Refuse a JSON value for the dataclass ``cls`` that is not an object,
+    that has a key ``cls`` lacks, or that lacks a field ``cls`` needs."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}; the keys are {names}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks the keys {missing}")
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is None:
@@ -89,18 +104,17 @@ def cmd_synth(args) -> int:
     from .io import save_recording
     from .signals import SynthComponent, SynthesisSpec, synthesize_recording
 
-    cfg = _merged(args, ["duration_s", "patient_id", "seed"])
-    comps = [SynthComponent(**c) for c in cfg.pop("components", [])]
+    cfg = {"duration_s": 60.0, **_merged(args, ["duration_s", "patient_id", "seed"])}
+    _check_keys(cfg, SynthesisSpec, "the synthesis spec")
+    comps = cfg.pop("components", [])
     if not comps:
         raise ValueError("the synthesis spec has no components, so every channel would be "
                          "zero; list at least one under \"components\" in --config")
-    spec = SynthesisSpec(
-        duration_s=float(cfg.get("duration_s", 60.0)),
-        components=tuple(comps),
-        patient_id=str(cfg.get("patient_id", "synthetic")),
-        seed=int(cfg.get("seed", 0)),
-    )
-    rec = synthesize_recording(spec)
+    if not isinstance(comps, list):
+        raise ValueError(f"components must be a JSON list, got {comps!r}")
+    for k, comp in enumerate(comps):
+        _check_keys(comp, SynthComponent, f"components[{k}]")
+    rec = synthesize_recording(SynthesisSpec(components=[SynthComponent(**c) for c in comps], **cfg))
     save_recording(rec, args.out)
     print(f"wrote {rec.duration_s:.1f} s recording to {args.out}")
     return 0
@@ -156,10 +170,11 @@ def cmd_train_templates(args) -> int:
     from .corpus import template_sources
     from .io import load_recording
     from .nnmf import NnmfConfig, save_templates, train_templates
+    from .signals import BIOPOTENTIAL_RATE_HZ
 
     if args.synthetic:
         sources = template_sources(master_seed=args.seed)
-        fs = 250.0
+        fs = BIOPOTENTIAL_RATE_HZ
     else:
         missing = [n for n in ("eeg", "emg", "eog") if getattr(args, n) is None]
         if missing:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .nnmf import NnmfConfig, TemplateBank, train_templates
 from .signals import (
+    BIOPOTENTIAL_RATE_HZ,
     Recording,
     SynthComponent,
     SynthesisSpec,
@@ -39,7 +40,9 @@ def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_
     every seizure: convulsions shake the sensor.  Its jerk times and
     strengths are patient-random, so skipping motion removal leaves
     unrepeatable contamination on the seizure windows while removal
-    recovers the shared ictal signature.
+    recovers the shared ictal signature.  A recording shorter than
+    ``DURATION_S`` leaves out the components that would start after its
+    end.
     """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 7, index]))
     jit = lambda scale=0.05: 1.0 + scale * (2.0 * rng.random() - 1.0)
@@ -66,7 +69,7 @@ def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_
     )
     return SynthesisSpec(
         duration_s=duration_s,
-        components=components,
+        components=tuple(c for c in components if c.start_s < duration_s),
         patient_id=f"p{index:02d}",
         seed=int(rng.integers(0, 2**31)),
     )
@@ -102,5 +105,6 @@ def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
 
 def train_corpus_templates(master_seed: int = 0) -> TemplateBank:
     """Template bank trained on the synthetic per-modality sources."""
-    bank, _ = train_templates(template_sources(master_seed), fs=250.0, cfg=NnmfConfig(seed=master_seed))
+    bank, _ = train_templates(template_sources(master_seed), BIOPOTENTIAL_RATE_HZ,
+                              cfg=NnmfConfig(seed=master_seed))
     return bank

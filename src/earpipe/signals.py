@@ -193,40 +193,40 @@ def separate_mixed(rec: Recording, split) -> Recording:
 
 
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
 
-COMPONENT_KINDS = (
-    "tone",
-    "alpha_burst",
-    "blink",
-    "chew",
-    "motion_burst",
-    "spike_wave_seizure",
-    "white_noise",
-)
-
-#: Which separated modality each synthetic component belongs to.  Used when
-#: rendering ground-truth source tracks for template training.
-COMPONENT_MODALITY = {
-    "tone": "eeg",
-    "alpha_burst": "eeg",
-    "spike_wave_seizure": "eeg",
-    "blink": "eog",
-    "chew": "emg",
-    "motion_burst": "motion",
-    "white_noise": "noise",
+#: Every synthetic component kind: the source track it renders into, and the
+#: ``freq_hz`` it renders with when a component leaves that unset (None: the
+#: kind has no rate of its own).
+COMPONENTS = {
+    "tone": ("eeg", 10.0),
+    "alpha_burst": ("eeg", 10.0),
+    "spike_wave_seizure": ("eeg", 3.0),
+    "blink": ("eog", 0.5),
+    "chew": ("emg", 1.0),
+    "motion_burst": ("motion", None),
+    "white_noise": ("noise", None),
 }
+
+#: Largest component amplitude: a kilovolt, far above any biopotential and
+#: far enough inside the float64 range that summed components stay finite.
+MAX_AMPLITUDE_MV = 1e6
 
 
 @dataclass(frozen=True)
 class SynthComponent:
     """One additive ingredient of a synthetic recording.
 
-    ``freq_hz`` is the oscillation frequency for ``tone`` / ``alpha_burst``
-    (defaults: 10 Hz) and the discharge rate for ``spike_wave_seizure``
-    (default: 3 Hz); the remaining kinds ignore it.  ``start_s`` / ``stop_s``
-    bound the active interval; ``stop_s=None`` extends to the end.
+    ``kind`` is a key of ``COMPONENTS``.  ``freq_hz`` is the oscillation
+    frequency of ``tone`` and ``alpha_burst``, the discharge rate of
+    ``spike_wave_seizure``, the pulse rate of ``blink`` and ``chew`` and the
+    jolt frequency of ``motion_burst`` (which, without one, is a single
+    smooth sway); ``white_noise`` ignores it.  Left unset, it is the kind's
+    default in ``COMPONENTS``.  It must lie below the Nyquist rate of
+    ``BIOPOTENTIAL_RATE_HZ``.  ``start_s`` / ``stop_s`` bound the active
+    interval; ``stop_s=None`` extends to the end.
     """
 
     kind: str
@@ -237,13 +237,22 @@ class SynthComponent:
 
     def __post_init__(self) -> None:
         """Refuse a value that would crash rendering or render NaN or nothing."""
-        if self.kind not in COMPONENT_KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in COMPONENTS:
+            raise ValueError(f"unknown component kind {self.kind!r}, expected one of "
+                             f"{list(COMPONENTS)}")
         if not (finite(self.amplitude_mv) and self.amplitude_mv >= 0):
             raise ValueError(f"amplitude_mv must be a finite nonnegative number, "
                              f"got {self.amplitude_mv!r}")
-        if self.freq_hz is not None and not (finite(self.freq_hz) and self.freq_hz > 0):
-            raise ValueError(f"freq_hz must be a finite number above 0, got {self.freq_hz!r}")
+        if self.amplitude_mv > MAX_AMPLITUDE_MV:
+            raise ValueError(f"amplitude_mv must be at most {MAX_AMPLITUDE_MV:g}, "
+                             f"got {self.amplitude_mv!r}")
+        if self.freq_hz is not None:
+            if not (finite(self.freq_hz) and self.freq_hz > 0):
+                raise ValueError(f"freq_hz must be a finite number above 0, got {self.freq_hz!r}")
+            if self.freq_hz >= BIOPOTENTIAL_RATE_HZ / 2:
+                raise ValueError(f"freq_hz must be below {BIOPOTENTIAL_RATE_HZ / 2:g} Hz, the "
+                                 f"Nyquist rate at {BIOPOTENTIAL_RATE_HZ:g} Hz, "
+                                 f"got {self.freq_hz!r}")
         if not finite(self.start_s):
             raise ValueError(f"start_s must be a finite number, got {self.start_s!r}")
         if self.stop_s is not None and not (finite(self.stop_s) and self.stop_s > self.start_s):
@@ -253,26 +262,51 @@ class SynthComponent:
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Deterministic description of a synthetic recording."""
+    """Deterministic description of a synthetic recording.
+
+    It renders at ``BIOPOTENTIAL_RATE_HZ``, its IMU track at
+    ``IMU_RATE_HZ``.  Each component's interval, clipped to the recording,
+    must cover at least one sample.
+    """
 
     duration_s: float
     components: tuple[SynthComponent, ...] = ()
     patient_id: str = "synthetic"
-    sample_rate: float = BIOPOTENTIAL_RATE_HZ
-    imu_rate: float = IMU_RATE_HZ
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (finite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be a finite number above 0, got {self.duration_s!r}")
+        if not isinstance(self.patient_id, str):
+            raise ValueError(f"patient_id must be a string, got {self.patient_id!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer 0 or above, got {self.seed!r}")
         object.__setattr__(self, "components", tuple(self.components))
+        for k, comp in enumerate(self.components):
+            i0, i1 = _interval(comp, self.n_samples)
+            if i0 == i1:
+                raise ValueError(f"components[{k}] ({comp.kind}): start_s {comp.start_s!r} and "
+                                 f"stop_s {comp.stop_s!r} cover no sample of the "
+                                 f"{self.duration_s!r} s recording")
+
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s * BIOPOTENTIAL_RATE_HZ))
 
 
-def _interval_mask(n: int, fs: float, start_s: float, stop_s: float | None) -> tuple[int, int]:
-    stop_s = n / fs if stop_s is None else stop_s
-    i0 = max(0, int(round(start_s * fs)))
-    i1 = min(n, int(round(stop_s * fs)))
+def _interval(comp: SynthComponent, n: int) -> tuple[int, int]:
+    """First and end sample of ``comp``'s interval, clipped to ``n`` samples."""
+    fs = BIOPOTENTIAL_RATE_HZ
+    i0 = round(min(max(comp.start_s * fs, 0), n))
+    i1 = n if comp.stop_s is None else round(min(max(comp.stop_s * fs, 0), n))
     return i0, max(i0, i1)
+
+
+def _pulse_starts(length: int, fs: float, rate: float) -> np.ndarray:
+    """Sample offsets of pulses repeating at ``rate`` Hz from offset 0 that
+    fall within ``length`` samples."""
+    starts = np.rint(np.arange(int(length * rate / fs) + 1) * fs / rate)
+    return starts[starts < length].astype(int)
 
 
 def _raised_cosine_edges(length: int, ramp: int) -> np.ndarray:
@@ -286,18 +320,24 @@ def _raised_cosine_edges(length: int, ramp: int) -> np.ndarray:
     return env
 
 
-def _spike_wave_period(fs: float, rate_hz: float) -> np.ndarray:
+def _spike_wave_period(fs: float, rate_hz: float, limit: int | None = None) -> np.ndarray:
     """One period of a spike-and-wave discharge, peak-normalized.
 
     The spike is a 12 ms-sigma bump, broad enough that a despiking stage
     tuned for electrode pops leaves it alone.  The slow wave is wide and
     deep, so each period has net negative area: the baseline shift that
     accompanies a discharge.
+
+    Given ``limit``, a period longer than both ``limit`` samples and 0.4 s
+    is cut there.  The peak that sets the scale lies in its first 0.32 s,
+    so the samples kept equal those of the whole period, and a rate far
+    below 1 Hz costs no more than its interval.
     """
-    period = int(round(fs / rate_hz))
-    t = np.arange(period) / fs
+    period = fs / rate_hz
+    cut = math.inf if limit is None else max(limit, int(0.4 * fs))
+    t = np.arange(int(round(period)) if period < cut else cut) / fs
     spike = np.exp(-0.5 * ((t - 0.045) / 0.012) ** 2)
-    wave = np.zeros(period)
+    wave = np.zeros(len(t))
     w0, w1 = 0.08, 0.32
     inside = (t >= w0) & (t < w1)
     wave[inside] = 0.90 * np.sin(np.pi * (t[inside] - w0) / (w1 - w0))
@@ -333,109 +373,79 @@ def _tone_comb(n: int, fs: float, lo: float, hi: float) -> np.ndarray:
 
 
 def _render_component(
-    comp: SynthComponent,
-    n: int,
-    fs: float,
-    n_imu: int,
-    imu_rate: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Render one component.
+    comp: SynthComponent, n: int, n_imu: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Render one component into its source track.
 
-    Returns (biopotential track, optional second-channel track, optional IMU
-    envelope at the IMU rate).  A None second channel means both mixed
-    channels receive the same waveform.
+    Returns the track, n samples long (2 x n for ``white_noise``: one
+    independent draw per mixed channel), and, for ``motion_burst`` only,
+    its envelope at ``IMU_RATE_HZ``.
     """
-    x = np.zeros(n)
-    i0, i1 = _interval_mask(n, fs, comp.start_s, comp.stop_s)
+    fs = BIOPOTENTIAL_RATE_HZ
+    i0, i1 = _interval(comp, n)
     seg = i1 - i0
-    if seg == 0:
-        return x, None, None
-    t = np.arange(n) / fs
-
-    if comp.kind == "tone":
-        f = 10.0 if comp.freq_hz is None else comp.freq_hz
-        x[i0:i1] = comp.amplitude_mv * np.sin(2 * np.pi * f * t[i0:i1])
-        return x, None, None
-
-    if comp.kind == "alpha_burst":
-        f = 10.0 if comp.freq_hz is None else comp.freq_hz
-        env = _raised_cosine_edges(seg, int(0.5 * fs))
-        x[i0:i1] = comp.amplitude_mv * env * np.sin(2 * np.pi * f * t[i0:i1])
-        return x, None, None
+    rate = COMPONENTS[comp.kind][1] if comp.freq_hz is None else comp.freq_hz
 
     if comp.kind == "white_noise":
-        x[i0:i1] = rng.normal(0.0, comp.amplitude_mv, seg)
-        x2 = np.zeros(n)
-        x2[i0:i1] = rng.normal(0.0, comp.amplitude_mv, seg)
-        return x, x2, None
+        x = np.zeros((2, n))
+        x[:, i0:i1] = rng.normal(0.0, comp.amplitude_mv, (2, seg))
+        return x, None
 
-    if comp.kind == "blink":
-        # biphasic ~500 ms deflections; freq_hz is the repetition rate
-        # (default one blink every 2 s).  Rapid repetition merges the
-        # pulses into a continuous slow oscillation, the way a run of
-        # forced blinks or rhythmic eye deviation looks.
-        rate = 0.5 if comp.freq_hz is None else comp.freq_hz
+    x = np.zeros(n)
+    if comp.kind == "tone":
+        t = np.arange(i0, i1) / fs
+        x[i0:i1] = comp.amplitude_mv * np.sin(2 * np.pi * rate * t)
+
+    elif comp.kind == "alpha_burst":
+        t = np.arange(i0, i1) / fs
+        env = _raised_cosine_edges(seg, int(0.5 * fs))
+        x[i0:i1] = comp.amplitude_mv * env * np.sin(2 * np.pi * rate * t)
+
+    elif comp.kind == "blink":
+        # biphasic ~500 ms deflections; the rate is the repetition rate.
+        # Rapid repetition merges the pulses into a continuous slow
+        # oscillation, the way a run of forced blinks or rhythmic eye
+        # deviation looks.
         pulse_len = int(0.3 * fs)
         pulse = np.sin(np.pi * np.arange(pulse_len) / pulse_len) ** 2
         rebound_len = int(0.2 * fs)
         rebound = -0.25 * np.sin(np.pi * np.arange(rebound_len) / rebound_len) ** 2
         shape = np.concatenate([pulse, rebound])
-        j = 0
-        while True:
-            pos = i0 + int(round(j * fs / rate))
-            if pos >= i1:
-                break
-            end = min(pos + len(shape), i1)
-            x[pos:end] += comp.amplitude_mv * shape[: end - pos]
-            j += 1
-        return x, None, None
+        for pos in _pulse_starts(seg, fs, rate):
+            end = min(pos + len(shape), seg)
+            x[i0 + pos:i0 + end] += comp.amplitude_mv * shape[: end - pos]
 
-    if comp.kind == "chew":
-        # bursts of broadband muscle activity; freq_hz is the burst rate
-        # (default ~1 Hz mastication).  Rates above 2 Hz close the
-        # inter-burst gaps into sustained high-tension activity, which
-        # also recruits a wider, higher-frequency band.  A small
-        # same-envelope pedestal models the baseline shift of a working
-        # muscle.
-        rate = 1.0 if comp.freq_hz is None else comp.freq_hz
+    elif comp.kind == "chew":
+        # bursts of broadband muscle activity; the rate is the burst rate
+        # (~1 Hz mastication).  Rates above 2 Hz close the inter-burst
+        # gaps into sustained high-tension activity, which also recruits a
+        # wider, higher-frequency band.  A small same-envelope pedestal
+        # models the baseline shift of a working muscle.
         lo, hi = (20.0, 60.0) if rate <= 2.0 else (35.0, 112.0)
-        burst_len = int(0.35 * fs)
+        burst = np.hanning(int(0.35 * fs))
         carrier = _tone_comb(seg, fs, lo, hi)
         env = np.zeros(seg)
-        j = 0
-        while True:
-            pos = int(round(j * fs / rate))
-            if pos >= seg:
-                break
-            end = min(pos + burst_len, seg)
-            env[pos:end] = np.maximum(env[pos:end], np.hanning(burst_len)[: end - pos])
-            j += 1
+        for pos in _pulse_starts(seg, fs, rate):
+            end = min(pos + len(burst), seg)
+            env[pos:end] = np.maximum(env[pos:end], burst[: end - pos])
         x[i0:i1] = comp.amplitude_mv * env * (carrier + 0.1)
-        return x, None, None
 
-    if comp.kind == "spike_wave_seizure":
-        rate = 3.0 if comp.freq_hz is None else comp.freq_hz
-        period = _spike_wave_period(fs, rate)
-        reps = int(np.ceil(seg / len(period)))
-        train = np.tile(period, reps)[:seg]
+    elif comp.kind == "spike_wave_seizure":
+        train = np.resize(_spike_wave_period(fs, rate, seg), seg)
         env = _raised_cosine_edges(seg, int(1.0 * fs))
         x[i0:i1] = comp.amplitude_mv * env * train
-        return x, None, None
 
-    if comp.kind == "motion_burst":
-        # Without a dominant frequency: one smooth sway, low-frequency
-        # noise under a sin^2 envelope.  With freq_hz set: a series of
-        # discrete jolts (0.25 s windowed tones near that frequency) at
-        # random times with random strengths, the way scratching or
-        # head jerks register.  Either way the envelope co-registers on
-        # the accelerometer.
-        full_env = np.zeros(n)
-        if comp.freq_hz is None:
+    else:  # motion_burst
+        # Without a rate: one smooth sway, low-frequency noise under a sin^2
+        # envelope.  With one: a series of discrete jolts (0.25 s windowed
+        # tones near that frequency, cut where the interval ends) at random
+        # times with random strengths, the way scratching or head jerks
+        # register.  Either way the envelope co-registers on the
+        # accelerometer.
+        if rate is None:
             carrier = _bandlimited_noise(rng, seg, fs, 2.0, 6.0)
             env = np.sin(np.pi * np.arange(seg) / seg) ** 2
             x[i0:i1] = comp.amplitude_mv * env * carrier
-            full_env[i0:i1] = env
         else:
             jerk_len = int(0.4 * fs)
             n_jerks = max(1, int(round(1.2 * seg / fs)))
@@ -444,58 +454,49 @@ def _render_component(
             env = np.zeros(seg)
             for s0, amp in zip(starts, amps):
                 e = amp * np.hanning(jerk_len)
-                f = comp.freq_hz * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
+                f = rate * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
                 tone = np.cos(2 * np.pi * f * np.arange(jerk_len) / fs + rng.uniform(0, 2 * np.pi))
-                x[i0 + s0:i0 + s0 + jerk_len] += comp.amplitude_mv * e * tone
-                env[s0:s0 + jerk_len] = np.maximum(env[s0:s0 + jerk_len], e)
-            full_env[i0:i1] = env
-        imu_env = np.interp(np.arange(n_imu) / imu_rate, t, full_env)
-        return x, None, imu_env
+                end = min(s0 + jerk_len, seg)
+                x[i0 + s0:i0 + end] += (comp.amplitude_mv * e * tone)[: end - s0]
+                env[s0:end] = np.maximum(env[s0:end], e[: end - s0])
+        full_env = np.zeros(n)
+        full_env[i0:i1] = env
+        return x, np.interp(np.arange(n_imu) / IMU_RATE_HZ, np.arange(n) / fs, full_env)
 
-    raise ValueError(f"unknown component kind {comp.kind!r}")  # pragma: no cover
+    return x, None
 
 
 def render_sources(spec: SynthesisSpec) -> tuple[dict[str, np.ndarray], np.ndarray, list[SeizureAnnotation]]:
-    """Render a spec into per-modality source tracks plus the IMU track.
+    """Render a spec into per-track sources plus the IMU track.
 
     Returns
     -------
     sources : dict
-        Keys are a subset of {"eeg", "eog", "emg", "motion", "noise"} and
-        map to single-channel tracks; "noise" holds the second channel's
-        independent noise draw stacked as 2 x N when present.
+        Keys are the tracks in ``COMPONENTS`` that the spec's components
+        render into.  Each maps to an N-sample track, but "noise" holds one
+        independent draw per mixed channel, stacked as 2 x N.
     imu : np.ndarray
         3 x M accelerometer track in g.
     annotations : list[SeizureAnnotation]
     """
-    fs = spec.sample_rate
-    n = int(round(spec.duration_s * fs))
-    n_imu = int(round(spec.duration_s * spec.imu_rate))
+    n = spec.n_samples
+    n_imu = int(round(spec.duration_s * IMU_RATE_HZ))
     seeds = np.random.SeedSequence(spec.seed).spawn(len(spec.components) + 1)
     imu_rng = np.random.default_rng(seeds[-1])
 
     sources: dict[str, np.ndarray] = {}
-    noise_pair = None
     imu_env_total = np.zeros(n_imu)
     annotations: list[SeizureAnnotation] = []
 
     for comp, seed in zip(spec.components, seeds[:-1]):
-        rng = np.random.default_rng(seed)
-        x, x2, imu_env = _render_component(comp, n, fs, n_imu, spec.imu_rate, rng)
-        modality = COMPONENT_MODALITY[comp.kind]
-        if modality == "noise":
-            pair = np.stack([x, x2])
-            noise_pair = pair if noise_pair is None else noise_pair + pair
-        else:
-            sources[modality] = sources.get(modality, np.zeros(n)) + x
+        track, imu_env = _render_component(comp, n, n_imu, np.random.default_rng(seed))
+        name = COMPONENTS[comp.kind][0]
+        sources[name] = sources.get(name, np.zeros(n)) + track
         if imu_env is not None:
             imu_env_total += imu_env
         if comp.kind == "spike_wave_seizure":
             stop = spec.duration_s if comp.stop_s is None else comp.stop_s
             annotations.append(SeizureAnnotation(comp.start_s, stop, "synthetic"))
-
-    if noise_pair is not None:
-        sources["noise"] = noise_pair
 
     # IMU: gravity on z plus sensor noise, with motion bursts showing up as
     # magnitude fluctuations spread over the axes.
@@ -515,21 +516,13 @@ def synthesize_recording(spec: SynthesisSpec) -> Recording:
     independently per channel.
     """
     sources, imu, annotations = render_sources(spec)
-    n = int(round(spec.duration_s * spec.sample_rate))
-    base = np.zeros(n)
-    for name in ("eeg", "eog", "emg", "motion"):
+    mixed = np.zeros((2, spec.n_samples))
+    for name in ("eeg", "eog", "emg", "motion", "noise"):  # a fixed order fixes the sum's bits
         if name in sources:
-            base = base + sources[name]
-    left = base.copy()
-    right = base.copy()
-    if "noise" in sources:
-        left += sources["noise"][0]
-        right += sources["noise"][1]
+            mixed = mixed + sources[name]
     return Recording(
         patient_id=spec.patient_id,
-        sample_rate=spec.sample_rate,
-        channels={ChannelRole.MIXED_LEFT: left, ChannelRole.MIXED_RIGHT: right},
+        channels={ChannelRole.MIXED_LEFT: mixed[0], ChannelRole.MIXED_RIGHT: mixed[1]},
         imu=imu,
-        imu_rate=spec.imu_rate,
         annotations=annotations,
     )

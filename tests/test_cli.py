@@ -348,15 +348,42 @@ class TestFailureReporting:
         assert err["message"].startswith(f"{copy}: {damaged}: 1 of ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("component, message", [
+    @pytest.mark.parametrize("change, message", [
         ({"kind": "blink", "freq_hz": 0}, "freq_hz must be a finite number above 0, got 0"),
         ({"kind": "tone", "amplitude_mv": float("nan")},
          "amplitude_mv must be a finite nonnegative number, got nan"),
         ({"kind": "tone", "start_s": 5.0, "stop_s": 2.0},
          "stop_s must be a finite number above start_s (5.0), got 2.0"),
-    ], ids=["zero-rate", "nan-amplitude", "stop-before-start"])
-    def test_bad_synthesis_value_names_the_field(self, capsys, tmp_path, component, message):
-        spec = {"duration_s": 10.0, "components": [{"amplitude_mv": 0.1, **component}]}
+        ({"kind": "tone", "start_s": 12.0},
+         "components[0] (tone): start_s 12.0 and stop_s None cover no sample of the 10.0 s "
+         "recording"),
+        ({"kind": "blink", "freq_hz": 200},
+         "freq_hz must be below 125 Hz, the Nyquist rate at 250 Hz, got 200"),
+        ({"kind": "tone", "phase": 1.0},
+         "components[0] has unknown keys ['phase']; the keys are "
+         "['kind', 'amplitude_mv', 'freq_hz', 'start_s', 'stop_s']"),
+        ({"duration_s": "5"}, "duration_s must be a finite number above 0, got '5'"),
+        ({"seed": 3.9}, "seed must be an integer 0 or above, got 3.9"),
+        ({"patient_id": 7}, "patient_id must be a string, got 7"),
+        ({"sample_rate": 500}, "the synthesis spec has unknown keys ['sample_rate']; the keys "
+                               "are ['duration_s', 'components', 'patient_id', 'seed']"),
+        ({"components": [{"kind": "tone"}]}, "components[0] lacks the keys ['amplitude_mv']"),
+        ({"components": [3]}, "components[0] must be a JSON object, got 3"),
+        ({"components": {"kind": "tone"}}, "components must be a JSON list, got {'kind': 'tone'}"),
+    ], ids=["zero-rate", "nan-amplitude", "stop-before-start", "start-after-end",
+            "rate-above-nyquist", "unknown-component-key", "string-duration", "float-seed",
+            "int-patient", "sample-rate", "missing-amplitude", "number-component",
+            "object-components"])
+    def test_bad_synthesis_value_names_the_field(self, capsys, tmp_path, change, message):
+        """A value is read as typed, not coerced, and a key the spec does not
+        take is refused by name instead of being dropped. A ``kind`` in
+        ``change`` makes it the one component's values, with amplitude 0.1;
+        otherwise it changes the spec's top-level keys."""
+        spec = {"duration_s": 10.0, "components": [{"kind": "tone", "amplitude_mv": 0.1}]}
+        if "kind" in change:
+            spec["components"] = [{"amplitude_mv": 0.1, **change}]
+        else:
+            spec.update(change)
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         code = main(["synth", "--config", str(tmp_path / "spec.json"),
                      "--out", str(tmp_path / "raw")])

@@ -8,8 +8,10 @@ must match the components that created them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earpipe.signals import (
+    COMPONENTS,
     ChannelRole,
     MIXED_ROLES,
     Recording,
@@ -157,14 +159,67 @@ class TestComponentValidation:
         (lambda: SynthesisSpec(duration_s=float("nan")),
          "duration_s must be a finite number above 0"),
         (lambda: SynthesisSpec(duration_s=0.0), "duration_s must be a finite number above 0"),
+        (lambda: SynthComponent(7, 0.1), "unknown component kind 7"),
+        (lambda: SynthComponent("tone", 1e7), "amplitude_mv must be at most 1e\\+06, got"),
+        (lambda: SynthComponent("tone", 0.1, freq_hz=125.0),
+         r"freq_hz must be below 125 Hz, the Nyquist rate at 250 Hz, got 125\.0"),
+        (lambda: SynthComponent("blink", 0.1, freq_hz=200.0), "freq_hz must be below 125 Hz"),
+        (lambda: SynthComponent("blink", 0.1, freq_hz=1e5), "freq_hz must be below 125 Hz"),
+        (lambda: SynthesisSpec(5.0, (SynthComponent("white_noise", 0.1, start_s=7.0),)),
+         r"components\[0\] \(white_noise\): start_s 7\.0 and stop_s None cover no sample "
+         r"of the 5\.0 s recording"),
+        (lambda: SynthesisSpec(5.0, (SynthComponent("tone", 0.1),
+                                     SynthComponent("spike_wave_seizure", 0.3, start_s=7.0))),
+         r"components\[1\] \(spike_wave_seizure\): start_s 7\.0"),
+        (lambda: SynthesisSpec(5.0, (SynthComponent("tone", 0.1, start_s=50.0),)),
+         "start_s 50.0 and stop_s None cover no sample"),
+        (lambda: SynthesisSpec(5.0, (SynthComponent("tone", 0.1, start_s=1.0, stop_s=1.001),)),
+         "start_s 1.0 and stop_s 1.001 cover no sample"),
+        (lambda: SynthesisSpec(5.0, (SynthComponent("tone", 0.1, start_s=-3.0, stop_s=-1.0),)),
+         "start_s -3.0 and stop_s -1.0 cover no sample"),
+        (lambda: SynthesisSpec(5.0, patient_id=7), "patient_id must be a string, got 7"),
+        (lambda: SynthesisSpec(5.0, seed=3.9), "seed must be an integer 0 or above, got 3.9"),
+        (lambda: SynthesisSpec(5.0, seed=-1), "seed must be an integer 0 or above, got -1"),
+        (lambda: SynthesisSpec(5.0, seed=True), "seed must be an integer 0 or above, got True"),
+        (lambda: SynthesisSpec("5"), "duration_s must be a finite number above 0, got '5'"),
     ], ids=["nan-amplitude", "inf-amplitude", "zero-blink-rate", "zero-seizure-rate",
             "negative-chew-rate", "inf-motion-rate", "true-rate", "nan-start", "stop-before-start",
-            "empty-interval", "inf-stop", "nan-duration", "zero-duration"])
+            "empty-interval", "inf-stop", "nan-duration", "zero-duration", "int-kind",
+            "huge-amplitude", "nyquist-tone", "fast-blink", "very-fast-blink",
+            "noise-after-end", "seizure-after-end", "tone-after-end", "sub-sample-interval",
+            "interval-before-start", "int-patient", "float-seed", "negative-seed", "bool-seed",
+            "string-duration"])
     def test_bad_value_names_the_field(self, make, message):
         """A value that would crash rendering, render NaN, or render nothing
         is refused where the spec is built."""
         with pytest.raises(ValueError, match=message):
             make()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(COMPONENTS)),
+        amplitude=st.floats(0.0, 1.0) | st.floats(0.0, 2e6),
+        freq=st.none() | st.floats(0.0, 130.0) | st.floats(0.0, 1e9),
+        start=st.floats(-2.0, 4.0),
+        length=st.none() | st.floats(-0.1, 6.0),
+        duration=st.floats(0.0, 4.0),
+    )
+    def test_spec_renders_or_is_refused_by_field(self, kind, amplitude, freq, start, length,
+                                                 duration):
+        """Any one-component spec renders finite channels, or is refused
+        with a ValueError that names a field."""
+        stop = None if length is None else start + length
+        try:
+            spec = SynthesisSpec(duration, (SynthComponent(kind, amplitude, freq, start, stop),))
+            rec = synthesize_recording(spec)
+        except ValueError as exc:
+            assert any(f in str(exc) for f in ("amplitude_mv", "freq_hz", "start_s", "stop_s",
+                                               "duration_s")), exc
+            return
+        assert rec.n_samples == spec.n_samples
+        for x in rec.channels.values():
+            assert np.all(np.isfinite(x))
+        assert np.all(np.isfinite(rec.imu))
 
 
 class TestToneSynthesis:
@@ -210,6 +265,18 @@ class TestToneSynthesis:
         assert np.all(x[: int(3.0 * fs)] == 0.0)
         assert np.all(x[int(7.0 * fs):] == 0.0)
         assert np.any(x[int(3.0 * fs): int(7.0 * fs)] != 0.0)
+
+
+    def test_jolts_cut_at_a_short_interval(self):
+        """A jolt series on an interval shorter than one 0.4 s jolt renders
+        its jolts cut where the interval ends."""
+        for start_s, stop_s in ((4.9, None), (2.0, 2.2)):
+            spec = SynthesisSpec(5.0, (SynthComponent("motion_burst", 0.5, freq_hz=17.0,
+                                                      start_s=start_s, stop_s=stop_s),))
+            x = synthesize_recording(spec).channels[ChannelRole.MIXED_LEFT]
+            i0, i1 = round(start_s * 250), round((stop_s or 5.0) * 250)
+            assert np.any(x[i0:i1] != 0.0)
+            assert not np.any(x[:i0]) and not np.any(x[i1:])
 
 
 class TestDeterminism:
@@ -266,6 +333,15 @@ class TestSpikeWave:
         assert shape.mean() < -0.05
         # the positive spike peaks early, the negative wave bottoms later
         assert np.argmax(shape) < np.argmin(shape)
+
+    def test_long_period_cut_to_its_limit(self):
+        """A period longer than the interval is computed only as far as the
+        interval (at least 0.4 s), with the samples of the whole period."""
+        whole = _spike_wave_period(250.0, 0.05)
+        assert len(whole) == 5000
+        np.testing.assert_array_equal(_spike_wave_period(250.0, 0.05, 30), whole[:100])
+        np.testing.assert_array_equal(_spike_wave_period(250.0, 0.05, 1200), whole[:1200])
+        assert len(_spike_wave_period(250.0, 1e-300, 30)) == 100
 
     def test_seizure_component_creates_annotation(self):
         spec = SynthesisSpec(
@@ -334,6 +410,19 @@ class TestMotionImuCoupling:
 
 
 class TestRenderSources:
+    @pytest.mark.parametrize("kind", COMPONENTS)
+    def test_unset_rate_is_the_table_default(self, kind):
+        """A component without ``freq_hz`` renders as one given its kind's
+        default from ``COMPONENTS``."""
+        def render(freq_hz):
+            spec = SynthesisSpec(4.0, (SynthComponent(kind, 0.1, freq_hz, 0.5, 3.5),), seed=5)
+            rec = synthesize_recording(spec)
+            return rec.channel_matrix(), rec.imu
+
+        unset, default = render(None), render(COMPONENTS[kind][1])
+        np.testing.assert_array_equal(unset[0], default[0])
+        np.testing.assert_array_equal(unset[1], default[1])
+
     def test_modality_keys(self):
         spec = SynthesisSpec(
             duration_s=4.0,
