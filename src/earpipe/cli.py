@@ -1,11 +1,16 @@
 """Command-line entry points for every pipeline stage.
 
-``synth``, ``evaluate`` and ``sweep`` accept ``--config FILE`` (a JSON
-object) whose keys match the command's flags; explicit flags override the
-file.  Stage commands write recording directories, ``train-templates``
+``synth``, ``evaluate`` and ``sweep`` accept ``--config FILE``, a JSON
+object whose keys are the field names of the config class the command
+builds (``SynthesisSpec``, or ``ExperimentConfig`` for the last two); a flag
+that is set overrides the key of its name, and an unknown key is refused by
+name.  Stage commands write recording directories, ``train-templates``
 writes a template bank directory, ``features`` and ``sweep`` write CSV, and
-``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON object to
-stderr and exit nonzero.  All randomness descends from ``--seed``
+``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON
+object to stderr and exit nonzero.  Each setting's default and allowed
+values are stated only in the class that checks it, so a bad value fails
+this way, naming the field, before any work starts, whether it comes from a
+flag or from the file.  All randomness descends from ``--seed``
 (``synth``, ``train-templates``) or ``--master-seed``
 (``evaluate``, ``sweep``), so a repeated invocation writes byte-identical
 outputs.
@@ -13,8 +18,8 @@ outputs.
 Each command imports the pipeline modules it uses when it runs.  A worker
 of the process pool that ``evaluate`` and ``sweep`` open starts by
 importing this module again (the console script's ``__main__`` imports
-it), and at module level it loads only ``earpipe.vmd`` and numpy, not
-``scipy.signal`` and the rest of the package.
+it), and at module level it loads none of the pipeline: not numpy, not
+``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .vmd import MOTION_R_THRESHOLD
 
 if TYPE_CHECKING:
     from .evaluation import ExperimentConfig
@@ -37,25 +41,6 @@ def _fail(exc: Exception) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return 2
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("--config must hold a JSON object")
-    return data
-
-
-def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
-    """File config overlaid with any explicitly set flags."""
-    cfg = _load_config(getattr(args, "config", None))
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
 
 
 def _check_keys(obj, cls, where: str) -> None:
@@ -70,6 +55,19 @@ def _check_keys(obj, cls, where: str) -> None:
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
     if missing:
         raise ValueError(f"{where} lacks the keys {missing}")
+
+
+def _settings(cls, args: argparse.Namespace, where: str) -> dict:
+    """The keys to build the dataclass ``cls`` from: the ``--config`` object,
+    if the command takes one, with the flag of each field of ``cls``
+    overlaid where it was set, checked by :func:`_check_keys`."""
+    path = getattr(args, "config", None)
+    obj = {} if path is None else json.loads(Path(path).read_text())
+    if isinstance(obj, dict):
+        obj.update((f.name, getattr(args, f.name)) for f in fields(cls)
+                   if getattr(args, f.name, None) is not None)
+    _check_keys(obj, cls, where)
+    return obj
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -104,8 +102,7 @@ def cmd_synth(args) -> int:
     from .io import save_recording
     from .signals import SynthComponent, SynthesisSpec, synthesize_recording
 
-    cfg = {"duration_s": 60.0, **_merged(args, ["duration_s", "patient_id", "seed"])}
-    _check_keys(cfg, SynthesisSpec, "the synthesis spec")
+    cfg = _settings(SynthesisSpec, args, "the synthesis spec")
     comps = cfg.pop("components", [])
     if not comps:
         raise ValueError("the synthesis spec has no components, so every channel would be "
@@ -124,14 +121,8 @@ def cmd_preprocess(args) -> int:
     from .io import load_recording, save_recording
     from .preprocess import PreprocessConfig, preprocess_recording
 
+    cfg = PreprocessConfig(**_settings(PreprocessConfig, args, "the preprocess config"))
     rec = load_recording(args.input)
-    band = tuple(args.bandpass) if args.bandpass else None
-    cfg = PreprocessConfig(
-        mains_hz=args.mains_hz,
-        notch_q=args.notch_q,
-        outlier_sigma=args.outlier_sigma,
-        bandpass_hz=band,
-    )
     save_recording(preprocess_recording(rec, cfg), args.out)
     print(f"preprocessed recording written to {args.out}")
     return 0
@@ -141,7 +132,7 @@ def cmd_denoise(args) -> int:
     from .evaluation import ExperimentConfig, screen_motion
     from .io import load_recording, save_recording
 
-    cfg = ExperimentConfig(motion_threshold=args.threshold)
+    cfg = ExperimentConfig(**_settings(ExperimentConfig, args, "the experiment config"))
     ((cleaned, by_channel),) = screen_motion([load_recording(args.input)], cfg)
     save_recording(cleaned, args.out)
     reports = [r for blocks in by_channel.values() for r in blocks]
@@ -169,17 +160,17 @@ def cmd_separate(args) -> int:
 def cmd_train_templates(args) -> int:
     from .corpus import template_sources
     from .io import load_recording
-    from .nnmf import NnmfConfig, save_templates, train_templates
+    from .nnmf import MODALITIES, NnmfConfig, save_templates, train_templates
     from .signals import BIOPOTENTIAL_RATE_HZ
 
     if args.synthetic:
         sources = template_sources(master_seed=args.seed)
         fs = BIOPOTENTIAL_RATE_HZ
     else:
-        missing = [n for n in ("eeg", "emg", "eog") if getattr(args, n) is None]
+        missing = [n for n in MODALITIES if getattr(args, n) is None]
         if missing:
             raise ValueError(f"provide --{', --'.join(missing)} or use --synthetic")
-        recs = {n: load_recording(getattr(args, n)) for n in ("eeg", "emg", "eog")}
+        recs = {n: load_recording(getattr(args, n)) for n in MODALITIES}
         rates = {n: r.sample_rate for n, r in recs.items()}
         if len(set(rates.values())) > 1:
             named = ", ".join(f"{n} {rate:g} Hz" for n, rate in rates.items())
@@ -198,9 +189,9 @@ def cmd_features(args) -> int:
     from .features import WindowSpec, feature_names, features_for_epochs, segment_recording
     from .io import load_recording
 
+    spec = WindowSpec(**_settings(WindowSpec, args, "the window spec"))
     rec = load_recording(args.input)
-    epochs = segment_recording(rec, WindowSpec(stride_s=args.stride),
-                               allow_short_events=args.allow_short_events)
+    epochs = segment_recording(rec, spec, allow_short_events=args.allow_short_events)
     matrix = features_for_epochs(epochs, rec.sample_rate)
     names = feature_names()
     out = Path(args.out)
@@ -211,16 +202,6 @@ def cmd_features(args) -> int:
             fh.write(f"{epoch.patient_id},{epoch.start_s:.3f},{epoch.label},{values}\n")
     print(f"wrote {len(epochs)} epochs x {len(names)} features to {out}")
     return 0
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    from .evaluation import ExperimentConfig
-
-    cfg = _merged(args, [
-        "stride_s", "ratio", "model", "separation", "motion",
-        "motion_threshold", "normalization", "cnn_epochs", "master_seed",
-    ])
-    return ExperimentConfig(**cfg)
 
 
 def _corpus_and_templates(args, cfg: ExperimentConfig):
@@ -245,9 +226,9 @@ def _corpus_and_templates(args, cfg: ExperimentConfig):
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import run_experiment
+    from .evaluation import ExperimentConfig, run_experiment
 
-    cfg = _experiment_config(args)
+    cfg = ExperimentConfig(**_settings(ExperimentConfig, args, "the experiment config"))
     recordings, templates = _corpus_and_templates(args, cfg)
     result = run_experiment(recordings, cfg, templates)
     payload = result.to_dict()
@@ -260,17 +241,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluation import sweep
+    from .evaluation import ExperimentConfig, sweep
 
-    cfg = _experiment_config(args)
+    cfg = ExperimentConfig(**_settings(ExperimentConfig, args, "the experiment config"))
     recordings, templates = _corpus_and_templates(args, cfg)
     rows = sweep(recordings, cfg, args.axis, templates)
     out = Path(args.out)
     with open(out, "w") as fh:
-        fh.write("axis,value,macro_accuracy,macro_recall,macro_f1,micro_accuracy\n")
+        fh.write(",".join(rows[0]) + "\n")
         for r in rows:
-            fh.write(f"{r['axis']},{r['value']},{r['macro_accuracy']:.6f},"
-                     f"{r['macro_recall']:.6f},{r['macro_f1']:.6f},{r['micro_accuracy']:.6f}\n")
+            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                              for v in r.values()) + "\n")
     print(f"{len(rows)} sweep rows written to {out}")
     return 0
 
@@ -283,10 +264,12 @@ def _parse_bands(specs: list[str] | None) -> dict:
     bands = {}
     for spec in specs:
         name, _, rng = spec.partition("=")
-        lo, _, hi = rng.partition(":")
-        if not rng or not hi:
-            raise ValueError(f"band {spec!r} should look like name=lo:hi")
-        bands[name] = (float(lo), float(hi))
+        try:
+            lo, hi = map(float, rng.split(":"))
+        except ValueError:
+            raise ValueError(f"band {spec!r} should look like name=lo:hi, "
+                             "with lo and hi numbers in Hz") from None
+        bands[name] = (lo, hi)
     return bands
 
 
@@ -294,8 +277,8 @@ def cmd_snr(args) -> int:
     from .evaluation import band_snr, compare_snr
     from .io import load_recording
 
-    rec = load_recording(args.input)
     bands = _parse_bands(args.band)
+    rec = load_recording(args.input)
     payload: dict = {"bands": {}}
     if args.processed:
         proc = load_recording(args.processed)
@@ -347,23 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="notch, detrend and de-spike a recording")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mains-hz", type=float, default=60.0)
-    p.add_argument("--notch-q", type=float, default=35.0)
-    p.add_argument("--outlier-sigma", type=float, default=6.0)
-    p.add_argument("--bandpass", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--mains-hz", type=float)
+    p.add_argument("--notch-q", type=float)
+    p.add_argument("--outlier-sigma", type=float)
+    p.add_argument("--bandpass", dest="bandpass_hz", nargs=2, type=float, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("denoise", help="drop IMU-correlated modes from every channel")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=MOTION_R_THRESHOLD,
+    p.add_argument("--threshold", dest="motion_threshold", type=float,
                    help="absolute envelope/IMU correlation above which a mode is dropped")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("separate", help="split mixed channels into EEG/EMG/EOG")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["nnmf", "emd"], default="nnmf")
+    p.add_argument("--method", default="nnmf")
     p.add_argument("--templates", help="template bank directory (nnmf)")
     p.set_defaults(func=cmd_separate)
 
@@ -380,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="segment a separated recording and write features")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", dest="stride_s", type=int)
     p.add_argument("--allow-short-events", action="store_true")
     p.set_defaults(func=cmd_features)
 
@@ -391,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate an N-patient synthetic corpus instead")
         p.add_argument("--templates", help="template bank directory for nnmf separation")
         p.add_argument("--stride-s", dest="stride_s", type=int)
-        p.add_argument("--ratio", choices=["1:1", "1:2", "1:3"])
-        p.add_argument("--model", choices=["svm", "knn", "rfc", "cnn"])
-        p.add_argument("--separation", choices=["nnmf", "emd"])
-        p.add_argument("--motion", choices=["vmd", "bandpass", "off"])
+        p.add_argument("--ratio")
+        p.add_argument("--model")
+        p.add_argument("--separation")
+        p.add_argument("--motion")
         p.add_argument("--motion-threshold", dest="motion_threshold", type=float)
-        p.add_argument("--normalization", choices=["zscore", "minmax"])
+        p.add_argument("--normalization")
         p.add_argument("--cnn-epochs", dest="cnn_epochs", type=int)
         p.add_argument("--master-seed", dest="master_seed", type=int)
 
@@ -407,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="ablation sweep along one axis")
     add_experiment_flags(p)
-    p.add_argument("--axis", choices=["stride", "ratio", "motion"], required=True)
+    # checked here: nothing else checks the axis before the corpus is built
+    p.add_argument("--axis", choices=["motion", "ratio", "stride"], required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

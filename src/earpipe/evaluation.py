@@ -53,7 +53,8 @@ from .features import (
     parse_ratio,
     segment_recording,
 )
-from .models import MODEL_CLASSES, make_model
+from .models import MODELS, make_model
+from .models.cnn import TrainConfig
 from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
 from .signals import ChannelRole, Recording, finite
@@ -220,15 +221,15 @@ def lopo_folds(patient_ids) -> list[FoldPlan]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    stride_s: int = 1
+    stride_s: int = WindowSpec.stride_s
     ratio: str = "1:1"
     model: str = "svm"
-    separation: str = "nnmf"  # or "emd"
-    motion: str = "vmd"  # "vmd", "bandpass" (1-30 Hz baseline) or "off"
+    separation: str = "nnmf"
+    motion: str = "vmd"  # "bandpass" is the 1-30 Hz baseline
     motion_threshold: float = MOTION_R_THRESHOLD
     normalization: str = "zscore"
-    mains_hz: float = 60.0
-    cnn_epochs: int = 350
+    mains_hz: float = PreprocessConfig.mains_hz
+    cnn_epochs: int = TrainConfig.epochs
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -236,7 +237,7 @@ class ExperimentConfig:
         WindowSpec(stride_s=self.stride_s)
         parse_ratio(self.ratio)
         for name, value, allowed in (
-            ("model kind", self.model, sorted(MODEL_CLASSES)),
+            ("model kind", self.model, sorted(MODELS)),
             ("separation method", self.separation, ["nnmf", "emd"]),
             ("motion mode", self.motion, ["vmd", "bandpass", "off"]),
             ("normalization mode", self.normalization, ["zscore", "minmax"]),
@@ -485,13 +486,13 @@ def run_experiment(
             train_labels, cfg.ratio, seed=_fold_seed(cfg.master_seed, 1, fold_idx)
         )
         y_train = train_labels[keep]
-        model = make_model(cfg.model, seed=_fold_seed(cfg.master_seed, 2, fold_idx))
+        model = make_model(cfg.model, seed=_fold_seed(cfg.master_seed, 2, fold_idx),
+                           cnn_epochs=cfg.cnn_epochs)
 
         if use_windows:
             train_epochs = [e for w in train for e in w.epochs]
             x_train = np.stack([train_epochs[i].channels for i in keep])
             x_test = np.stack([e.channels for e in test.epochs])
-            model.train_config = replace(model.train_config, epochs=cfg.cnn_epochs)
         else:
             x_fold = np.concatenate([w.features for w in train])[keep]
             norm = fit_normalizer(x_fold, mode=cfg.normalization)

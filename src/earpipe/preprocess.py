@@ -33,9 +33,14 @@ class PreprocessConfig:
             len(band) == 2 and all(map(finite, band)) and 0 < band[0] < band[1]
         ):
             raise ValueError(f"bandpass_hz must be (lo, hi) with 0 < lo < hi, got {band!r}")
+        if band is not None:
+            object.__setattr__(self, "bandpass_hz", tuple(band))
 
 
-def notch_filter(x: np.ndarray, fs: float, mains_hz: float = 60.0, q: float = 35.0) -> np.ndarray:
+def notch_filter(
+    x: np.ndarray, fs: float, mains_hz: float = PreprocessConfig.mains_hz,
+    q: float = PreprocessConfig.notch_q,
+) -> np.ndarray:
     """Zero-phase second-order IIR notch at the mains frequency."""
     if not 0 < mains_hz < fs / 2:
         raise ValueError(f"mains frequency {mains_hz} Hz outside (0, {fs / 2})")
@@ -48,7 +53,7 @@ def detrend_linear(x: np.ndarray) -> np.ndarray:
     return sps.detrend(np.asarray(x, dtype=np.float64), type="linear")
 
 
-def outlier_clip(x: np.ndarray, sigma: float = 6.0) -> np.ndarray:
+def outlier_clip(x: np.ndarray, sigma: float = PreprocessConfig.outlier_sigma) -> np.ndarray:
     """Replace samples far from the median with linear interpolation.
 
     A sample is an outlier when |x - median| exceeds ``sigma`` robust

@@ -213,6 +213,9 @@ COMPONENTS = {
 #: Largest component amplitude: a kilovolt, far above any biopotential and
 #: far enough inside the float64 range that summed components stay finite.
 MAX_AMPLITUDE_MV = 1e6
+#: Longest synthetic recording: one week, the longest vEEG stay, at about
+#: 1.2 GB of float64 samples per track.
+MAX_DURATION_S = 7 * 24 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ class SynthesisSpec:
     must cover at least one sample.
     """
 
-    duration_s: float
+    duration_s: float = 60.0
     components: tuple[SynthComponent, ...] = ()
     patient_id: str = "synthetic"
     seed: int = 0
@@ -277,6 +280,9 @@ class SynthesisSpec:
     def __post_init__(self) -> None:
         if not (finite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be a finite number above 0, got {self.duration_s!r}")
+        if self.duration_s > MAX_DURATION_S:
+            raise ValueError(f"duration_s must be at most {MAX_DURATION_S:g} s (one week), "
+                             f"got {self.duration_s!r}")
         if not isinstance(self.patient_id, str):
             raise ValueError(f"patient_id must be a string, got {self.patient_id!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:

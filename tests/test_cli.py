@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from earpipe import evaluation
-from earpipe.cli import main
+from earpipe.cli import build_parser, main
 from earpipe.io import load_recording, save_recording
 from earpipe.nnmf import load_templates
+from earpipe.preprocess import PreprocessConfig, preprocess_recording
 from earpipe.signals import MIXED_ROLES, SEPARATED_ROLES, Recording
 from earpipe.vmd import remove_motion_artifacts
 
@@ -78,6 +79,14 @@ class TestStagewiseFlow:
         pre = load_recording(artifacts["pre"])
         assert tuple(pre.channels) == tuple(raw.channels)
         assert pre.n_samples == raw.n_samples
+
+    def test_preprocess_defaults_are_the_config_defaults(self, artifacts, tmp_path):
+        """With no setting flags, preprocess writes the bytes of the library
+        chain run with ``PreprocessConfig()``."""
+        rec = preprocess_recording(load_recording(artifacts["raw"]), PreprocessConfig())
+        save_recording(rec, tmp_path / "lib")
+        for name in ("header.json", "signals.bin", "imu.bin"):
+            assert (tmp_path / "lib" / name).read_bytes() == (artifacts["pre"] / name).read_bytes()
 
     def test_denoise_output_loads(self, artifacts):
         den = load_recording(artifacts["den"])
@@ -167,6 +176,11 @@ class TestExperimentCommands:
         assert lines[0] == "axis,value,macro_accuracy,macro_recall,macro_f1,micro_accuracy"
         assert [l.split(",")[1] for l in lines[1:]] == ["1:1", "1:2", "1:3"]
 
+    def test_axis_choices_are_the_sweep_axes(self):
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+        axis = next(a for a in subcommands.choices["sweep"]._actions if a.dest == "axis")
+        assert axis.choices == sorted(evaluation.SWEEP_AXES)
+
     def test_corpus_source_required(self, capsys):
         assert main(["evaluate", "--model", "rfc"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -215,11 +229,16 @@ class TestSnrCommand:
         assert f"processed recording has {message}" in err["message"]
         assert not (tmp_path / "snr.json").exists()
 
-    def test_malformed_band_rejected(self, artifacts, capsys):
-        code = main(["snr", "--in", str(artifacts["raw"]), "--band", "alpha"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
+    def test_malformed_band_rejected(self, capsys, tmp_path):
+        """A band that is not name=lo:hi with numeric bounds is refused,
+        naming the spec, before the recording (here missing) is read."""
+        for spec in ("alpha", "alpha=8:12:14", "alpha=:12", "alpha=a:b"):
+            code = main(["snr", "--in", str(tmp_path / "missing"), "--band", spec])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert err["message"] == (f"band {spec!r} should look like name=lo:hi, "
+                                      "with lo and hi numbers in Hz")
 
 
 class TestFailureReporting:
@@ -257,20 +276,32 @@ class TestFailureReporting:
         ({"motion_threshold": float("nan")}, "motion_threshold must be a finite number, got nan"),
         ({"mains_hz": 0}, "mains_hz must be a finite number above 0, got 0"),
         ({"master_seed": -1}, "master_seed must be an integer of at least 0, got -1"),
+        ({"strides": 3}, "the experiment config has unknown keys ['strides']; the keys are "
+                         "['stride_s', 'ratio', 'model', "),
+        (["--model", "lda"], "unknown model kind 'lda'; expected one of "
+                             "['cnn', 'knn', 'rfc', 'svm']"),
+        (["--ratio", "1:4"], "ratio must be one of 1:1, 1:2, 1:3, got '1:4'"),
+        (["--separation", "ica"], "unknown separation method 'ica'"),
+        (["--motion", "imu"], "unknown motion mode 'imu'"),
+        (["--normalization", "l2"], "unknown normalization mode 'l2'"),
     ])
     def test_bad_config_file_rejected_before_stage_a(
         self, capsys, tmp_path, monkeypatch, config, message
     ):
-        """A --config file skips argparse's choices, so the config itself
-        rejects the value, before any recording is prepared."""
+        """A bad value or an unknown key in a --config file (a dict here),
+        or a bad value given as a flag (a list of flags here), is refused by
+        the config itself, naming the field, before any recording is
+        prepared."""
         def refuse(*args, **kwargs):
             raise AssertionError("stage A ran")
 
         monkeypatch.setattr(evaluation, "prepare_corpus", refuse)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
+        if isinstance(config, dict):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(config))
+            config = ["--config", str(path)]
         code = main(["evaluate", "--synthetic", "2", "--separation", "emd", "--motion", "off",
-                     "--config", str(path), "--out", str(tmp_path / "o.json")])
+                     *config, "--out", str(tmp_path / "o.json")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"

@@ -587,6 +587,9 @@ class TestFittedModels:
         digest = hashlib.sha256(b"".join(t.nodes.tobytes() for t in model.trees)).hexdigest()
         assert digest == "b50ca3de9e518d6aeb12bc33c32731c57f8d90a10adbfeda9ec2ec7fd7a47b18"
 
+    def test_cnn_takes_its_epoch_count(self):
+        assert make_model("cnn", seed=3, cnn_epochs=7).train_config == TrainConfig(epochs=7, seed=3)
+
     def test_unknown_kind_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"expected one of \['cnn', 'knn', 'rfc', 'svm'\]"):
             make_model("lda")

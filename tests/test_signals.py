@@ -182,13 +182,15 @@ class TestComponentValidation:
         (lambda: SynthesisSpec(5.0, seed=-1), "seed must be an integer 0 or above, got -1"),
         (lambda: SynthesisSpec(5.0, seed=True), "seed must be an integer 0 or above, got True"),
         (lambda: SynthesisSpec("5"), "duration_s must be a finite number above 0, got '5'"),
+        (lambda: SynthesisSpec(1e17), r"duration_s must be at most 604800 s \(one week\), got 1e\+17"),
+        (lambda: SynthesisSpec(1e307), "duration_s must be at most 604800 s"),
     ], ids=["nan-amplitude", "inf-amplitude", "zero-blink-rate", "zero-seizure-rate",
             "negative-chew-rate", "inf-motion-rate", "true-rate", "nan-start", "stop-before-start",
             "empty-interval", "inf-stop", "nan-duration", "zero-duration", "int-kind",
             "huge-amplitude", "nyquist-tone", "fast-blink", "very-fast-blink",
             "noise-after-end", "seizure-after-end", "tone-after-end", "sub-sample-interval",
             "interval-before-start", "int-patient", "float-seed", "negative-seed", "bool-seed",
-            "string-duration"])
+            "string-duration", "huge-duration", "overflowing-duration"])
     def test_bad_value_names_the_field(self, make, message):
         """A value that would crash rendering, render NaN, or render nothing
         is refused where the spec is built."""
