@@ -6,9 +6,13 @@ window density buy?".  Dropping the motion screen leaves bursts in the
 training data, and widening the stride starves the folds of seizure
 epochs, which shows up first as lost recall.
 
-The motion sweep runs VMD on a process pool.  Each spawned worker first
-re-runs this script's top-level imports, so the pipeline modules are
-imported inside ``main``: a worker then imports only what a VMD block needs.
+The motion sweep runs VMD on a process pool.  Its workers are forked from
+one server per process, started by the first pooled run, which imports
+``earpipe.vmd`` once and lives until the interpreter exits.  Each worker
+(or, on Windows, each spawned one) still runs this script's top level
+first, so the pipeline modules are imported inside ``main``: a worker then
+imports only what a VMD block needs, and the ``__main__`` guard below is
+still required.
 """
 
 

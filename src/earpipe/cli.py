@@ -4,8 +4,11 @@
 object whose keys are the field names of the config class the command
 builds (``SynthesisSpec``, or ``ExperimentConfig`` for the last two); a flag
 that is set overrides the key of its name, and an unknown key is refused by
-name.  Stage commands write recording directories, ``train-templates``
-writes a template bank directory, ``features`` and ``sweep`` write CSV, and
+name.  Every setting flag is named after the field it sets, so a refusal
+names what was typed; ``--stride``, ``--threshold`` and ``--bandpass`` stay
+as aliases of ``--stride-s``, ``--motion-threshold`` and ``--bandpass-hz``.
+Stage commands write recording directories, ``train-templates`` writes a
+template bank directory, ``features`` and ``sweep`` write CSV, and
 ``evaluate`` and ``snr`` write JSON.  Failures print a machine-readable JSON
 object to stderr and exit nonzero.  Each setting's default and allowed
 values are stated only in the class that checks it, so a bad value fails
@@ -15,11 +18,14 @@ flag or from the file.  All randomness descends from ``--seed``
 (``evaluate``, ``sweep``), so a repeated invocation writes byte-identical
 outputs.
 
-Each command imports the pipeline modules it uses when it runs.  A worker
-of the process pool that ``evaluate`` and ``sweep`` open starts by
-importing this module again (the console script's ``__main__`` imports
-it), and at module level it loads none of the pipeline: not numpy, not
-``scipy.signal``.
+Each command imports the pipeline modules it uses when it runs, and at
+module level this module loads none of the pipeline: not numpy, not
+``scipy.signal``.  ``evaluate`` and ``sweep`` open stage A's process pool,
+whose workers are forked from one server per process that has imported
+``earpipe.vmd`` once; each worker still runs the console script's
+``__main__`` (Python 3.11 does not preload it), which imports this module,
+before its first channel.  On Windows, where workers are spawned, each one
+imports all of that itself.
 """
 
 from __future__ import annotations
@@ -333,13 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mains-hz", type=float)
     p.add_argument("--notch-q", type=float)
     p.add_argument("--outlier-sigma", type=float)
-    p.add_argument("--bandpass", dest="bandpass_hz", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--bandpass-hz", "--bandpass", dest="bandpass_hz", nargs=2, type=float,
+                   metavar=("LO", "HI"))
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("denoise", help="drop IMU-correlated modes from every channel")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", dest="motion_threshold", type=float,
+    p.add_argument("--motion-threshold", "--threshold", dest="motion_threshold", type=float,
                    help="absolute envelope/IMU correlation above which a mode is dropped")
     p.set_defaults(func=cmd_denoise)
 
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="segment a separated recording and write features")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", dest="stride_s", type=int)
+    p.add_argument("--stride-s", "--stride", dest="stride_s", type=int)
     p.add_argument("--allow-short-events", action="store_true")
     p.set_defaults(func=cmd_features)
 

@@ -58,7 +58,7 @@ channels hands each one to a process pool as one job and reads the results
 back in channel order, with the same bits as screening them here (stage A
 does this; after a failure, the pool's owner cancels what is still
 queued).  The job is :func:`remove_motion_artifacts` without its warnings,
-since a spawned worker's warnings never reach the caller: each block
+since a pool worker's warnings never reach the caller: each block
 report carries its span, and the caller warns with
 :func:`warn_zeroed_blocks`.  Processes, not threads: a sweep is ~90 short
 numpy calls, and the interpreter lock between them held two threads to
@@ -66,11 +66,12 @@ numpy calls, and the interpreter lock between them held two threads to
 
 A pool worker unpickles the job by importing this module, which needs
 only numpy and ``scipy.fft`` (importing the package loads none of its
-other modules).  A spawned worker is ready for its first channel in
-about 0.4 s at 57 MB peak, against 1.2 s and 108 MB when it also imports
-``scipy.signal`` and the rest of the package (2-core Xeon VM).  So the
-analytic signal is built here with the calls that ``scipy.signal.hilbert``
-makes, not by importing it.
+other modules).  Stage A's workers are forked from a server that has
+imported this module already, once per process; a worker that had to
+import it itself (a spawned one, as on Windows) would import
+``scipy.signal`` and the rest of the package too if this module did.  So
+the analytic signal is built here with the calls that
+``scipy.signal.hilbert`` makes, not by importing it.
 
 Motion handling: every mode's amplitude envelope is compared against the
 accelerometer magnitude; modes that track the IMU are dropped before the
@@ -365,7 +366,7 @@ def _screen_channel(
     """:func:`remove_motion_artifacts` without its warnings: the pool job.
 
     Module level so that a pool worker can unpickle it by name.  It does
-    not warn, since a spawned worker's warnings never reach the caller;
+    not warn, since a pool worker's warnings never reach the caller;
     each report carries its block's span, and whoever reads the result
     warns with :func:`warn_zeroed_blocks`.
     """

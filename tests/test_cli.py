@@ -57,7 +57,7 @@ def artifacts(tmp_path_factory):
             "--templates", str(paths["bank"]), "--out", str(paths["sep"]),
         ],
         [
-            "features", "--in", str(paths["sep"]), "--stride", "2",
+            "features", "--in", str(paths["sep"]), "--stride-s", "2",
             "--out", str(paths["features"]),
         ],
     ]
@@ -110,10 +110,10 @@ class TestStagewiseFlow:
         assert len(reports) == len(pre.channels)  # 40 s -> one 40 s block
 
     def test_denoise_reports_zeroed_blocks(self, artifacts, tmp_path, capsys):
-        """With every mode flagged (--threshold -1), denoise zeroes every
-        block and says so."""
+        """With every mode flagged (--motion-threshold -1), denoise zeroes
+        every block and says so."""
         argv = ["denoise", "--in", str(artifacts["pre"]), "--out", str(tmp_path / "d"),
-                "--threshold", "-1"]
+                "--motion-threshold", "-1"]
         with pytest.warns(UserWarning, match="every mode correlates with motion"):
             assert main(argv) == 0
         blocks = len(load_recording(artifacts["pre"]).channels)  # one 40 s block each
@@ -307,6 +307,43 @@ class TestFailureReporting:
         assert err["error"] == "ValueError"
         assert message in err["message"]
         assert not (tmp_path / "o.json").exists()
+
+    def test_mains_at_nyquist_names_the_field(self, capsys, tmp_path):
+        """The config cannot know the recordings' rate, so a ``mains_hz`` of
+        200 Hz passes it and is refused by name where stage A starts."""
+        (tmp_path / "mains.json").write_text(json.dumps({"mains_hz": 200}))
+        code = main(["evaluate", "--synthetic", "2", "--separation", "emd", "--motion", "off",
+                     "--config", str(tmp_path / "mains.json"), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == ("mains_hz must be below the Nyquist rate, 125 Hz, of "
+                                  "recordings sampled at 250 Hz, got 200")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command, flags, field, value", [
+        ("features", ["--stride-s", "--stride"], "stride_s", ["3"]),
+        ("denoise", ["--motion-threshold", "--threshold"], "motion_threshold", ["0.5"]),
+        ("preprocess", ["--bandpass-hz", "--bandpass"], "bandpass_hz", ["1", "30"]),
+    ])
+    def test_flag_named_after_its_field_and_old_spelling_agree(self, command, flags, field,
+                                                              value):
+        parser = build_parser()
+        parsed = [
+            getattr(parser.parse_args([command, "--in", "i", "--out", "o", flag, *value]), field)
+            for flag in flags
+        ]
+        assert parsed[0] == parsed[1] is not None
+
+    def test_bad_stride_names_the_flag_typed(self, capsys, tmp_path):
+        """Refused before the (missing) recording is read."""
+        code = main(["features", "--in", str(tmp_path / "missing"), "--out",
+                     str(tmp_path / "f.csv"), "--stride-s", "0"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("stride_s must be")
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("spec", [None, {"duration_s": 10.0, "seed": 3}, {"components": []}],
                              ids=["no-config", "no-components", "empty-components"])

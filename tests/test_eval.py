@@ -1,12 +1,20 @@
 """SNR reporting, metrics math, fold planning, and the experiment loop."""
 
+import contextlib
 import dataclasses
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
 import weakref
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,17 +568,21 @@ class TestStageAPool:
         monkeypatch.setattr(evaluation, "prepare_recording", spy)
         _set_cores(monkeypatch, 1)
         inline = run_experiment(recordings, cfg, templates).to_dict()
-        # a spawned worker unpickles the job by name, so the pool gets the real one
+        # the pool pickles the job by its qualified name, which a local spy
+        # lacks, and its workers never see this process's patches: the pool
+        # gets the real one
         monkeypatch.setattr(evaluation, "_screen_channel", real_channel)
         _set_cores(monkeypatch, 2)
-        pooled = run_experiment(recordings, cfg, templates).to_dict()
-        assert [patient for patient, _ in calls] == [r.patient_id for r in recordings] * 2
+        # the second pooled run forks its workers from the server the first
+        # one used, if not an earlier test's
+        pooled = [run_experiment(recordings, cfg, templates).to_dict() for _ in range(2)]
+        assert [patient for patient, _ in calls] == [r.patient_id for r in recordings] * 3
         # one screen per run is handed every recording, and each call
         # separates a recording it yielded, with every channel screened
         assert [[r.patient_id for r in recs] for recs, _ in screens] == [
-            [r.patient_id for r in recordings]] * 2
+            [r.patient_id for r in recordings]] * 3
         assert screens[0][1] is None
-        assert isinstance(screens[1][1], evaluation.ProcessPoolExecutor)
+        assert all(isinstance(pool, evaluation.ProcessPoolExecutor) for _, pool in screens[1:])
         for rec, report in yielded:
             assert list(report) == list(rec.channels)
         assert all(c is y for (_, c), (y, _) in zip(calls, yielded, strict=True))
@@ -578,7 +590,7 @@ class TestStageAPool:
         # comes after the first recording's channels only
         assert len(inline_screens) == sum(len(r.channels) for r in recordings)
         assert screened_at_first_call == [len(recordings[0].channels)]
-        assert pooled == inline
+        assert pooled == [inline, inline]
         assert workers_gone()
 
     def test_pool_closed_when_stage_a_fails(self, monkeypatch, workers_gone):
@@ -589,6 +601,76 @@ class TestStageAPool:
         with pytest.raises(ValueError, match="p09 has no IMU track"):
             evaluation.prepare_corpus([good, bad], ExperimentConfig(separation="emd"))
         assert workers_gone()
+
+    def test_every_pool_forks_from_one_server(self, workers_gone):
+        """Where the platform has ``forkserver``, the workers of every pool
+        are children of one server process, not of this one; elsewhere this
+        process spawns them."""
+        parents = []
+        for _ in range(2):
+            with evaluation.stage_a_pool(2) as pool:
+                parents.append(pool.submit(os.getppid).result())
+        if "forkserver" in multiprocessing.get_all_start_methods():
+            assert parents[0] == parents[1] != os.getpid()
+        else:
+            assert parents == [os.getpid()] * 2
+        assert workers_gone()
+
+    @pytest.mark.parametrize("mains_hz", [125.0, 200.0])
+    def test_mains_at_or_above_nyquist_refused_before_any_work(self, mains_hz, monkeypatch):
+        """The recordings' rate is known only here: a ``mains_hz`` the notch
+        cannot take is refused by name before any recording is conditioned
+        or any worker started."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage A started work")
+
+        monkeypatch.setattr(evaluation, "stage_a_pool", refuse)
+        monkeypatch.setattr(evaluation, "preprocess_recording", refuse)
+        _set_cores(monkeypatch, 2)
+        rec = synthesize_recording(patient_spec(0, duration_s=40.0))
+        cfg = ExperimentConfig(separation="emd", mains_hz=mains_hz)
+        with pytest.raises(ValueError) as refused:
+            evaluation.prepare_corpus([rec], cfg)
+        assert str(refused.value) == (
+            "mains_hz must be below the Nyquist rate, 125 Hz, of recordings sampled at "
+            f"250 Hz, got {mains_hz!r}"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_no_process_outlives_its_parent(self):
+        """The forkserver outlives each pool, but not the process that ran
+        it: once a process that ran a pooled stage A exits, its process
+        group (the server, the workers, the resource tracker) empties."""
+        code = textwrap.dedent("""
+            import os
+            from earpipe import evaluation
+            from earpipe.corpus import patient_spec
+            from earpipe.signals import synthesize_recording
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            opened, real = [], evaluation.stage_a_pool
+            evaluation.stage_a_pool = lambda workers: opened.append(workers) or real(workers)
+            rec = synthesize_recording(patient_spec(0, duration_s=40.0))
+            evaluation.prepare_corpus([rec], evaluation.ExperimentConfig(separation="emd"))
+            assert opened == [2], opened
+        """)
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True)
+        try:
+            assert child.wait(timeout=120) == 0
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(child.pid, 0)
+                except ProcessLookupError:
+                    return
+                time.sleep(0.05)
+            pytest.fail("a process of the finished run is still in its process group")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
 
 
 class _LoggedFuture(Future):

@@ -29,11 +29,11 @@ def _heavy_modules_after(code: str) -> list[str]:
 
 
 class TestLightWorker:
-    """A spawned pool worker re-imports the main module of the process that
-    opened the pool (as ``__mp_main__``), then imports earpipe.vmd to
-    unpickle its blocks.  None of that may pull in scipy.signal,
-    scipy.interpolate or the evaluation stack, which would double a
-    worker's start-up cost."""
+    """A pool worker runs the main module of the process that opened the
+    pool (as ``__mp_main__``), and earpipe.vmd is imported to unpickle its
+    channels: once in the forkserver, or in each worker where workers are
+    spawned.  None of that may pull in scipy.signal, scipy.interpolate or
+    the evaluation stack, which would double that import's cost."""
 
     def test_vmd_imports_no_signal_module(self):
         assert _heavy_modules_after("import earpipe.vmd") == []

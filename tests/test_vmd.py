@@ -1,8 +1,6 @@
 """Mode recovery, reconstruction, and motion screening for VMD."""
 
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from scipy.signal import hilbert
 
 from earpipe import vmd
 from earpipe.corpus import make_synthetic_corpus
+from earpipe.evaluation import stage_a_pool
 from earpipe.preprocess import preprocess_recording
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
@@ -465,13 +464,9 @@ class TestBlockLayout:
         assert depth.max() <= 2
 
 
-def _spawn_pool():
-    """Two spawned workers, the kind of pool the experiment runner opens."""
-    return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
-
-
 class TestBlockPool:
-    """A channel screened on a process pool gives the inline result bit for bit."""
+    """A channel screened on stage A's process pool gives the inline result
+    bit for bit."""
 
     def test_pool_matches_inline_exactly(self, workers_gone):
         """Three blocks of an odd-length signal (the last one odd too),
@@ -480,7 +475,7 @@ class TestBlockPool:
         x = np.append(noisy, noisy[-1])
         kw = dict(k=4, max_iter=60)
         inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate, **kw)
-        with _spawn_pool() as pool:
+        with stage_a_pool(2) as pool:
             pooled, pooled_reports = pool.submit(
                 _screen_channel, x, FS, accel, imu_rate, **kw
             ).result()
@@ -503,7 +498,7 @@ class TestBlockPool:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _screen_channel(*job, k=2, max_iter=5)
-        with _spawn_pool() as pool, pytest.warns(UserWarning, match="every mode") as caught:
+        with stage_a_pool(2) as pool, pytest.warns(UserWarning, match="every mode") as caught:
             out, reports = pool.submit(_screen_channel, *job, k=2, max_iter=5).result()
             warn_zeroed_blocks(reports, "p00 mixed_left")
         assert len(reports) == 2
@@ -522,7 +517,7 @@ class TestBlockPool:
         with pytest.raises(ValueError) as inline_error:
             remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
         with pytest.raises(ValueError) as pooled_error:
-            with _spawn_pool() as pool:
+            with stage_a_pool(2) as pool:
                 pool.submit(_screen_channel, x, FS, accel, 50.0, max_iter=5).result()
         assert type(pooled_error.value) is ValueError
         assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
