@@ -8,11 +8,10 @@ epochs, which shows up first as lost recall.
 
 The motion sweep runs VMD on a process pool.  Its workers are forked from
 one server per process, started by the first pooled run, which imports
-``earpipe.vmd`` once and lives until the interpreter exits.  Each worker
-(or, on Windows, each spawned one) still runs this script's top level
-first, so the pipeline modules are imported inside ``main``: a worker then
-imports only what a VMD block needs, and the ``__main__`` guard below is
-still required.
+``earpipe.vmd`` once and lives until the interpreter exits (on Windows
+they are spawned).  Each worker still runs this script's top level first,
+so the pipeline modules are imported inside ``main`` and the ``__main__``
+guard below is required.
 """
 
 

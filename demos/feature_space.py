@@ -9,10 +9,9 @@ arithmetic, the 348-dimensional feature vector layout, and how class
 balancing reshapes each training fold.
 
 Stage A runs VMD on a process pool, whose workers are forked from one
-server per process that has imported ``earpipe.vmd`` once.  Each worker
-(or, on Windows, each spawned one) still runs this script's top level
-first, so the pipeline modules are imported inside ``main``: a worker then
-imports only what a VMD block needs.
+server per process that has imported ``earpipe.vmd`` once (on Windows they
+are spawned).  Each worker still runs this script's top level first, so
+the pipeline modules are imported inside ``main``.
 """
 
 

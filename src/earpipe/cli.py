@@ -20,12 +20,11 @@ outputs.
 
 Each command imports the pipeline modules it uses when it runs, and at
 module level this module loads none of the pipeline: not numpy, not
-``scipy.signal``.  ``evaluate`` and ``sweep`` open stage A's process pool,
-whose workers are forked from one server per process that has imported
-``earpipe.vmd`` once; each worker still runs the console script's
-``__main__`` (Python 3.11 does not preload it), which imports this module,
-before its first channel.  On Windows, where workers are spawned, each one
-imports all of that itself.
+``scipy.signal``.  ``evaluate`` and ``sweep`` open stage A's process pool
+once, whose workers are forked from a server that has imported
+``earpipe.vmd`` (spawned on Windows); each worker still runs the console
+script's ``__main__``, which imports this module, before its first
+channel.
 """
 
 from __future__ import annotations

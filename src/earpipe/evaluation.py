@@ -26,7 +26,7 @@ next one's channels.
 The pool's workers are forked from a ``forkserver``: one server per Python
 process, started by the first pooled run, which imports ``earpipe.vmd``
 (and with it numpy and ``scipy.fft``) once and lives until the interpreter
-exits, so every later pool starts its workers without importing anything.
+exits, so every later pool starts its workers without importing it again.
 Where the platform has no ``forkserver`` (Windows), workers are spawned,
 each a fresh interpreter.
 """
@@ -371,21 +371,17 @@ def stage_a_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool of ``workers`` for stage A's channel screens.
 
     Where the platform has it, the pool uses the ``forkserver`` start
-    method, with ``__main__`` and ``earpipe.vmd`` preloaded.  The server is
-    started by the first pool of the process and lives until the
-    interpreter exits; every worker of every pool is a fork of it.  The
-    preload list is process-wide (``set_forkserver_preload``) and read only
-    when the server starts.  On Python 3.11 the server finds no path to
-    the main script, so each worker still runs the calling script's top
-    level, which costs little once numpy is loaded; a script that opens
-    the pool must still call it under ``if __name__ == "__main__":``.
+    method, with ``earpipe.vmd`` preloaded.  The server is started by the
+    first pool of the process and lives until the interpreter exits; every
+    worker of every pool is a fork of it.  The preload list is process-wide
+    (``set_forkserver_preload``) and read only when the server starts.
     Elsewhere (Windows) each worker is spawned, a fresh interpreter that
-    imports all of that itself.
+    imports ``earpipe.vmd`` itself.
     """
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["__main__", _screen_channel.__module__])
+    context.set_forkserver_preload(["earpipe.vmd"])
     return ProcessPoolExecutor(workers, mp_context=context)
 
 
@@ -397,23 +393,17 @@ def prepare_corpus(
 
     Returns, in input order, each recording separated into the six roles
     and its channels' VMD block reports (empty unless motion handling is
-    VMD).  Recordings of mixed rates, and a ``cfg.mains_hz`` at or above
-    their Nyquist rate, are refused before any work starts.  The pool is
-    opened only for VMD, whose screens take seconds per recording: band-pass
-    and motion-off runs finish stage A in less time than the first pool
-    takes to start.  Every recording is conditioned before
-    the first channel is screened; on the pool, every channel is submitted
-    before the first one is read, so the workers never pause.  A failure
-    anywhere shuts the pool down with every channel not yet started
+    VMD).  Recordings of mixed rates are refused before any work starts.
+    The pool is opened only for VMD, whose screens take seconds per
+    recording: band-pass and motion-off runs finish stage A in less time
+    than the first pool takes to start.  Every recording is conditioned
+    before the first channel is screened, so a ``cfg.mains_hz`` the notch
+    refuses fails before any worker starts; on the pool, every channel is
+    submitted before the first one is read, so the workers never pause.  A
+    failure anywhere shuts the pool down with every channel not yet started
     cancelled.
     """
     _check_sample_rates(recordings)
-    if recordings and cfg.mains_hz >= recordings[0].sample_rate / 2:
-        rate = recordings[0].sample_rate
-        raise ValueError(
-            f"mains_hz must be below the Nyquist rate, {rate / 2:g} Hz, of recordings "
-            f"sampled at {rate:g} Hz, got {cfg.mains_hz!r}"
-        )
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity call

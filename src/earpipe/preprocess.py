@@ -43,7 +43,10 @@ def notch_filter(
 ) -> np.ndarray:
     """Zero-phase second-order IIR notch at the mains frequency."""
     if not 0 < mains_hz < fs / 2:
-        raise ValueError(f"mains frequency {mains_hz} Hz outside (0, {fs / 2})")
+        raise ValueError(
+            f"mains_hz must be above 0 and below the Nyquist rate, {fs / 2:g} Hz, of a "
+            f"recording sampled at {fs:g} Hz, got {mains_hz!r}"
+        )
     b, a = sps.iirnotch(mains_hz, q, fs=fs)
     return sps.filtfilt(b, a, np.asarray(x, dtype=np.float64))
 

@@ -310,15 +310,16 @@ class TestFailureReporting:
 
     def test_mains_at_nyquist_names_the_field(self, capsys, tmp_path):
         """The config cannot know the recordings' rate, so a ``mains_hz`` of
-        200 Hz passes it and is refused by name where stage A starts."""
+        200 Hz passes it and is refused by name when stage A conditions the
+        recordings."""
         (tmp_path / "mains.json").write_text(json.dumps({"mains_hz": 200}))
         code = main(["evaluate", "--synthetic", "2", "--separation", "emd", "--motion", "off",
                      "--config", str(tmp_path / "mains.json"), "--out", str(tmp_path / "o.json")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert err["message"] == ("mains_hz must be below the Nyquist rate, 125 Hz, of "
-                                  "recordings sampled at 250 Hz, got 200")
+        assert err["message"] == ("mains_hz must be above 0 and below the Nyquist rate, "
+                                  "125 Hz, of a recording sampled at 250 Hz, got 200")
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("command, flags, field, value", [

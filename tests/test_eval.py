@@ -617,24 +617,26 @@ class TestStageAPool:
         assert workers_gone()
 
     @pytest.mark.parametrize("mains_hz", [125.0, 200.0])
-    def test_mains_at_or_above_nyquist_refused_before_any_work(self, mains_hz, monkeypatch):
-        """The recordings' rate is known only here: a ``mains_hz`` the notch
-        cannot take is refused by name before any recording is conditioned
-        or any worker started."""
+    def test_mains_at_or_above_nyquist_refused_before_any_channel(self, mains_hz, monkeypatch,
+                                                                   workers_gone):
+        """The config cannot know the recordings' rate: a ``mains_hz`` the
+        notch cannot take is refused by name while the recordings are
+        conditioned, before any channel reaches the pool, so no worker
+        starts."""
         def refuse(*args, **kwargs):
-            raise AssertionError("stage A started work")
+            raise AssertionError("a channel was screened")
 
-        monkeypatch.setattr(evaluation, "stage_a_pool", refuse)
-        monkeypatch.setattr(evaluation, "preprocess_recording", refuse)
+        monkeypatch.setattr(evaluation, "screen_motion", refuse)
         _set_cores(monkeypatch, 2)
         rec = synthesize_recording(patient_spec(0, duration_s=40.0))
         cfg = ExperimentConfig(separation="emd", mains_hz=mains_hz)
         with pytest.raises(ValueError) as refused:
             evaluation.prepare_corpus([rec], cfg)
         assert str(refused.value) == (
-            "mains_hz must be below the Nyquist rate, 125 Hz, of recordings sampled at "
-            f"250 Hz, got {mains_hz!r}"
+            "mains_hz must be above 0 and below the Nyquist rate, 125 Hz, of a recording "
+            f"sampled at 250 Hz, got {mains_hz!r}"
         )
+        assert workers_gone()
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_no_process_outlives_its_parent(self):

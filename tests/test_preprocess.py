@@ -57,7 +57,9 @@ class TestNotch:
         assert _steady_rms(y) <= 0.01 * _steady_rms(x)
 
     def test_mains_at_nyquist_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mains_hz must be above 0 and below the Nyquist "
+                                             r"rate, 125 Hz, of a recording sampled at 250 Hz, "
+                                             r"got 125\.0$"):
             notch_filter(np.zeros(100), FS, mains_hz=125.0)
 
     def test_length_preserved(self):
