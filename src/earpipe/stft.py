@@ -67,6 +67,7 @@ def istft(spec: Spectrogram) -> np.ndarray:
     cfg = spec.config
     win, hop = cfg.window_len, cfg.hop
     w = _window(cfg)
+    w_sq = w**2
     frames = np.fft.irfft(spec.values.T, n=win, axis=1)
     total = (spec.n_frames - 1) * hop + win
     y = np.zeros(total)
@@ -74,7 +75,7 @@ def istft(spec: Spectrogram) -> np.ndarray:
     for k in range(spec.n_frames):
         sl = slice(k * hop, k * hop + win)
         y[sl] += frames[k] * w
-        norm[sl] += w**2
+        norm[sl] += w_sq
     covered = norm > 1e-12
     y[covered] /= norm[covered]
     return y[:spec.n_samples]

@@ -15,8 +15,9 @@ the usual mixed-precision split (Higham and Mary, Acta Numerica 2022):
   modes by a float64 inverse FFT; :func:`motion_correlation`, the kept-mode
   sum, the cross-fade and everything downstream;
 - single: the positive half-spectrum, the modes, the Wiener denominators
-  and their reciprocals, the per-mode power, the ``|u_new - u_old|^2``
-  buffer and the center frequencies, computed from the float32 power;
+  and their reciprocals, one mode's power and one mode's change
+  ``u_new - u_old``, and the center frequencies, computed from the float32
+  power;
 - before the cast, the spectrum is scaled by ``2**-e``, with ``e`` the
   binary exponent of its largest magnitude, and the rebuilt modes are
   scaled back by ``2**e``.  Both steps are exact, so float32's range never
@@ -28,25 +29,37 @@ sweeps keep the float64 loop's sweep counts, convergence flags and
 exclusion masks on every block; the modes' IMU correlations move by at most
 4.9e-5 and a block's kept-mode sum by at most 3e-5 of its peak.  On seeds
 3-11, 3 of 432 blocks stop one sweep earlier or later, with the same masks.
-The 144 blocks take 13.5-15.4 s inline against 25.5-27.2 s in float64
-(1.8-1.9x, two runs, 2-core Xeon VM with 2 MB of L2 per core): a sweep is
-about 90 numpy passes, each limited by memory bandwidth, and a 30 s
-block's sweep buffers come to about 2.5 MB in single precision against
-4.9 MB in double.
+In float64 the same blocks took 1.8-1.9x as long (two runs, 2-core Xeon
+VM with 2 MB of L2 per core): each of a sweep's numpy passes is limited by
+memory bandwidth.
+
+A sweep is about 95 numpy calls: six over k x bins arrays (building the
+reciprocal denominators and the mode sum) and eleven per mode over one
+row.  A 30 s block's sweep buffers come to about 1.5 MB, inside one core's
+L2; they came to 2.4 MB while the changes and powers of all k modes were
+kept for a whole-array stop test.  On the 144 blocks above, per-mode sums
+took a sweep from 447-538 to 346-442 us (four runs of each).
 
 Each sweep reuses what it has already computed, with the same operations
-on the same operands as the textbook loop run at the same precision, so
-results are bit-identical to it:
+on the same operands as the textbook loop run at the same precision:
 
 - the k Wiener denominators are built once per sweep as one k x bins
   array of reciprocals (mode i only reads ``omega[i]`` from before its own
   update), and a multiply by ``1/d + 0j`` gives the same result as a complex
   division by ``d`` at a fraction of the cost;
-- each mode's change ``u_new - u_old`` is kept; it updates the running
-  mode sum and, squared and summed, is the convergence numerator;
-- each mode's power ``|u_new|^2`` is kept; it gives the new center
-  frequency, and its sum is the next sweep's convergence denominator;
+- each mode's change ``u_new - u_old`` updates the running mode sum, and
+  its squared norm, ``np.vdot(delta, delta).real`` in single precision, is
+  added in double to the convergence numerator;
+- each mode's power ``|u_new|^2`` gives the new center frequency, and its
+  total is added, in double, to the next sweep's convergence denominator;
 - all buffers are allocated once per call.
+
+The stop test sums the same terms as the textbook loop's two whole-array
+sums, in another order, so the two can part only when a sweep's change
+lands within rounding of ``tol`` times the norm; modes and centers are
+bit-identical whenever they stop on the same sweep.  They do on all 144
+blocks above, on the six blocks of patient p02 (two of them at the sweep
+cap) and on thousands of random inputs.
 
 Within a process, blocks are decomposed one at a time, not stacked.  A
 prototype that ran every block of a recording as one (blocks x k x bins)
@@ -60,7 +73,7 @@ does this; after a failure, the pool's owner cancels what is still
 queued).  The job is :func:`remove_motion_artifacts` without its warnings,
 since a pool worker's warnings never reach the caller: each block
 report carries its span, and the caller warns with
-:func:`warn_zeroed_blocks`.  Processes, not threads: a sweep is ~90 short
+:func:`warn_zeroed_blocks`.  Processes, not threads: a sweep is ~95 short
 numpy calls, and the interpreter lock between them held two threads to
 1.05-1.34x.
 
@@ -197,14 +210,14 @@ def vmd_decompose(
     recip = np.zeros((k, bins), dtype=np.complex64)  # imaginary parts stay 0
     sum_all = np.empty(bins, dtype=np.complex64)
     num = np.empty(bins, dtype=np.complex64)
-    delta = np.empty((k, bins), dtype=np.complex64)
-    power = np.zeros((k, bins), dtype=np.float32)
-    delta_sq = np.empty((k, bins), dtype=np.float32)
+    delta = np.empty(bins, dtype=np.complex64)
+    power = np.empty(bins, dtype=np.float32)
 
     iterations = 0
     converged = False
+    total_power = 0.0  # |u_hat|^2 summed mode by mode: the next sweep's norm
     for iterations in range(1, max_iter + 1):
-        norm = np.sum(power)  # |u_hat|^2 of the previous sweep
+        norm, total_power, diff = total_power, 0.0, 0.0
         np.subtract(freqs_pos, omega[:, None], out=denom)
         np.square(denom, out=denom)
         denom *= 2.0 * ALPHA
@@ -215,18 +228,17 @@ def vmd_decompose(
             np.subtract(sum_all, u_hat[i], out=num)  # the other modes
             np.subtract(f_plus, num, out=num)
             num *= recip[i]
-            np.subtract(num, u_hat[i], out=delta[i])
-            sum_all += delta[i]
+            np.subtract(num, u_hat[i], out=delta)
+            sum_all += delta
             u_hat[i] = num
-            np.abs(num, out=power[i])
-            np.square(power[i], out=power[i])
-            total = power[i].sum()
+            diff += float(np.vdot(delta, delta).real)
+            np.abs(num, out=power)
+            np.square(power, out=power)
+            total = power.sum()
+            total_power += float(total)
             if total > 0:
-                omega[i] = float(np.dot(freqs_pos, power[i]) / total)
+                omega[i] = float(np.dot(freqs_pos, power) / total)
 
-        np.abs(delta, out=delta_sq)
-        np.square(delta_sq, out=delta_sq)
-        diff = np.sum(delta_sq)
         if norm > 0.0 and diff < tol * norm:
             converged = True
             break

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.signal import hilbert
 
 from earpipe import vmd
-from earpipe.corpus import make_synthetic_corpus
+from earpipe.corpus import make_synthetic_corpus, patient_spec
 from earpipe.evaluation import stage_a_pool
 from earpipe.preprocess import preprocess_recording
+from earpipe.signals import synthesize_recording
 from earpipe.vmd import (
     MOTION_R_THRESHOLD,
     MotionCorrelation,
@@ -176,6 +177,25 @@ class TestReferenceKernel:
         np.testing.assert_array_equal(res.modes, modes)
         np.testing.assert_array_equal(res.center_freqs_hz, centers)
         assert (res.iterations, res.converged) == (iterations, converged)
+
+    def test_recording_blocks_match_reference(self):
+        """All six full-length blocks of conditioned patient p02 at master
+        seed 0 (two channels cut at 0-30, 29-59 and 58-90 s) match exactly;
+        two of them stop at the sweep cap (500, 52 and 170 sweeps on one
+        channel, 500, 52 and 175 on the other)."""
+        rec = preprocess_recording(synthesize_recording(patient_spec(2, master_seed=0)))
+        fs = rec.sample_rate
+        blocks = [x[round(a * fs):round(b * fs)]
+                  for x in rec.channels.values() for a, b in ((0, 30), (29, 59), (58, 90))]
+        stopped_at_cap = 0
+        for seg in blocks:
+            res = vmd_decompose(seg, fs)
+            modes, centers, iterations, converged = _reference_vmd(seg, fs, 8, 2000.0, 1e-7, 500)
+            np.testing.assert_array_equal(res.modes, modes)
+            np.testing.assert_array_equal(res.center_freqs_hz, centers)
+            assert (res.iterations, res.converged) == (iterations, converged)
+            stopped_at_cap += not converged
+        assert stopped_at_cap == 2
 
 
 def _block_peak_error(modes, reference):
