@@ -15,7 +15,7 @@ from earpipe.corpus import make_synthetic_corpus, train_corpus_templates
 from earpipe.emd import separate_recording_emd
 from earpipe.nnmf import separate_recording_nnmf
 from earpipe.preprocess import preprocess_recording
-from earpipe.signals import SEPARATED_ROLES
+from earpipe.signals import MODALITIES, SEPARATED_ROLES
 
 BANDS = {"<4 Hz": (0.0, 4.0), "4-12 Hz": (4.0, 12.0),
          "12-25 Hz": (12.0, 25.0), ">25 Hz": (25.0, None)}
@@ -43,7 +43,7 @@ def report(title: str, rec) -> None:
 def main() -> int:
     rec = preprocess_recording(make_synthetic_corpus(n_patients=1)[0])
     bank = train_corpus_templates()
-    print(f"template bank: {', '.join(bank.modalities)} "
+    print(f"template bank: {', '.join(MODALITIES)} "
           f"({bank.rank} atoms each, {bank.w.shape[0]} frequency bins)")
 
     report("supervised factorization (power fraction per band)",

@@ -165,8 +165,8 @@ def cmd_separate(args) -> int:
 def cmd_train_templates(args) -> int:
     from .corpus import template_sources
     from .io import load_recording
-    from .nnmf import MODALITIES, NnmfConfig, save_templates, train_templates
-    from .signals import BIOPOTENTIAL_RATE_HZ
+    from .nnmf import NnmfConfig, save_templates, train_templates
+    from .signals import BIOPOTENTIAL_RATE_HZ, MODALITIES
 
     if args.synthetic:
         sources = template_sources(master_seed=args.seed)
@@ -214,6 +214,9 @@ def _corpus_and_templates(args, cfg: ExperimentConfig):
     from .nnmf import load_templates
 
     if args.synthetic is not None:
+        if args.synthetic < 2:
+            raise ValueError(f"--synthetic must be at least 2, got {args.synthetic}: "
+                             "leave-one-patient-out needs at least two patients")
         recordings = make_synthetic_corpus(args.synthetic, master_seed=cfg.master_seed)
     elif args.corpus is not None:
         recordings = _load_corpus(args.corpus)

@@ -16,6 +16,7 @@ import numpy as np
 from .nnmf import NnmfConfig, TemplateBank, train_templates
 from .signals import (
     BIOPOTENTIAL_RATE_HZ,
+    MODALITIES,
     Recording,
     SynthComponent,
     SynthesisSpec,
@@ -100,7 +101,7 @@ def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
         seed=int(np.random.SeedSequence([master_seed, 11]).generate_state(1)[0]),
     )
     sources, _, _ = render_sources(spec)
-    return {"eeg": sources["eeg"], "emg": sources["emg"], "eog": sources["eog"]}
+    return {m: sources[m] for m in MODALITIES}
 
 
 def train_corpus_templates(master_seed: int = 0) -> TemplateBank:

@@ -12,7 +12,9 @@ extrema are the same.
 
 The modality split reads IMFs 1-6 only and stops sifting there: each IMF is
 sifted from the residual the ones before it leave, so IMFs 1-6 do not depend
-on how many follow.
+on how many follow.  It returns the dict of ``MODALITIES`` signals that
+:func:`~earpipe.signals.separate_mixed` reads; a modality whose IMFs a
+shallow decomposition lacks is silent, as ``EmdResult.n_imfs`` tells.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .signals import Recording, separate_mixed
 SD_THRESHOLD = 0.25
 MAX_SIFTINGS = 100
 MAX_IMFS = 8
-EMG_IMF = 0  # the IMFs the modality split reads, 0-based (see ModalityAssignment)
+EMG_IMF = 0  # the IMFs the modality split reads, 0-based (see assign_modalities)
 EEG_IMF = 2
 EOG_IMFS = slice(3, 6)
 
@@ -118,45 +120,26 @@ def emd_decompose(x: np.ndarray, max_imfs: int = MAX_IMFS) -> EmdResult:
     return EmdResult(imfs=stack, residual=residual)
 
 
-@dataclass
-class ModalityAssignment:
-    """Fixed-order mapping of IMFs onto the three modalities.
+def assign_modalities(result: EmdResult) -> dict[str, np.ndarray]:
+    """Fixed-order mapping of IMFs onto the modalities, one signal per name
+    in ``earpipe.signals.MODALITIES``.
 
     The first IMF carries the fastest oscillations and is taken as EMG, the
-    third as EEG, and IMFs four through six are summed into EOG.  ``partial_eog``
-    flags decompositions with fewer than six IMFs; ``degenerate`` flags those
-    too shallow (fewer than three) to place EEG at all.
+    third as EEG, and IMFs four through six are summed into EOG.  A
+    modality with none of its IMFs in ``result`` is all zeros.
     """
-
-    emg: np.ndarray
-    eeg: np.ndarray
-    eog: np.ndarray
-    partial_eog: bool = False
-    degenerate: bool = False
-
-
-def assign_modalities(result: EmdResult) -> ModalityAssignment:
-    n = result.residual.shape[0]
     k = result.n_imfs
-    zeros = np.zeros(n)
-    emg = result.imfs[EMG_IMF] if k > EMG_IMF else zeros.copy()
-    eeg = result.imfs[EEG_IMF] if k > EEG_IMF else zeros.copy()
+    zeros = np.zeros(result.residual.shape[0])
     eog_parts = result.imfs[EOG_IMFS]
-    eog = eog_parts.sum(axis=0) if len(eog_parts) else zeros.copy()
-    return ModalityAssignment(
-        emg=emg,
-        eeg=eeg,
-        eog=eog,
-        partial_eog=k < EOG_IMFS.stop,
-        degenerate=k <= EEG_IMF,
-    )
+    return {
+        "eeg": result.imfs[EEG_IMF] if k > EEG_IMF else zeros.copy(),
+        "emg": result.imfs[EMG_IMF] if k > EMG_IMF else zeros.copy(),
+        "eog": eog_parts.sum(axis=0) if len(eog_parts) else zeros.copy(),
+    }
 
 
 def separate_recording_emd(rec: Recording) -> Recording:
     """Split both mixed channels into EEG/EMG/EOG via EMD mode assignment."""
-
-    def split(x: np.ndarray) -> dict[str, np.ndarray]:
-        assignment = assign_modalities(emd_decompose(x, max_imfs=EOG_IMFS.stop))
-        return {"eeg": assignment.eeg, "emg": assignment.emg, "eog": assignment.eog}
-
-    return separate_mixed(rec, split)
+    return separate_mixed(
+        rec, lambda x: assign_modalities(emd_decompose(x, max_imfs=EOG_IMFS.stop))
+    )

@@ -491,13 +491,15 @@ def run_experiment(
     ``separated`` may carry precomputed stage A outputs, or ``windows`` the
     per-patient windows and feature rows already cut from them at
     ``cfg.stride_s`` by :func:`window_tables` (as sweeps do); otherwise every
-    recording runs through :func:`prepare_corpus` and is windowed here.
+    recording runs through :func:`prepare_corpus` and is windowed here,
+    once :func:`lopo_folds` has checked that they hold two patients.
     Evaluation folds never balance the held-out patient and normalization
     statistics come from the training folds alone.
     """
     use_windows = cfg.model == "cnn"
     if windows is None:
         if separated is None:
+            lopo_folds(rec.patient_id for rec in recordings)  # one patient fails before stage A
             separated = [rec for rec, _ in prepare_corpus(recordings, cfg, templates)]
         windows = window_tables(separated, [cfg.stride_s], with_features=not use_windows)[0]
 
@@ -562,9 +564,11 @@ def sweep(
     Values that agree on every field stage A reads share one stage A run
     and one :func:`window_tables` call over their strides, so stride and
     ratio sweeps run stage A once and a motion sweep once per value.
+    Recordings of fewer than two patients are refused before stage A.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    lopo_folds(rec.patient_id for rec in recordings)  # one patient fails before stage A
     field = "stride_s" if axis == "stride" else axis
     configs = [replace(cfg, **{field: value}) for value in SWEEP_AXES[axis]]
     windows: dict[tuple, dict[str, PatientWindows]] = {}

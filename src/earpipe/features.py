@@ -279,7 +279,6 @@ def balance_epochs(
 class NormalizationParams:
     """Per-feature affine transform fitted on training folds only."""
 
-    mode: str  # "zscore" or "minmax"
     center: np.ndarray
     scale: np.ndarray
     passthrough: np.ndarray  # mask of features left untouched (no spread)
@@ -298,7 +297,7 @@ def fit_normalizer(x: np.ndarray, mode: str = "zscore") -> NormalizationParams:
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
     passthrough = scale <= 1e-12 * (1.0 + np.abs(center))
-    return NormalizationParams(mode=mode, center=center, scale=scale, passthrough=passthrough)
+    return NormalizationParams(center=center, scale=scale, passthrough=passthrough)
 
 
 def apply_normalizer(x: np.ndarray, params: NormalizationParams) -> np.ndarray:

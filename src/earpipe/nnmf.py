@@ -19,8 +19,12 @@ The IS divergence is the natural fit for audio-like power spectra because
 it is scale invariant: quiet time-frequency cells cost as much to misfit
 as loud ones.
 
-A bank is saved as a directory, the way a recording is (see
-:mod:`earpipe.io`); loading also refuses a negative template value.
+A bank keeps its dictionary, STFT settings and sample rate.  Its column
+blocks follow ``earpipe.signals.MODALITIES`` and its rank is the dictionary's
+width over their count, so a bank of the wrong shape is refused when it is
+built, never at separation.  A bank is saved as a directory, the way a
+recording is (see :mod:`earpipe.io`); loading also refuses a negative
+template value.
 """
 
 from __future__ import annotations
@@ -39,13 +43,10 @@ from .io import (
     read_bin,
     save_directory,
 )
-from .signals import Recording, separate_mixed
+from .signals import MODALITIES, Recording, separate_mixed
 from .stft import StftConfig, istft, stft
 
 EPS = 1e-12
-
-#: Modality order of the template bank's column blocks.
-MODALITIES = ("eeg", "emg", "eog")
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,34 @@ def nnmf_factorize(
 
 @dataclass
 class TemplateBank:
-    """Concatenated spectral dictionaries, one contiguous block per modality."""
+    """Concatenated spectral dictionaries, one contiguous block of ``rank``
+    columns per name in ``MODALITIES``, in that order.
 
-    w: np.ndarray  # bins x (rank * n_modalities), columns L1-normalized
-    modalities: tuple[str, ...]
-    rank: int
+    ``w`` has one row per bin of a ``stft_config`` spectrogram; a ``w`` of
+    another row count, or of a width that is not a positive multiple of
+    ``len(MODALITIES)``, is refused here.
+    """
+
+    w: np.ndarray  # bins x (rank * len(MODALITIES)), columns L1-normalized
     stft_config: StftConfig
     sample_rate: float
 
+    def __post_init__(self) -> None:
+        bins, width = self.w.shape
+        if bins != self.stft_config.n_bins:
+            raise ValueError(f"w has {bins} rows, but a {self.stft_config.window_len}-sample "
+                             f"STFT window gives {self.stft_config.n_bins} bins")
+        if width == 0 or width % len(MODALITIES):
+            raise ValueError(f"w has {width} columns, not a positive multiple of "
+                             f"{len(MODALITIES)}, one block per modality")
+
+    @property
+    def rank(self) -> int:
+        """Templates per modality."""
+        return self.w.shape[1] // len(MODALITIES)
+
     def block(self, modality: str) -> slice:
-        i = self.modalities.index(modality)
+        i = MODALITIES.index(modality)
         return slice(i * self.rank, (i + 1) * self.rank)
 
 
@@ -150,20 +169,13 @@ def train_templates(
     blocks = []
     history: dict[str, list[float]] = {}
     for modality in MODALITIES:
-        v = stft(sources[modality], fs).power()
+        v = stft(sources[modality]).power()
         w, _, hist = nnmf_factorize(v, cfg.rank_per_modality, cfg)
         blocks.append(w)
         history[modality] = hist
     w_all = np.concatenate(blocks, axis=1)
     w_all = w_all / np.maximum(w_all.sum(axis=0, keepdims=True), EPS)
-    bank = TemplateBank(
-        w=w_all,
-        modalities=MODALITIES,
-        rank=cfg.rank_per_modality,
-        stft_config=StftConfig(),
-        sample_rate=fs,
-    )
-    return bank, history
+    return TemplateBank(w=w_all, stft_config=StftConfig(), sample_rate=fs), history
 
 
 @dataclass
@@ -185,20 +197,18 @@ def separate_channel(
     power, so they always sum to one and the masked complex spectrograms
     sum back to the mixture's spectrogram exactly.
     """
-    spec = stft(x, bank.sample_rate, bank.stft_config)
+    spec = stft(x, bank.stft_config)
     v = np.maximum(spec.power(), EPS)
-    if bank.w.shape[0] != v.shape[0]:
-        raise ValueError("template bank and spectrogram bin counts differ")
     rng = np.random.default_rng(cfg.seed)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
     _, h, history = _multiplicative_updates(v, bank.w, h, cfg, learn_w=False)
 
-    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in bank.modalities}
+    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
     # strictly positive by construction (w, h are floored); the tiny guard
     # only dodges literal zero so the masks still sum to one everywhere
     total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
-    masks = {m: powers[m] / total for m in bank.modalities}
-    signals = {m: istft(replace(spec, values=masks[m] * spec.values)) for m in bank.modalities}
+    masks = {m: powers[m] / total for m in MODALITIES}
+    signals = {m: istft(replace(spec, values=masks[m] * spec.values)) for m in MODALITIES}
     return SeparationResult(signals=signals, masks=masks, divergence=history)
 
 
@@ -226,7 +236,7 @@ def save_templates(bank: TemplateBank, path: str | Path) -> Path:
     """Write ``bank`` as directory ``path`` (``header.json`` and ``w.bin``)."""
     header = {
         "kind": "nnmf_templates",
-        "modalities": list(bank.modalities),
+        "modalities": list(MODALITIES),
         "rank": bank.rank,
         "stft": {"window_len": bank.stft_config.window_len, "hop": bank.stft_config.hop},
         "sample_rate": bank.sample_rate,
@@ -243,8 +253,8 @@ def load_templates(path: str | Path) -> TemplateBank:
 def _build_bank(path: Path, header: dict) -> TemplateBank:
     stft_config = StftConfig(**header["stft"])
     rank = header["rank"]
-    w = read_bin(path / "w.bin", stft_config.window_len // 2 + 1, rank * len(MODALITIES))
+    w = read_bin(path / "w.bin", stft_config.n_bins, rank * len(MODALITIES))
     negative = np.count_nonzero(w < 0)
     if negative:
         raise RecordingFormatError(f"w.bin: {negative} of {w.size} values are negative")
-    return TemplateBank(w, MODALITIES, rank, stft_config, float(header["sample_rate"]))
+    return TemplateBank(w, stft_config, float(header["sample_rate"]))

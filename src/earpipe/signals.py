@@ -175,19 +175,24 @@ def _require_roles(rec: Recording, roles) -> None:
                      f"{[str(r) for r in missing]}; {step}")
 
 
-def separate_mixed(rec: Recording, split) -> Recording:
-    """Split each of ``MIXED_ROLES`` into EEG, EMG and EOG.
+#: The sources separation splits each mixed channel into, in the order of a
+#: template bank's column blocks.
+MODALITIES = ("eeg", "emg", "eog")
 
-    ``split(x)`` maps one mixed channel to a dict holding at least the
-    ``"eeg"``, ``"emg"`` and ``"eog"`` signals.  The result carries the six
-    roles in ``SEPARATED_ROLES`` order.
+
+def separate_mixed(rec: Recording, split) -> Recording:
+    """Split each of ``MIXED_ROLES`` into the ``MODALITIES``.
+
+    ``split(x)`` maps one mixed channel to a dict holding at least one
+    signal per name in ``MODALITIES``.  The result carries the six roles in
+    ``SEPARATED_ROLES`` order.
     """
     _require_roles(rec, MIXED_ROLES)
     separated = {}
     for mixed in MIXED_ROLES:
         side = mixed.value.removeprefix("mixed_")
         signals = split(rec.channels[mixed])
-        for modality in ("eeg", "emg", "eog"):
+        for modality in MODALITIES:
             separated[ChannelRole(f"{modality}_{side}")] = signals[modality]
     return rec.with_channels({role: separated[role] for role in SEPARATED_ROLES})
 
@@ -411,15 +416,20 @@ def _render_component(
         # biphasic ~500 ms deflections; the rate is the repetition rate.
         # Rapid repetition merges the pulses into a continuous slow
         # oscillation, the way a run of forced blinks or rhythmic eye
-        # deviation looks.
+        # deviation looks.  Overlapping pulses add up, so a train whose sum
+        # exceeds one pulse's peak is scaled back to it: ``amplitude_mv``
+        # bounds the track at every rate.
         pulse_len = int(0.3 * fs)
         pulse = np.sin(np.pi * np.arange(pulse_len) / pulse_len) ** 2
         rebound_len = int(0.2 * fs)
         rebound = -0.25 * np.sin(np.pi * np.arange(rebound_len) / rebound_len) ** 2
-        shape = np.concatenate([pulse, rebound])
+        shape = comp.amplitude_mv * np.concatenate([pulse, rebound])
         for pos in _pulse_starts(seg, fs, rate):
             end = min(pos + len(shape), seg)
-            x[i0 + pos:i0 + end] += comp.amplitude_mv * shape[: end - pos]
+            x[i0 + pos:i0 + end] += shape[: end - pos]
+        peak, train_peak = np.max(np.abs(shape)), np.max(np.abs(x))
+        if train_peak > peak:
+            x *= peak / train_peak
 
     elif comp.kind == "chew":
         # bursts of broadband muscle activity; the rate is the burst rate

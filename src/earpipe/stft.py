@@ -3,7 +3,9 @@
 Frames are Hann-windowed with 50% overlap, which satisfies the constant
 overlap-add condition, so the inverse transform reconstructs every covered
 sample exactly (the first/last half-window carry reduced weight and are the
-only places a round trip can deviate).
+only places a round trip can deviate).  The transform works in samples and
+bins, so it takes no sample rate: bin k lies at ``k * fs / window_len`` Hz
+for a signal sampled at ``fs``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,17 @@ class StftConfig:
         if self.hop > self.window_len:
             raise ValueError("hop larger than the window breaks overlap-add")
 
+    @property
+    def n_bins(self) -> int:
+        """Rows of a spectrogram: the rfft bins from 0 Hz to Nyquist."""
+        return self.window_len // 2 + 1
+
 
 @dataclass
 class Spectrogram:
     """Complex STFT plus the bookkeeping needed to invert it."""
 
     values: np.ndarray  # bins x frames, complex128
-    sample_rate: float
     config: StftConfig
     n_samples: int
 
@@ -48,7 +54,9 @@ def _window(cfg: StftConfig) -> np.ndarray:
     return sps.get_window("hann", cfg.window_len, fftbins=True)
 
 
-def stft(x: np.ndarray, fs: float, cfg: StftConfig = StftConfig()) -> Spectrogram:
+def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> Spectrogram:
+    """Hann-windowed STFT of one channel, ``cfg.n_bins`` bins
+    by as many frames as cover every sample."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("stft expects a single channel")
@@ -60,7 +68,7 @@ def stft(x: np.ndarray, fs: float, cfg: StftConfig = StftConfig()) -> Spectrogra
     padded[:n] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
     spec = np.fft.rfft(frames * _window(cfg), axis=1).T
-    return Spectrogram(values=spec, sample_rate=fs, config=cfg, n_samples=n)
+    return Spectrogram(values=spec, config=cfg, n_samples=n)
 
 
 def istft(spec: Spectrogram) -> np.ndarray:

@@ -308,6 +308,25 @@ class TestFailureReporting:
         assert message in err["message"]
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("count", ["1", "0", "-2"])
+    @pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--axis", "stride"]],
+                             ids=["evaluate", "sweep"])
+    def test_synthetic_below_two_refused_by_name(self, capsys, tmp_path, monkeypatch, command,
+                                                 count):
+        """Leave-one-patient-out needs two patients, so ``--synthetic`` below 2
+        is refused by name before a corpus is synthesized."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus was synthesized")
+
+        monkeypatch.setattr("earpipe.corpus.make_synthetic_corpus", refuse)
+        code = main([*command, "--synthetic", count, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == (f"--synthetic must be at least 2, got {count}: "
+                                  "leave-one-patient-out needs at least two patients")
+        assert not (tmp_path / "o").exists()
+
     def test_mains_at_nyquist_names_the_field(self, capsys, tmp_path):
         """The config cannot know the recordings' rate, so a ``mains_hz`` of
         200 Hz passes it and is refused by name when stage A conditions the

@@ -12,7 +12,7 @@ from earpipe.emd import (
     emd_decompose,
     separate_recording_emd,
 )
-from earpipe.signals import ChannelRole, Recording, SEPARATED_ROLES
+from earpipe.signals import MODALITIES, ChannelRole, Recording, SEPARATED_ROLES
 
 FS = 250.0
 
@@ -111,30 +111,36 @@ class TestModalityAssignment:
     def test_full_depth_assignment(self):
         res = self._result(7)
         asg = assign_modalities(res)
-        np.testing.assert_allclose(asg.emg, res.imfs[0])
-        np.testing.assert_allclose(asg.eeg, res.imfs[2])
-        np.testing.assert_allclose(asg.eog, res.imfs[3:6].sum(axis=0))
-        assert not asg.partial_eog
-        assert not asg.degenerate
+        np.testing.assert_allclose(asg["emg"], res.imfs[0])
+        np.testing.assert_allclose(asg["eeg"], res.imfs[2])
+        np.testing.assert_allclose(asg["eog"], res.imfs[3:6].sum(axis=0))
 
-    def test_five_imfs_flags_partial_eog(self):
-        asg = assign_modalities(self._result(5))
-        assert asg.partial_eog
-        assert not asg.degenerate
+    def test_five_imfs_give_partial_eog(self):
+        res = self._result(5)
+        asg = assign_modalities(res)
+        np.testing.assert_allclose(asg["emg"], res.imfs[0])
+        np.testing.assert_allclose(asg["eeg"], res.imfs[2])
+        np.testing.assert_allclose(asg["eog"], res.imfs[3:5].sum(axis=0))
 
-    def test_two_imfs_flags_degenerate(self):
+    def test_two_imfs_leave_eeg_and_eog_silent(self):
         res = self._result(2)
         asg = assign_modalities(res)
-        assert asg.degenerate
-        np.testing.assert_allclose(asg.eeg, 0.0)
-        np.testing.assert_allclose(asg.eog, 0.0)
-        np.testing.assert_allclose(asg.emg, res.imfs[0])
+        np.testing.assert_allclose(asg["eeg"], 0.0)
+        np.testing.assert_allclose(asg["eog"], 0.0)
+        np.testing.assert_allclose(asg["emg"], res.imfs[0])
 
     def test_zero_imfs_all_silent(self):
         asg = assign_modalities(EmdResult(imfs=np.zeros((0, 50)), residual=np.ones(50)))
-        np.testing.assert_allclose(asg.emg, 0.0)
-        np.testing.assert_allclose(asg.eeg, 0.0)
-        np.testing.assert_allclose(asg.eog, 0.0)
+        np.testing.assert_allclose(asg["emg"], 0.0)
+        np.testing.assert_allclose(asg["eeg"], 0.0)
+        np.testing.assert_allclose(asg["eog"], 0.0)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_keys_are_the_modalities(self, k):
+        """Every depth gives one full-length signal per modality, no more."""
+        asg = assign_modalities(self._result(k))
+        assert tuple(asg) == MODALITIES
+        assert all(x.shape == (200,) for x in asg.values())
 
 
 class TestRecordingSeparation:

@@ -160,6 +160,21 @@ class TestFoldPlanning:
         with pytest.raises(ValueError, match="at least two"):
             lopo_folds(["p00", "p00"])
 
+    @pytest.mark.parametrize("run", [
+        lambda recs: run_experiment(recs, ExperimentConfig(separation="emd")),
+        lambda recs: sweep(recs, ExperimentConfig(separation="emd"), "stride"),
+    ], ids=["run_experiment", "sweep"])
+    @pytest.mark.parametrize("patient_ids", [[], ["p00"], ["p00", "p00"]],
+                             ids=["none", "one", "one-twice"])
+    def test_single_patient_refused_before_stage_a(self, monkeypatch, run, patient_ids):
+        """A corpus of fewer than two patients is refused before stage A."""
+        calls = []
+        monkeypatch.setattr(evaluation, "prepare_corpus", lambda *a, **k: calls.append(a))
+        recordings = [_separated_patient(p, seed) for seed, p in enumerate(patient_ids)]
+        with pytest.raises(ValueError, match="leave-one-patient-out needs at least two patients"):
+            run(recordings)
+        assert calls == []
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([f"p{i:02d}" for i in range(12)]), max_size=40))
     def test_folds_partition_the_patients(self, patient_ids):

@@ -18,8 +18,8 @@ from earpipe.io import (
     save_directory,
     save_recording,
 )
-from earpipe.nnmf import MODALITIES, TemplateBank, load_templates, save_templates
-from earpipe.signals import ChannelRole, Recording, SeizureAnnotation
+from earpipe.nnmf import TemplateBank, load_templates, save_templates
+from earpipe.signals import MODALITIES, ChannelRole, Recording, SeizureAnnotation
 from earpipe.stft import StftConfig
 
 
@@ -203,7 +203,7 @@ class TestContainerDamage:
 
     @pytest.fixture
     def bank(self, tmp_path):
-        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
+        bank = TemplateBank(np.full((129, 3), 1 / 129), StftConfig(), 250.0)
         return save_templates(bank, tmp_path / "bank")
 
     @pytest.mark.parametrize("name, cut, message", [
@@ -233,7 +233,7 @@ def _saved(kind: str, root: Path):
     """Save a recording (``kind`` "recording") or a template bank ("bank")
     under ``root``.  Returns its directory and the loader."""
     if kind == "bank":
-        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), 250.0)
+        bank = TemplateBank(np.full((129, 3), 1 / 129), StftConfig(), 250.0)
         return save_templates(bank, root / "bank"), load_templates
     return save_recording(_sample_recording(), root / "rec"), load_recording
 

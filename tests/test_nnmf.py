@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from earpipe.io import RecordingFormatError, save_recording
 from earpipe.nnmf import (
     EPS,
-    MODALITIES,
     NnmfConfig,
     TemplateBank,
     _multiplicative_updates,
@@ -22,7 +21,7 @@ from earpipe.nnmf import (
     separate_recording_nnmf,
     train_templates,
 )
-from earpipe.signals import ChannelRole, Recording, SEPARATED_ROLES
+from earpipe.signals import MODALITIES, ChannelRole, Recording, SEPARATED_ROLES
 from earpipe.stft import StftConfig, stft
 
 FS = 250.0
@@ -165,13 +164,13 @@ def _reference_factorize(v, rank, cfg, updates):
 def _reference_separation(x, bank, cfg, updates):
     """Separation's activation fit, with the update loop ``updates``, and
     its soft masks.  Returns (masks, divergence history)."""
-    v = np.maximum(stft(x, bank.sample_rate, bank.stft_config).power(), EPS)
+    v = np.maximum(stft(x, bank.stft_config).power(), EPS)
     rng = np.random.default_rng(cfg.seed)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
     _, h, history = updates(v, bank.w, h, cfg, False)
-    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in bank.modalities}
+    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
     total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
-    return {m: powers[m] / total for m in bank.modalities}, history
+    return {m: powers[m] / total for m in MODALITIES}, history
 
 
 _loop_settings = dict(
@@ -213,8 +212,8 @@ class TestReferenceLoop:
         rng = np.random.default_rng(seed)
         bins = window_len // 2 + 1
         w = rng.uniform(0.01, 1.0, size=(bins, rank * len(MODALITIES)))
-        bank = TemplateBank(w=w / w.sum(axis=0), modalities=MODALITIES, rank=rank,
-                            stft_config=StftConfig(window_len, window_len // 2), sample_rate=FS)
+        bank = TemplateBank(w=w / w.sum(axis=0), stft_config=StftConfig(window_len, window_len // 2),
+                            sample_rate=FS)
         x = rng.standard_normal(n)
         cfg = NnmfConfig(max_iter=max_iter, tol=tol, seed=seed)
         res = separate_channel(x, bank, cfg)
@@ -227,7 +226,7 @@ class TestReferenceLoop:
 def _full_size_start():
     """A full-size mixture spectrogram (129 bins) and a rank-6 start."""
     mixture = sum(_sources().values())
-    v = np.maximum(stft(mixture, FS).power(), EPS)
+    v = np.maximum(stft(mixture).power(), EPS)
     rng = np.random.default_rng(3)
     w = rng.uniform(0.5, 1.5, size=(v.shape[0], 6))
     h = rng.uniform(0.5, 1.5, size=(6, v.shape[1]))
@@ -297,6 +296,25 @@ class TestTemplateBank:
         assert bank.block("emg") == slice(3, 6)
         assert bank.block("eog") == slice(6, 9)
 
+    def test_rank_follows_width(self):
+        """A 30-column dictionary is three blocks of 10, every column used."""
+        bank = TemplateBank(np.full((129, 30), 1 / 129), StftConfig(), FS)
+        assert bank.rank == 10
+        assert [bank.block(m) for m in MODALITIES] == [slice(0, 10), slice(10, 20), slice(20, 30)]
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 4, 29, 31])
+    def test_width_not_a_multiple_of_three_refused(self, width):
+        with pytest.raises(ValueError, match=rf"^w has {width} columns, not a positive multiple "
+                                             r"of 3, one block per modality$"):
+            TemplateBank(np.full((129, width), 1 / 129), StftConfig(), FS)
+
+    @pytest.mark.parametrize("bins, window_len", [(128, 256), (130, 256), (129, 128)])
+    def test_rows_not_the_stft_bins_refused(self, bins, window_len):
+        cfg = StftConfig(window_len=window_len, hop=window_len // 2)
+        with pytest.raises(ValueError, match=rf"^w has {bins} rows, but a {window_len}-sample "
+                                             rf"STFT window gives {window_len // 2 + 1} bins$"):
+            TemplateBank(np.full((bins, 3), 1 / bins), cfg, FS)
+
     def test_missing_source_rejected(self):
         sources = _sources()
         del sources["emg"]
@@ -311,7 +329,6 @@ class TestTemplateBank:
         assert sorted(p.name for p in path.iterdir()) == ["header.json", "w.bin"]
         loaded = load_templates(path)
         np.testing.assert_array_equal(loaded.w, bank.w)
-        assert loaded.modalities == bank.modalities
         assert loaded.rank == bank.rank
         assert loaded.stft_config == bank.stft_config
         assert loaded.sample_rate == bank.sample_rate
@@ -377,7 +394,7 @@ class TestTemplateBank:
             "text-rate", "zero-hop", "misspelt-modality", "another-kind", "hop-over-window",
             "true-rank", "nan-cell", "negative-cell"])
     def test_damaged_bank_names_the_file(self, tmp_path, damage, message):
-        bank = TemplateBank(np.full((129, 3), 1 / 129), MODALITIES, 1, StftConfig(), FS)
+        bank = TemplateBank(np.full((129, 3), 1 / 129), StftConfig(), FS)
         path = save_templates(bank, tmp_path / "bank")
         header = json.loads((path / "header.json").read_text())
         damage(header, path / "w.bin")
@@ -438,17 +455,10 @@ class TestSeparation:
             assert r > 0.8, f"{m}: r={r:.3f}"
 
     def test_bin_mismatch_rejected(self, bank):
-        src = _sources(seed=10)
-        mix = src["eeg"] + src["emg"]
-        bad = type(bank)(
-            w=bank.w[:-5],
-            modalities=bank.modalities,
-            rank=bank.rank,
-            stft_config=bank.stft_config,
-            sample_rate=bank.sample_rate,
-        )
-        with pytest.raises(ValueError, match="bin counts differ"):
-            separate_channel(mix, bad)
+        """A dictionary cut short of the STFT's bins is refused when the bank
+        is built, before any separation."""
+        with pytest.raises(ValueError, match="w has 124 rows, but a 256-sample STFT window"):
+            type(bank)(w=bank.w[:-5], stft_config=bank.stft_config, sample_rate=bank.sample_rate)
 
     def test_recording_separation_roles(self, bank):
         src = _sources(seed=11)

@@ -382,6 +382,45 @@ class TestSpikeWave:
         assert abs(peak_hz - 3.0) < 0.2
 
 
+def _blink_pulse_sum(n, rate, amplitude):
+    """A blink train as the plain sum of its pulses, one at a time: a 0.3 s
+    sin^2 deflection and a 0.2 s rebound of a quarter its depth, one per
+    ``1 / rate`` s from sample 0 at 250 Hz."""
+    fs = 250.0
+    shape = np.concatenate([np.sin(np.pi * np.arange(75) / 75) ** 2,
+                            -0.25 * np.sin(np.pi * np.arange(50) / 50) ** 2])
+    x = np.zeros(n)
+    k = 0
+    while (pos := int(np.rint(k * fs / rate))) < n:
+        end = min(pos + len(shape), n)
+        x[pos:end] += (amplitude * shape)[: end - pos]
+        k += 1
+    return x
+
+
+class TestBlink:
+    @staticmethod
+    def _train(rate, amplitude=0.1, duration_s=5.0):
+        spec = SynthesisSpec(duration_s=duration_s,
+                             components=(SynthComponent("blink", amplitude, freq_hz=rate),))
+        return render_sources(spec)[0]["eog"]
+
+    @pytest.mark.parametrize("rate", [2.0, 10.0, 124.0])
+    def test_amplitude_bounds_the_train(self, rate):
+        """Overlapping pulses are scaled back, so no rate peaks above
+        ``amplitude_mv``; the sum reached 0.15 mV at 10 Hz and 1.87 at 124."""
+        x = self._train(rate)
+        assert np.max(np.abs(x)) <= 0.1
+        assert np.max(np.abs(x)) == pytest.approx(np.max(np.abs(self._train(1.0))))
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    def test_sparse_train_is_the_pulse_sum(self, rate):
+        """Pulses that never overlap render their plain sum, bit for bit: the
+        corpus's 1 and 2 Hz blinks are what they were."""
+        np.testing.assert_array_equal(self._train(rate, 0.08, 7.3),
+                                      _blink_pulse_sum(1825, rate, 0.08))
+
+
 class TestMotionImuCoupling:
     def test_burst_registers_on_imu(self):
         """IMU magnitude fluctuates during the burst, stays near 1 g outside."""

@@ -12,15 +12,15 @@ FS = 250.0
 class TestGeometry:
     def test_bin_and_frame_counts(self):
         x = np.random.default_rng(0).standard_normal(2500)
-        spec = stft(x, FS)
-        assert spec.values.shape[0] == 256 // 2 + 1
+        spec = stft(x)
+        assert spec.values.shape[0] == spec.config.n_bins == 256 // 2 + 1
         assert spec.n_frames == spec.values.shape[1]
 
     def test_freq_axis(self):
         """Row k holds k * fs / window_len Hz, from 0 Hz up to Nyquist."""
         n = np.arange(2000)
         for k in (0, 40, 128):
-            power = stft(np.cos(2 * np.pi * k * n / 256), FS).power().mean(axis=1)
+            power = stft(np.cos(2 * np.pi * k * n / 256)).power().mean(axis=1)
             assert np.argmax(power) == k
 
     def test_times_increase_by_hop(self):
@@ -28,12 +28,12 @@ class TestGeometry:
         for j in (0, 3, 10):
             x = np.zeros(2000)
             x[j * 64 + 128] = 1.0
-            power = stft(x, FS, StftConfig(window_len=256, hop=64)).power().sum(axis=0)
+            power = stft(x, StftConfig(window_len=256, hop=64)).power().sum(axis=0)
             assert np.argmax(power) == j
 
     def test_power_is_magnitude_squared(self):
         x = np.random.default_rng(1).standard_normal(1500)
-        spec = stft(x, FS)
+        spec = stft(x)
         np.testing.assert_allclose(spec.power(), np.abs(spec.values) ** 2)
 
     def test_bad_config_rejected(self):
@@ -49,7 +49,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(42)
         for trial in range(5):
             x = rng.standard_normal(int(10 * FS))
-            y = istft(stft(x, FS))
+            y = istft(stft(x))
             assert len(y) == len(x)
             interior = slice(256, len(x) - 256)
             err = np.linalg.norm(y[interior] - x[interior]) / np.linalg.norm(
@@ -60,7 +60,7 @@ class TestRoundTrip:
     def test_tone_round_trip(self):
         t = np.arange(int(4 * FS)) / FS
         x = 0.05 * np.sin(2 * np.pi * 10.0 * t)
-        y = istft(stft(x, FS))
+        y = istft(stft(x))
         interior = slice(256, len(x) - 256)
         np.testing.assert_allclose(y[interior], x[interior], atol=1e-12)
 
@@ -69,7 +69,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         for n in (1001, 1234, 2049):
             x = rng.standard_normal(n)
-            y = istft(stft(x, FS))
+            y = istft(stft(x))
             assert len(y) == n
             interior = slice(256, n - 256)
             err = np.linalg.norm(y[interior] - x[interior]) / np.linalg.norm(
@@ -78,7 +78,7 @@ class TestRoundTrip:
             assert err < 1e-9
 
     def test_zero_round_trip(self):
-        y = istft(stft(np.zeros(1000), FS))
+        y = istft(stft(np.zeros(1000)))
         np.testing.assert_array_equal(y, np.zeros(1000))
 
     @settings(max_examples=300, deadline=None)
@@ -94,7 +94,7 @@ class TestRoundTrip:
         comes back as 0."""
         hop = max(1, round(hop_frac * window_len))
         x = np.random.default_rng(seed).standard_normal(n)
-        spec = stft(x, FS, StftConfig(window_len=window_len, hop=hop))
+        spec = stft(x, StftConfig(window_len=window_len, hop=hop))
         y = istft(spec)
         w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
         weight = np.zeros(n)
@@ -112,8 +112,8 @@ class TestLinearity:
         x = rng.standard_normal(1500)
         y = rng.standard_normal(1500)
         a, b = 0.7, -2.0
-        combined = stft(a * x + b * y, FS).values
-        separate = a * stft(x, FS).values + b * stft(y, FS).values
+        combined = stft(a * x + b * y).values
+        separate = a * stft(x).values + b * stft(y).values
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
 
@@ -121,7 +121,7 @@ class TestToneLocalization:
     def test_tone_peaks_in_correct_bin(self):
         t = np.arange(int(8 * FS)) / FS
         x = np.sin(2 * np.pi * 30.0 * t)
-        spec = stft(x, FS)
+        spec = stft(x)
         mean_power = spec.power().mean(axis=1)
         peak_hz = np.fft.rfftfreq(256, 1.0 / FS)[np.argmax(mean_power)]
         assert abs(peak_hz - 30.0) <= FS / 256  # within one bin
