@@ -7,6 +7,8 @@ the last one under 59 s) dropped, and why a fixed 1-30 Hz bandpass
 cannot do the same job: the bursts live inside the band it keeps.
 """
 
+import numpy as np
+
 from earpipe.corpus import make_synthetic_corpus
 from earpipe.evaluation import compare_snr
 from earpipe.preprocess import bandpass_filter, preprocess_recording
@@ -23,8 +25,8 @@ def main() -> int:
     cleaned, blocks = remove_motion_artifacts(x, fs, rec.imu, rec.imu_rate)
     print(f"patient {rec.patient_id}: {len(x) / fs:.0f} s, {len(blocks)} blocks")
     for i, block in enumerate(blocks):
-        dropped = int(block.excluded.sum())
-        peak_r = float(block.r.max())
+        dropped = block.n_excluded
+        peak_r = float(np.abs(block.r).max())
         print(f"  block {i}: dropped {dropped}/{len(block.r)} modes "
               f"(peak |r| {peak_r:.2f}, threshold {block.threshold:.2f})")
 

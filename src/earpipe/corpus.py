@@ -27,6 +27,13 @@ from .signals import (
 DURATION_S = 90.0
 TEMPLATE_DURATION_S = 60.0
 
+#: ``(kind, amplitude_mv, freq_hz)`` of the activity present all along, one
+#: component per modality; ``None`` leaves the kind's default rate.
+BACKGROUND = (("alpha_burst", 0.10, 10.0), ("blink", 0.08, 1.0), ("chew", 0.05, None))
+#: The same for the activity a seizure adds: the discharge, a tonic chew
+#: burst train and rapid blinking.
+ICTAL = (("spike_wave_seizure", 0.30, 3.0), ("chew", 0.12, 3.0), ("blink", 0.15, 2.0))
+
 
 def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_S) -> SynthesisSpec:
     """Synthesis spec for one patient, jittered deterministically.
@@ -51,22 +58,14 @@ def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_
     seiz_start = float(rng.integers(30, 33))
     seiz_stop = seiz_start + float(rng.integers(16, 27))
     components = (
-        SynthComponent("alpha_burst", 0.10 * jit(), freq_hz=10.0 * jit(0.01)),
-        SynthComponent("blink", 0.08 * jit(), freq_hz=1.0),
-        SynthComponent("chew", 0.05 * jit()),
+        *(SynthComponent(kind, amp * jit(), freq_hz=freq * jit(0.01) if kind == "alpha_burst" else freq)
+          for kind, amp, freq in BACKGROUND),
         SynthComponent("white_noise", 0.004 * jit()),
         SynthComponent("motion_burst", 0.45 * jit(), freq_hz=17.0, start_s=8.0, stop_s=18.0),
         SynthComponent("motion_burst", 0.40 * jit(), freq_hz=17.0, start_s=36.0, stop_s=46.0),
         SynthComponent("motion_burst", 0.45 * jit(), freq_hz=17.0, start_s=68.0, stop_s=80.0),
-        SynthComponent(
-            "spike_wave_seizure",
-            0.30 * jit(),
-            freq_hz=3.0,
-            start_s=seiz_start,
-            stop_s=seiz_stop,
-        ),
-        SynthComponent("chew", 0.12 * jit(), freq_hz=3.0, start_s=seiz_start, stop_s=seiz_stop),
-        SynthComponent("blink", 0.15 * jit(), freq_hz=2.0, start_s=seiz_start, stop_s=seiz_stop),
+        *(SynthComponent(kind, amp * jit(), freq_hz=freq, start_s=seiz_start, stop_s=seiz_stop)
+          for kind, amp, freq in ICTAL),
     )
     return SynthesisSpec(
         duration_s=duration_s,
@@ -90,12 +89,9 @@ def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
     spec = SynthesisSpec(
         duration_s=TEMPLATE_DURATION_S,
         components=(
-            SynthComponent("alpha_burst", 0.10),
-            SynthComponent("spike_wave_seizure", 0.30, freq_hz=3.0, start_s=third, stop_s=two_thirds),
-            SynthComponent("blink", 0.08, freq_hz=1.0),
-            SynthComponent("blink", 0.15, freq_hz=2.0, start_s=third, stop_s=two_thirds),
-            SynthComponent("chew", 0.05),
-            SynthComponent("chew", 0.12, freq_hz=3.0, start_s=third, stop_s=two_thirds),
+            *(SynthComponent(kind, amp, freq_hz=freq) for kind, amp, freq in BACKGROUND),
+            *(SynthComponent(kind, amp, freq_hz=freq, start_s=third, stop_s=two_thirds)
+              for kind, amp, freq in ICTAL),
         ),
         patient_id="templates",
         seed=int(np.random.SeedSequence([master_seed, 11]).generate_state(1)[0]),

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .forest import training_set
+
 
 @dataclass(frozen=True)
 class CnnConfig:
@@ -256,13 +258,8 @@ class CnnClassifier:
 
     def fit(self, windows: np.ndarray, y: np.ndarray) -> "CnnClassifier":
         cfg = self.train_config
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3:
-            raise ValueError(
-                f"fit needs windows of shape (batch, channels, samples), got {windows.shape}"
-            )
+        windows, y = training_set(windows, y, ndim=3)
         self.config = replace(self.config, in_channels=windows.shape[1], input_len=windows.shape[2])
-        y = np.asarray(y, dtype=int)
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         self.net = Cnn1d(self.config, seed=cfg.seed)
         split_rng = np.random.default_rng(seeds[0])

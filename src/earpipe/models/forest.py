@@ -48,18 +48,19 @@ def majority_vote(votes: np.ndarray) -> np.ndarray:
     return counts.argmax(axis=-1)
 
 
-def training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def training_set(x: np.ndarray, y: np.ndarray, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as float rows and ``y`` as int labels, once they make a training set.
 
-    Rejects an empty set, shapes other than n rows and n labels, and labels
-    outside {0, 1}; labels are checked before the cast, so 0.5 is rejected,
-    not truncated.
+    Rejects an empty set, shapes other than an ``ndim``-D x of n rows and n
+    labels, and labels outside {0, 1}.  A row is a feature vector, or the
+    CNN's channels x samples window.  Labels are checked before the cast, so
+    0.5 is rejected, not truncated.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+    if x.ndim != ndim or y.ndim != 1 or len(x) != len(y):
         raise ValueError(
-            f"fit needs x of n rows and y of n labels, got x of shape {x.shape} "
+            f"fit needs a {ndim}-D x of n rows and y of n labels, got x of shape {x.shape} "
             f"and y of shape {y.shape}"
         )
     if not len(y):

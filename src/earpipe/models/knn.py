@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import majority_vote, training_set
+from .svm import squared_distances
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,7 @@ class KnnClassifier:
         if self._x is None:
             raise RuntimeError("classifier is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        a2 = np.sum(x**2, axis=1)[:, None]
-        b2 = np.sum(self._x**2, axis=1)[None, :]
-        d2 = a2 + b2 - 2.0 * (x @ self._x.T)
+        d2 = squared_distances(x, self._x)
         # stable sort so equal distances resolve to the earlier training row
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.config.k]
         return majority_vote(self._y[nearest])

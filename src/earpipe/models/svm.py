@@ -31,12 +31,17 @@ class SvmConfig:
     tol: float = 1e-3
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2 for all pairs, expanded as a^2 + b^2 - 2ab, which
+    rounding can leave slightly below 0."""
     a2 = np.sum(a**2, axis=1)[:, None]
     b2 = np.sum(b**2, axis=1)[None, :]
-    d2 = np.maximum(a2 + b2 - 2.0 * (a @ b.T), 0.0)
-    return np.exp(-gamma * d2)
+    return a2 + b2 - 2.0 * (a @ b.T)
+
+
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
+    return np.exp(-gamma * np.maximum(squared_distances(a, b), 0.0))
 
 
 def _violations(

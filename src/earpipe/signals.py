@@ -115,7 +115,7 @@ class Recording:
     def __post_init__(self) -> None:
         for name in ("sample_rate", "imu_rate"):
             rate = getattr(self, name)
-            if not (np.isfinite(rate) and rate > 0):
+            if not (finite(rate) and rate > 0):
                 raise ValueError(f"{name} must be a finite number above 0, got {rate!r}")
         lengths = {len(x) for x in self.channels.values()}
         if len(lengths) > 1:

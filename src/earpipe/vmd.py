@@ -268,14 +268,22 @@ def vmd_decompose(
 
 @dataclass
 class MotionCorrelation:
-    """Per-mode Pearson correlation against the accelerometer magnitude."""
+    """Per-mode Pearson correlation against the accelerometer magnitude.
+
+    A mode is excluded as motion when its ``|r|`` lies strictly above
+    ``threshold``.
+    """
 
     r: np.ndarray
     threshold: float
-    excluded: np.ndarray  # boolean mask over modes
     iterations: int  # ADMM sweeps of the block's decomposition
     converged: bool  # False when the block stopped at the iteration cap
     span_s: tuple[float, float]  # the block's start and end in its channel
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """Boolean mask over modes: ``|r| > threshold``."""
+        return np.abs(self.r) > self.threshold
 
     @property
     def n_excluded(self) -> int:
@@ -344,7 +352,6 @@ def motion_correlation(
     return MotionCorrelation(
         r=rs,
         threshold=threshold,
-        excluded=np.abs(rs) > threshold,
         iterations=result.iterations,
         converged=result.converged,
         span_s=(0.0, result.modes.shape[1] / result.sample_rate),

@@ -66,7 +66,14 @@ class TestRbfKernel:
 
 
 class _RejectsBadTrainingSets:
-    """The training-set checks every classifier shares; ``classifier`` builds one."""
+    """The training-set checks every classifier shares; ``classifier`` builds
+    one, and ``rows`` turns a feature matrix into what its ``fit`` takes.  A
+    shape in a message is the feature matrix's; the test reads it as the
+    shape that ``rows`` makes of it."""
+
+    @staticmethod
+    def rows(x):
+        return x
 
     @pytest.mark.parametrize("x, y, message", [
         (np.zeros((0, 3)), np.zeros(0, dtype=int), r"at least one training row, got 0"),
@@ -74,10 +81,14 @@ class _RejectsBadTrainingSets:
         (np.zeros(5), np.zeros(5, dtype=int), r"x of shape \(5,\) and y of shape \(5,\)"),
         (np.zeros((4, 2)), np.array([0, 1, 2, 1]), r"labels in \{0, 1\}, got \[2\]"),
         (np.zeros((3, 2)), np.array([0.0, 0.5, -1.0]), r"labels in \{0, 1\}, got \[-1\.0, 0\.5\]"),
+        (np.zeros((8, 3)), np.zeros(6, dtype=int), r"x of shape \(8, 3\) and y of shape \(6,\)"),
     ])
     def test_bad_training_set_rejected(self, x, y, message):
+        rows = self.rows(x)
+        escaped = lambda a: str(a.shape).replace("(", r"\(").replace(")", r"\)")
+        message = message.replace(escaped(x), escaped(rows), 1)  # x comes before y
         with pytest.raises(ValueError, match=message):
-            self.classifier().fit(x, y)
+            self.classifier().fit(rows, y)
 
 
 class TestSvm(_RejectsBadTrainingSets):
@@ -510,7 +521,17 @@ class TestCnnNetwork:
         np.testing.assert_allclose(params["w"], 0.0, atol=1e-3)
 
 
-class TestCnnClassifier:
+class TestCnnClassifier(_RejectsBadTrainingSets):
+    """The CNN refuses the same training sets, each row given a channel axis."""
+
+    @staticmethod
+    def classifier():
+        return CnnClassifier(TINY, TrainConfig(epochs=1))
+
+    @staticmethod
+    def rows(x):
+        return x[:, None]
+
     def _dataset(self, n_per=12, seed=14):
         """Class 1 carries a strong tone the other class lacks."""
         rng = np.random.default_rng(seed)
@@ -545,7 +566,7 @@ class TestCnnClassifier:
         assert model.predict(x).shape == (8,)
 
     @pytest.mark.parametrize("shape, message", [
-        ((8, 24), r"\(batch, channels, samples\), got \(8, 24\)"),
+        ((8, 24), r"3-D x of n rows and y of n labels, got x of shape \(8, 24\)"),
         ((8, 2, 3), r"input_len 3 leaves no samples after 2 pooling stages of 2"),
     ], ids=["flat", "too-short"])
     def test_unusable_windows_rejected(self, shape, message):

@@ -42,7 +42,8 @@ class TestRecording:
             Recording(patient_id="p", imu=np.zeros((2, 5)))
 
     @pytest.mark.parametrize("key", ["sample_rate", "imu_rate"])
-    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    # True is no 1 Hz rate; "250" and None are refused by name, not by numpy
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf"), True, "250", None])
     def test_rate_must_be_finite_and_positive(self, key, rate):
         with pytest.raises(ValueError, match=f"{key} must be a finite number above 0"):
             Recording(patient_id="p", **{key: rate})

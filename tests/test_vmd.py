@@ -357,6 +357,16 @@ class TestMotionScreening:
         with pytest.raises(ValueError, match="3 x M"):
             motion_correlation(res, np.zeros((2, 100)), 50.0)
 
+    def test_excluded_is_strictly_above_threshold(self):
+        """The mask is |r| > threshold: an |r| equal to the threshold is
+        kept, and a threshold of -1 flags every mode, r = 0 included."""
+        r = np.array([-0.5, -0.3, 0.0, 0.3, 0.29, 0.31])
+        corr = MotionCorrelation(r, 0.3, 0, True, (0.0, 1.0))
+        np.testing.assert_array_equal(corr.excluded, [True, False, False, False, False, True])
+        assert corr.n_excluded == 2
+        corr.threshold = -1.0
+        assert corr.excluded.all() and corr.n_excluded == 6
+
     def test_exclusion_subtracts_flagged_modes(self):
         """A 20 s channel is one block, whose cross-fade weight is 1, so the
         screen returns exactly the sum of the modes its report keeps."""
@@ -460,7 +470,7 @@ class TestBlockLayout:
             return VmdResult(np.zeros((1, len(seg))), np.zeros(1), np.zeros(len(seg)), fs, 0, True)
 
         def correlate(result, accel, imu_rate, threshold):
-            return MotionCorrelation(np.zeros(1), threshold, np.zeros(1, bool), 0, True, (0.0, 0.0))
+            return MotionCorrelation(np.zeros(1), threshold, 0, True, (0.0, 0.0))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vmd, "vmd_decompose", decompose)
