@@ -165,11 +165,15 @@ def cmd_separate(args) -> int:
 def cmd_train_templates(args) -> int:
     from .corpus import template_sources
     from .io import load_recording
-    from .nnmf import NnmfConfig, save_templates, train_templates
+    from .nnmf import save_templates, train_templates
     from .signals import BIOPOTENTIAL_RATE_HZ, MODALITIES
 
     if args.synthetic:
-        sources = template_sources(master_seed=args.seed)
+        given = [f"--{n}" for n in MODALITIES if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"--synthetic trains from the built-in sources; "
+                             f"drop {', '.join(given)} or --synthetic")
+        sources = template_sources()
         fs = BIOPOTENTIAL_RATE_HZ
     else:
         missing = [n for n in MODALITIES if getattr(args, n) is None]
@@ -183,7 +187,7 @@ def cmd_train_templates(args) -> int:
                              "resample them to one rate first")
         fs = rates["eeg"]
         sources = {n: r.channel_matrix()[0] for n, r in recs.items()}
-    bank, history = train_templates(sources, fs, cfg=NnmfConfig(seed=args.seed))
+    bank, history = train_templates(sources, fs, seed=args.seed)
     save_templates(bank, args.out)
     final = {m: h[-1] for m, h in history.items()}
     print(f"templates written to {args.out}; final divergences {final}")
@@ -213,6 +217,8 @@ def _corpus_and_templates(args, cfg: ExperimentConfig):
     from .corpus import make_synthetic_corpus, train_corpus_templates
     from .nnmf import load_templates
 
+    if args.synthetic is not None and args.corpus is not None:
+        raise ValueError("give --corpus DIR or --synthetic N, not both")
     if args.synthetic is not None:
         if args.synthetic < 2:
             raise ValueError(f"--synthetic must be at least 2, got {args.synthetic}: "

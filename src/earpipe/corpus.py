@@ -6,14 +6,16 @@ IMU-co-registered motion (two interictal jolt series plus one during the
 seizure), and one 3 Hz spike-wave discharge with a matching annotation.
 Template sources for supervised separation are rendered from the same
 component definitions, so the dictionaries see both background and
-discharge spectra.
+discharge spectra.  None of those components draws from its random
+stream, so the sources are one fixed set; a corpus's master seed reaches
+its template bank only as the seed of the NNMF training start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nnmf import NnmfConfig, TemplateBank, train_templates
+from .nnmf import TemplateBank, train_templates
 from .signals import (
     BIOPOTENTIAL_RATE_HZ,
     MODALITIES,
@@ -79,7 +81,7 @@ def make_synthetic_corpus(n_patients: int = 20, master_seed: int = 0) -> list[Re
     return [synthesize_recording(patient_spec(i, master_seed)) for i in range(n_patients)]
 
 
-def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
+def template_sources() -> dict[str, np.ndarray]:
     """Clean per-modality tracks covering background and ictal regimes.
 
     Each modality's track spends the middle third of the recording in its
@@ -94,14 +96,13 @@ def template_sources(master_seed: int = 0) -> dict[str, np.ndarray]:
               for kind, amp, freq in ICTAL),
         ),
         patient_id="templates",
-        seed=int(np.random.SeedSequence([master_seed, 11]).generate_state(1)[0]),
     )
     sources, _, _ = render_sources(spec)
     return {m: sources[m] for m in MODALITIES}
 
 
 def train_corpus_templates(master_seed: int = 0) -> TemplateBank:
-    """Template bank trained on the synthetic per-modality sources."""
-    bank, _ = train_templates(template_sources(master_seed), BIOPOTENTIAL_RATE_HZ,
-                              cfg=NnmfConfig(seed=master_seed))
+    """Template bank trained on the synthetic per-modality sources, from an
+    NNMF start seeded with ``master_seed``."""
+    bank, _ = train_templates(template_sources(), BIOPOTENTIAL_RATE_HZ, seed=master_seed)
     return bank

@@ -10,11 +10,12 @@ slopes.  That copies the same sign values as a sample-by-sample carry (the
 reference the tests keep), a leading plateau keeping slope 0, so the
 extrema are the same.
 
-The modality split reads IMFs 1-6 only and stops sifting there: each IMF is
-sifted from the residual the ones before it leave, so IMFs 1-6 do not depend
-on how many follow.  It returns the dict of ``MODALITIES`` signals that
-:func:`~earpipe.signals.separate_mixed` reads; a modality whose IMFs a
-shallow decomposition lacks is silent, as ``EmdResult.n_imfs`` tells.
+The modality split reads IMFs 1-6 only, so sifting stops there
+(``MAX_IMFS``): each IMF is sifted from the residual the ones before it
+leave, so IMFs 1-6 do not depend on how many follow.  It returns the dict
+of ``MODALITIES`` signals that :func:`~earpipe.signals.separate_mixed`
+reads; a modality whose IMFs a shallow decomposition lacks is silent, as
+``EmdResult.n_imfs`` tells.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .signals import Recording, separate_mixed
 
 SD_THRESHOLD = 0.25
 MAX_SIFTINGS = 100
-MAX_IMFS = 8
 EMG_IMF = 0  # the IMFs the modality split reads, 0-based (see assign_modalities)
 EEG_IMF = 2
 EOG_IMFS = slice(3, 6)
+MAX_IMFS = EOG_IMFS.stop  # sifting stops after the last IMF the split reads
 
 
 @dataclass
@@ -91,8 +92,8 @@ def _sift(x: np.ndarray) -> np.ndarray | None:
     return h
 
 
-def emd_decompose(x: np.ndarray, max_imfs: int = MAX_IMFS) -> EmdResult:
-    """Decompose ``x`` into up to ``max_imfs`` IMFs, fast to slow, plus a residual.
+def emd_decompose(x: np.ndarray) -> EmdResult:
+    """Decompose ``x`` into up to ``MAX_IMFS`` IMFs, fast to slow, plus a residual.
 
     Each IMF is sifted until the Cauchy-style ratio drops below
     ``SD_THRESHOLD`` or ``MAX_SIFTINGS`` passes have run.  The residual is
@@ -108,7 +109,7 @@ def emd_decompose(x: np.ndarray, max_imfs: int = MAX_IMFS) -> EmdResult:
 
     imfs: list[np.ndarray] = []
     residual = x.copy()
-    while len(imfs) < max_imfs:
+    while len(imfs) < MAX_IMFS:
         # maxima and minima alternate, so fewer than four extrema leave fewer
         # than two of one kind, and _sift's first pass returns None
         imf = _sift(residual)
@@ -140,6 +141,4 @@ def assign_modalities(result: EmdResult) -> dict[str, np.ndarray]:
 
 def separate_recording_emd(rec: Recording) -> Recording:
     """Split both mixed channels into EEG/EMG/EOG via EMD mode assignment."""
-    return separate_mixed(
-        rec, lambda x: assign_modalities(emd_decompose(x, max_imfs=EOG_IMFS.stop))
-    )
+    return separate_mixed(rec, lambda x: assign_modalities(emd_decompose(x)))

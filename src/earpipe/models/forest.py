@@ -52,9 +52,9 @@ def training_set(x: np.ndarray, y: np.ndarray, ndim: int = 2) -> tuple[np.ndarra
     """``x`` as float rows and ``y`` as int labels, once they make a training set.
 
     Rejects an empty set, shapes other than an ``ndim``-D x of n rows and n
-    labels, and labels outside {0, 1}.  A row is a feature vector, or the
-    CNN's channels x samples window.  Labels are checked before the cast, so
-    0.5 is rejected, not truncated.
+    labels, a NaN or infinite value in x, and labels outside {0, 1}.  A row
+    is a feature vector, or the CNN's channels x samples window.  Labels are
+    checked before the cast, so 0.5 is rejected, not truncated.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -65,6 +65,9 @@ def training_set(x: np.ndarray, y: np.ndarray, ndim: int = 2) -> tuple[np.ndarra
         )
     if not len(y):
         raise ValueError("fit needs at least one training row, got 0")
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ValueError(f"fit needs finite x: {bad} of {x.size} values are NaN or infinite")
     outside = np.setdiff1d(y, [0, 1])
     if outside.size:
         raise ValueError(f"fit needs labels in {{0, 1}}, got {outside.tolist()}")

@@ -6,6 +6,11 @@ minimizing the Itakura-Saito divergence with multiplicative updates
 concatenated into a bank; separating a mixture runs the same update loop
 with the bank fixed, fits only the activations, and rebuilds each modality
 through a soft Wiener-style mask applied to the complex mixture spectrogram.
+Both run the same settings, the module constants ``RANK`` templates per
+modality, at most ``MAX_ITER`` updates and the stopping tolerance ``TOL``;
+only training's random start takes a seed from its caller, and separation
+starts from ``ACTIVATION_SEED``.
+
 The loop is written for Itakura-Saito alone (beta = 0): after each factor
 update it forms ``wh = w @ h``, floors it, and takes its reciprocal and the
 shared ratio ``v / wh`` once.  The next update's numerator is
@@ -47,18 +52,10 @@ from .signals import MODALITIES, Recording, separate_mixed
 from .stft import StftConfig, istft, stft
 
 EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class NnmfConfig:
-    rank_per_modality: int = 10
-    max_iter: int = 200
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rank_per_modality < 1:
-            raise ValueError("rank_per_modality must be positive")
+RANK = 10  # templates learned per modality
+MAX_ITER = 200  # update cap, in training and in separation
+TOL = 1e-6  # relative divergence drop below which the updates stop
+ACTIVATION_SEED = 0  # seed of the activations a separation starts from
 
 
 def is_divergence(x: np.ndarray, y: np.ndarray) -> float:
@@ -77,13 +74,14 @@ def _divergence(ratio: np.ndarray) -> float:
 
 
 def _multiplicative_updates(
-    v: np.ndarray, w: np.ndarray, h: np.ndarray, cfg: NnmfConfig, learn_w: bool
+    v: np.ndarray, w: np.ndarray, h: np.ndarray, learn_w: bool
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Fit ``v ~ w @ h`` from the given start, keeping ``w`` fixed unless ``learn_w``.
 
-    ``v`` must already be floored at ``EPS``.  ``inv = 1 / wh`` and
-    ``ratio = v / wh`` are formed once per factor update and read by the
-    next update and the divergence.
+    Runs up to ``MAX_ITER`` updates and stops once the divergence drops by
+    less than ``TOL`` of itself.  ``v`` must already be floored at ``EPS``.
+    ``inv = 1 / wh`` and ``ratio = v / wh`` are formed once per factor
+    update and read by the next update and the divergence.
     """
 
     def shared(w, h):
@@ -92,7 +90,7 @@ def _multiplicative_updates(
 
     inv, ratio = shared(w, h)
     history = [_divergence(ratio)]
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         h = np.maximum(h * (w.T @ (ratio * inv)) / np.maximum(w.T @ inv, EPS), EPS)
         inv, ratio = shared(w, h)
         if learn_w:
@@ -100,24 +98,23 @@ def _multiplicative_updates(
             inv, ratio = shared(w, h)
         history.append(_divergence(ratio))
         prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < cfg.tol:
+        if prev > 0 and (prev - cur) / prev < TOL:
             break
     return w, h, history
 
 
-def nnmf_factorize(
-    v: np.ndarray, rank: int, cfg: NnmfConfig = NnmfConfig()
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Factorize ``v ~ w @ h`` with multiplicative updates.
+def nnmf_factorize(v: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Factorize ``v ~ w @ h`` at rank ``RANK`` with multiplicative updates,
+    from a start drawn with ``seed``.
 
     Returns the factors plus the divergence recorded after every iteration.
     """
     v = np.maximum(np.asarray(v, dtype=np.float64), EPS)
     bins, frames = v.shape
-    rng = np.random.default_rng(cfg.seed)
-    w = rng.uniform(0.5, 1.5, size=(bins, rank)) * np.sqrt(v.mean() / rank)
-    h = rng.uniform(0.5, 1.5, size=(rank, frames)) * np.sqrt(v.mean() / rank)
-    return _multiplicative_updates(v, w, h, cfg, learn_w=True)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, size=(bins, RANK)) * np.sqrt(v.mean() / RANK)
+    h = rng.uniform(0.5, 1.5, size=(RANK, frames)) * np.sqrt(v.mean() / RANK)
+    return _multiplicative_updates(v, w, h, learn_w=True)
 
 
 @dataclass
@@ -154,11 +151,10 @@ class TemplateBank:
 
 
 def train_templates(
-    sources: dict[str, np.ndarray],
-    fs: float,
-    cfg: NnmfConfig = NnmfConfig(),
+    sources: dict[str, np.ndarray], fs: float, seed: int = 0
 ) -> tuple[TemplateBank, dict[str, list[float]]]:
-    """Learn a template bank from isolated per-modality source signals.
+    """Learn a template bank of ``RANK`` templates per modality from isolated
+    per-modality source signals, each factorization starting from ``seed``.
 
     ``sources`` maps each modality name to a clean single-channel signal
     representative of that modality (seizure and background alike for EEG).
@@ -170,7 +166,7 @@ def train_templates(
     history: dict[str, list[float]] = {}
     for modality in MODALITIES:
         v = stft(sources[modality]).power()
-        w, _, hist = nnmf_factorize(v, cfg.rank_per_modality, cfg)
+        w, _, hist = nnmf_factorize(v, seed)
         blocks.append(w)
         history[modality] = hist
     w_all = np.concatenate(blocks, axis=1)
@@ -185,23 +181,20 @@ class SeparationResult:
     divergence: list[float]
 
 
-def separate_channel(
-    x: np.ndarray,
-    bank: TemplateBank,
-    cfg: NnmfConfig = NnmfConfig(),
-) -> SeparationResult:
+def separate_channel(x: np.ndarray, bank: TemplateBank) -> SeparationResult:
     """Split one mixed channel into per-modality signals.
 
-    The bank's dictionary stays fixed; only activations are fitted.  Soft
-    masks are ratios of the per-modality model power to the total model
-    power, so they always sum to one and the masked complex spectrograms
-    sum back to the mixture's spectrogram exactly.
+    The bank's dictionary stays fixed; only activations are fitted, from a
+    start drawn with ``ACTIVATION_SEED``.  Soft masks are ratios of the
+    per-modality model power to the total model power, so they always sum
+    to one and the masked complex spectrograms sum back to the mixture's
+    spectrogram exactly.
     """
     spec = stft(x, bank.stft_config)
     v = np.maximum(spec.power(), EPS)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(ACTIVATION_SEED)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
-    _, h, history = _multiplicative_updates(v, bank.w, h, cfg, learn_w=False)
+    _, h, history = _multiplicative_updates(v, bank.w, h, learn_w=False)
 
     powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
     # strictly positive by construction (w, h are floored); the tiny guard
@@ -212,13 +205,11 @@ def separate_channel(
     return SeparationResult(signals=signals, masks=masks, divergence=history)
 
 
-def separate_recording_nnmf(
-    rec: Recording, bank: TemplateBank, cfg: NnmfConfig = NnmfConfig()
-) -> Recording:
+def separate_recording_nnmf(rec: Recording, bank: TemplateBank) -> Recording:
     """Split both mixed channels into the six separated roles."""
     if abs(rec.sample_rate - bank.sample_rate) > 1e-9:
         raise ValueError("recording and template bank sample rates differ")
-    return separate_mixed(rec, lambda x: separate_channel(x, bank, cfg).signals)
+    return separate_mixed(rec, lambda x: separate_channel(x, bank).signals)
 
 
 #: The fields of a template bank's header.json; its ``w.bin`` holds the

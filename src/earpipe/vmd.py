@@ -2,11 +2,11 @@
 
 The decomposition runs the frequency-domain ADMM scheme of Dragomiretskiy
 and Zosso (IEEE TSP 2014) with the dual ascent step off (tau = 0, the
-noise-tolerant setting): each mode is refined by a Wiener-like update
-around its current center frequency, and center frequencies, which start
-evenly spaced at ``(0.5 / k) * i``, move to the spectral centroid of their
-mode.  The input is mirror-extended by half its length on each side to
-soften boundary effects.
+noise-tolerant setting): each of the ``K`` modes is refined by a
+Wiener-like update around its current center frequency, and center
+frequencies, which start evenly spaced at ``(0.5 / K) * i``, move to the
+spectral centroid of their mode.  The input is mirror-extended by half its
+length on each side to soften boundary effects.
 
 The sweeps run in single precision and everything around them in double,
 the usual mixed-precision split (Higham and Mary, Acta Numerica 2022):
@@ -56,7 +56,7 @@ on the same operands as the textbook loop run at the same precision:
 
 The stop test sums the same terms as the textbook loop's two whole-array
 sums, in another order, so the two can part only when a sweep's change
-lands within rounding of ``tol`` times the norm; modes and centers are
+lands within rounding of ``TOL`` times the norm; modes and centers are
 bit-identical whenever they stop on the same sweep.  They do on all 144
 blocks above, on the six blocks of patient p02 (two of them at the sweep
 cap) and on thousands of random inputs.
@@ -90,12 +90,14 @@ Motion handling: every mode's amplitude envelope is compared against the
 accelerometer magnitude; modes that track the IMU are dropped before the
 signal is rebuilt.
 
-A channel is screened in blocks laid on one grid: block i starts at
-``i * (block - overlap)`` samples, and the fewest blocks that cover the
-signal are used, ``max(1, (n - overlap) // (block - overlap))``.  Every
-block but the last is ``block`` samples long; the last runs to the end of
-the signal, so it is between ``block`` and ``2 * block - overlap`` samples
-long (or the whole signal, when that is shorter than one block).
+A channel is screened in blocks laid on one grid, ``block`` samples being
+``BLOCK_S`` and ``overlap`` samples ``BLOCK_OVERLAP_S`` at the channel's
+rate: block i starts at ``i * (block - overlap)`` samples, and the fewest
+blocks that cover the signal are used,
+``max(1, (n - overlap) // (block - overlap))``.  Every block but the last
+is ``block`` samples long; the last runs to the end of the signal, so it is
+between ``block`` and ``2 * block - overlap`` samples long (or the whole
+signal, when that is shorter than one block).
 Neighbours share exactly ``overlap`` samples, and no sample is decomposed
 more than twice: at 30 s blocks with 1 s overlap, a 90 s channel is cut at
 0-30, 29-59 and 58-90 s.
@@ -109,10 +111,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import fft as sp_fft
 
-DEFAULT_K = 8
+K = 8  # modes per block
 ALPHA = 2000.0  # bandwidth penalty: larger values give narrower modes
-DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 500
+TOL = 1e-7  # relative change of the mode set that counts as converged
+MAX_ITER = 500  # sweep cap
 MOTION_R_THRESHOLD = 0.3
 BLOCK_S = 30.0
 BLOCK_OVERLAP_S = 1.0
@@ -129,14 +131,8 @@ class VmdResult:
     converged: bool
 
 
-def vmd_decompose(
-    x: np.ndarray,
-    fs: float,
-    k: int = DEFAULT_K,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> VmdResult:
-    """Decompose ``x`` into ``k`` narrowband modes.
+def vmd_decompose(x: np.ndarray, fs: float) -> VmdResult:
+    """Decompose ``x`` into ``K`` narrowband modes.
 
     Parameters
     ----------
@@ -144,26 +140,21 @@ def vmd_decompose(
         Input signal (any length; it is mirror-extended internally).
     fs : float
         Sampling rate in Hz; center frequencies are reported in Hz.
-    k : int
-        Number of modes.
-    tol : float
-        Relative change of the mode set that counts as converged.
-    max_iter : int
-        Iteration cap.
 
-    The bandwidth penalty is ``ALPHA``.  There is no dual ascent (tau = 0):
-    the modes need not add up to the input exactly, which tolerates noise,
-    and ``residual`` holds what they leave out.  Center frequencies start
-    at ``(0.5 / k) * arange(k)`` in cycles per sample; a zero signal returns
-    zero modes at those centers after 0 sweeps.
+    The sweeps stop when the mode set changes by less than ``TOL`` of its
+    norm, or after ``MAX_ITER`` sweeps; the bandwidth penalty is ``ALPHA``.
+    There is no dual ascent (tau = 0): the modes need not add up to the
+    input exactly, which tolerates noise, and ``residual`` holds what they
+    leave out.  Center frequencies start at ``(0.5 / K) * arange(K)`` in
+    cycles per sample; a zero signal returns zero modes at those centers
+    after 0 sweeps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("vmd_decompose expects a single channel")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains NaN or Inf")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = K
     n_orig = len(x)
     if n_orig < 4:
         raise ValueError("signal too short to decompose")
@@ -216,7 +207,7 @@ def vmd_decompose(
     iterations = 0
     converged = False
     total_power = 0.0  # |u_hat|^2 summed mode by mode: the next sweep's norm
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         norm, total_power, diff = total_power, 0.0, 0.0
         np.subtract(freqs_pos, omega[:, None], out=denom)
         np.square(denom, out=denom)
@@ -239,7 +230,7 @@ def vmd_decompose(
             if total > 0:
                 omega[i] = float(np.dot(freqs_pos, power) / total)
 
-        if norm > 0.0 and diff < tol * norm:
+        if norm > 0.0 and diff < TOL * norm:
             converged = True
             break
 
@@ -378,9 +369,6 @@ def _screen_channel(
     accel: np.ndarray,
     imu_rate: float,
     threshold: float = MOTION_R_THRESHOLD,
-    block_s: float = BLOCK_S,
-    overlap_s: float = BLOCK_OVERLAP_S,
-    **vmd_kwargs,
 ) -> tuple[np.ndarray, list[MotionCorrelation]]:
     """:func:`remove_motion_artifacts` without its warnings: the pool job.
 
@@ -397,10 +385,13 @@ def _screen_channel(
             f"IMU track covers {imu_n / imu_rate:g} s but the signal covers "
             f"{n / fs:g} s; motion screening needs both over the same span"
         )
-    block = int(round(block_s * fs))
-    overlap = int(round(overlap_s * fs))
+    block = int(round(BLOCK_S * fs))
+    overlap = int(round(BLOCK_OVERLAP_S * fs))
     if block <= 2 * overlap:
-        raise ValueError("block_s must comfortably exceed overlap_s")
+        raise ValueError(
+            f"a sample rate of {fs:g} Hz is too low to lay {BLOCK_S:g} s blocks "
+            f"that overlap by {BLOCK_OVERLAP_S:g} s"
+        )
 
     step = block - overlap
     starts = [i * step for i in range(max(1, (n - overlap) // step))]
@@ -411,7 +402,7 @@ def _screen_channel(
     for start, stop in spans:
         i0 = int(round(start / fs * imu_rate))
         i1 = max(i0 + 2, int(round(stop / fs * imu_rate)))
-        res = vmd_decompose(x[start:stop], fs, **vmd_kwargs)
+        res = vmd_decompose(x[start:stop], fs)
         corr = replace(
             motion_correlation(res, accel[:, i0:i1], imu_rate, threshold),
             span_s=(start / fs, stop / fs),
@@ -438,24 +429,19 @@ def remove_motion_artifacts(
     accel: np.ndarray,
     imu_rate: float,
     threshold: float = MOTION_R_THRESHOLD,
-    block_s: float = BLOCK_S,
-    overlap_s: float = BLOCK_OVERLAP_S,
-    **vmd_kwargs,
 ) -> tuple[np.ndarray, list[MotionCorrelation]]:
     """Motion-clean a channel of arbitrary length.
 
-    Long signals are processed in ``block_s`` chunks, the last one running
-    to the end of ``x`` (under ``2 * block_s - overlap_s``), with a
-    raised-cosine cross-fade over the ``overlap_s`` that neighbours share,
-    so VMD cost stays bounded; each block is decomposed, screened against
+    Long signals are processed in ``BLOCK_S`` chunks, the last one running
+    to the end of ``x`` (under ``2 * BLOCK_S - BLOCK_OVERLAP_S``), with a
+    raised-cosine cross-fade over the ``BLOCK_OVERLAP_S`` that neighbours
+    share, so VMD cost stays bounded; each block is decomposed, screened against
     its slice of the IMU track and rebuilt from the surviving modes, one
     block after another.  ``accel`` must cover the same duration as ``x``,
     to within one IMU sample.  Returns the clean channel and one report per
     block, in block order; a block whose every mode is flagged is zeroed
     with a warning that names its span.
     """
-    clean, reports = _screen_channel(
-        x, fs, accel, imu_rate, threshold, block_s, overlap_s, **vmd_kwargs
-    )
+    clean, reports = _screen_channel(x, fs, accel, imu_rate, threshold)
     warn_zeroed_blocks(reports)
     return clean, reports

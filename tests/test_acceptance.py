@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from earpipe import evaluation
+from earpipe import evaluation, nnmf, vmd
 from earpipe.cli import main as cli_main
 from earpipe.corpus import make_synthetic_corpus, train_corpus_templates
 from earpipe.emd import emd_decompose
@@ -29,7 +29,7 @@ from earpipe.models.cnn import Cnn1d, CnnConfig, focal_loss
 from earpipe.models.forest import RandomForestClassifier
 from earpipe.models.knn import KnnClassifier
 from earpipe.models.svm import SvmClassifier
-from earpipe.nnmf import NnmfConfig, _multiplicative_updates, is_divergence, nnmf_factorize
+from earpipe.nnmf import _multiplicative_updates, is_divergence, nnmf_factorize
 from earpipe.preprocess import bandpass_filter
 from earpipe.signals import SeizureAnnotation
 from earpipe.stft import istft, stft
@@ -46,14 +46,16 @@ def _ok(n: int, text: str) -> None:
 # 1-2: factorization updates
 # ---------------------------------------------------------------------------
 
-def test_01_factorization_objective_never_increases():
+def test_01_factorization_objective_never_increases(monkeypatch):
     """Multiplicative updates keep the IS divergence non-increasing on 50
     random 64 x 128 matrices, within 1e-9 relative, in under 30 s."""
+    monkeypatch.setattr(nnmf, "MAX_ITER", 30)
+    monkeypatch.setattr(nnmf, "TOL", 0.0)
     rng = np.random.default_rng(100)
     t0 = time.perf_counter()
     for _ in range(50):
         v = rng.uniform(0.05, 2.0, size=(64, 128))
-        _, _, hist = nnmf_factorize(v, 10, NnmfConfig(max_iter=30, tol=0.0))
+        _, _, hist = nnmf_factorize(v)
         hist = np.asarray(hist)
         increases = np.diff(hist) / np.maximum(hist[:-1], 1e-300)
         assert np.all(increases < 1e-9)
@@ -62,14 +64,16 @@ def test_01_factorization_objective_never_increases():
     _ok(1, f"IS divergence monotone over 50 matrices in {elapsed:.1f} s")
 
 
-def test_02_fixed_point_and_scale_invariance():
+def test_02_fixed_point_and_scale_invariance(monkeypatch):
     """An exact factorization is a fixed point of the activation update,
     and the Itakura-Saito divergence is scale invariant (lambda^0)."""
+    monkeypatch.setattr(nnmf, "MAX_ITER", 1)
+    monkeypatch.setattr(nnmf, "TOL", 0.0)
     rng = np.random.default_rng(101)
     w = rng.uniform(0.1, 1.0, size=(64, 5))
     h = rng.uniform(0.1, 1.0, size=(5, 128))
     v = w @ h
-    _, h2, _ = _multiplicative_updates(v, w, h, NnmfConfig(max_iter=1, tol=0.0), learn_w=False)
+    _, h2, _ = _multiplicative_updates(v, w, h, learn_w=False)
     move = np.linalg.norm(h2 - h) / np.linalg.norm(h)
     assert move < 1e-10
 
@@ -110,18 +114,20 @@ def test_03_sifting_additivity_and_two_tone_split():
     _ok(3, f"additivity {rel:.1e}; tone peaks at {peak1:.2f}/{peak2:.2f} Hz in {elapsed:.1f} s")
 
 
-def test_04_mode_extraction_tone_recovery():
+def test_04_mode_extraction_tone_recovery(monkeypatch):
     """Three tones at 2/10/40 Hz land three mode centers within 0.5 Hz,
     and a single tone is rebuilt with under 5% relative error, in < 20 s."""
     t0 = time.perf_counter()
     t = np.arange(int(10 * FS)) / FS
     x = sum(np.sin(2 * np.pi * f * t) for f in (2.0, 10.0, 40.0))
-    res = vmd_decompose(x, FS, k=3)
+    monkeypatch.setattr(vmd, "K", 3)
+    res = vmd_decompose(x, FS)
     np.testing.assert_allclose(res.center_freqs_hz, [2.0, 10.0, 40.0], atol=0.5)
 
     t = np.arange(int(30 * FS)) / FS
     tone = np.sin(2 * np.pi * 10.0 * t)
-    res = vmd_decompose(tone, FS, k=1)
+    monkeypatch.setattr(vmd, "K", 1)
+    res = vmd_decompose(tone, FS)
     rel = np.linalg.norm(res.modes[0] - tone) / np.linalg.norm(tone)
     assert rel < 0.05
     elapsed = time.perf_counter() - t0
@@ -133,7 +139,7 @@ def test_04_mode_extraction_tone_recovery():
 # 5: motion screening beats the static baseline
 # ---------------------------------------------------------------------------
 
-def test_05_motion_screening_recovers_rhythm_band():
+def test_05_motion_screening_recovers_rhythm_band(monkeypatch):
     """Dropping IMU-correlated modes lifts the 8-12 Hz SNR of an alpha
     rhythm buried under a 0.8 mV motion burst by at least 6 dB, and beats
     a fixed 1-30 Hz bandpass on the same metric."""
@@ -158,7 +164,8 @@ def test_05_motion_screening_recovers_rhythm_band():
         ]
     )
 
-    cleaned, _ = remove_motion_artifacts(noisy, FS, accel, imu_rate, k=4)  # one 30 s block
+    monkeypatch.setattr(vmd, "K", 4)
+    cleaned, _ = remove_motion_artifacts(noisy, FS, accel, imu_rate)  # one 30 s block
 
     band = (8.0, 12.0)
     snr_raw = band_snr(noisy, FS, band)

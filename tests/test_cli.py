@@ -186,6 +186,24 @@ class TestExperimentCommands:
         err = json.loads(capsys.readouterr().err)
         assert "corpus" in err["message"]
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--axis", "stride"]],
+                             ids=["evaluate", "sweep"])
+    def test_two_corpus_sources_refused(self, capsys, tmp_path, monkeypatch, command):
+        """``--synthetic`` and ``--corpus`` together are refused by name, not
+        settled by dropping one of them."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus was built")
+
+        monkeypatch.setattr("earpipe.corpus.make_synthetic_corpus", refuse)
+        monkeypatch.setattr("earpipe.cli._load_corpus", refuse)
+        code = main([*command, "--synthetic", "2", "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--corpus" in err["message"] and "--synthetic" in err["message"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestSnrCommand:
     def test_single_mode_default_bands(self, artifacts, capsys):
@@ -494,6 +512,18 @@ class TestFailureReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "eeg 250 Hz, emg 500 Hz, eog 250 Hz" in err["message"]
+        assert not (tmp_path / "bank").exists()
+
+    @pytest.mark.parametrize("flags", [["--eeg", "raw"], ["--emg", "a", "--eog", "b"]])
+    def test_train_templates_synthetic_refuses_source_flags(self, capsys, tmp_path, flags):
+        """``--synthetic`` trains from the built-in sources, so a source flag
+        next to it is refused by name, not dropped."""
+        code = main(["train-templates", "--synthetic", *flags, "--out", str(tmp_path / "bank")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--synthetic" in err["message"]
+        assert all(flag in err["message"] for flag in flags[::2])
         assert not (tmp_path / "bank").exists()
 
     def test_train_is_not_a_command(self, capsys):

@@ -105,8 +105,11 @@ class TestTemplates:
             assert np.max(np.abs(x)) > 0.0
 
     def test_bank_trains_deterministically(self):
+        """The same master seed trains the same bank; another seed starts the
+        NNMF elsewhere and trains another one from the same sources."""
         b1 = train_corpus_templates()
         b2 = train_corpus_templates()
         np.testing.assert_array_equal(b1.w, b2.w)
+        assert not np.array_equal(train_corpus_templates(master_seed=1).w, b1.w)
         assert b1.w.shape[1] == 3 * b1.rank
         np.testing.assert_allclose(b1.w.sum(axis=0), 1.0, atol=1e-9)

@@ -1,9 +1,12 @@
 """Sifting behaviour, additivity, and the fixed-order modality split."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from earpipe import emd
 from earpipe.emd import (
     EmdResult,
     _local_extrema,
@@ -65,10 +68,11 @@ class TestDecomposition:
         assert res.imfs.shape == (0, 500)
         np.testing.assert_allclose(res.residual, x)
 
-    def test_imf_count_capped(self):
+    def test_imf_count_capped(self, monkeypatch):
+        monkeypatch.setattr(emd, "MAX_IMFS", 3)
         rng = np.random.default_rng(13)
         x = rng.standard_normal(4000)
-        res = emd_decompose(x, max_imfs=3)
+        res = emd_decompose(x)
         assert res.n_imfs <= 3
 
     def test_imfs_ordered_fast_to_slow(self):
@@ -188,7 +192,8 @@ def _random_signal(n, kind, seed):
 def _reference_split(x):
     """The split as it ran before it stopped at six IMFs: sift up to eight,
     then take IMF 1 as EMG, IMF 3 as EEG and the sum of IMFs 4-6 as EOG."""
-    imfs = emd_decompose(x, max_imfs=8).imfs
+    with patch.object(emd, "MAX_IMFS", 8):
+        imfs = emd_decompose(x).imfs
     zeros = np.zeros(len(x))
     return {
         "emg": imfs[0] if len(imfs) >= 1 else zeros,
@@ -224,7 +229,10 @@ class TestSixImfSplit:
             reference = _reference_split(x)
             for modality, expected in reference.items():
                 np.testing.assert_array_equal(out.channels[ChannelRole(f"{modality}_{side}")], expected)
-        full, six = emd_decompose(left), emd_decompose(left, max_imfs=6)
+        with patch.object(emd, "MAX_IMFS", 8):
+            full = emd_decompose(left)
+        six = emd_decompose(left)
+        assert emd.MAX_IMFS == 6
         np.testing.assert_array_equal(six.imfs, full.imfs[:6])
 
 
@@ -261,7 +269,8 @@ class TestExtremaCountedOnce:
         """Fewer than four extrema leave fewer than two maxima or minima,
         so ``_sift`` stops the loop where the count did."""
         x = np.cumsum(np.array([0] + steps, dtype=float))
-        out = emd_decompose(x, max_imfs=max_imfs)
+        with patch.object(emd, "MAX_IMFS", max_imfs):
+            out = emd_decompose(x)
         imfs, residual = _decompose_with_extrema_precheck(x, max_imfs)
         np.testing.assert_array_equal(out.imfs, imfs)
         np.testing.assert_array_equal(out.residual, residual)
@@ -274,7 +283,7 @@ class TestExtremaCountedOnce:
     )
     def test_random_signals_match_the_precheck_loop(self, n, kind, seed):
         x = _random_signal(n, kind, seed)
-        out = emd_decompose(x, max_imfs=6)
+        out = emd_decompose(x)
         imfs, residual = _decompose_with_extrema_precheck(x, 6)
         np.testing.assert_array_equal(out.imfs, imfs)
         np.testing.assert_array_equal(out.residual, residual)

@@ -82,6 +82,8 @@ class _RejectsBadTrainingSets:
         (np.zeros((4, 2)), np.array([0, 1, 2, 1]), r"labels in \{0, 1\}, got \[2\]"),
         (np.zeros((3, 2)), np.array([0.0, 0.5, -1.0]), r"labels in \{0, 1\}, got \[-1\.0, 0\.5\]"),
         (np.zeros((8, 3)), np.zeros(6, dtype=int), r"x of shape \(8, 3\) and y of shape \(6,\)"),
+        (np.array([[0.0, np.nan], [1.0, 1.0], [np.inf, 0.0], [1.0, 0.0]]), np.array([0, 1, 0, 1]),
+         r"finite x: 2 of 8 values are NaN or infinite"),
     ])
     def test_bad_training_set_rejected(self, x, y, message):
         rows = self.rows(x)

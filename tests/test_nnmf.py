@@ -2,15 +2,16 @@
 
 import json
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earpipe import nnmf
 from earpipe.io import RecordingFormatError, save_recording
 from earpipe.nnmf import (
     EPS,
-    NnmfConfig,
     TemplateBank,
     _multiplicative_updates,
     is_divergence,
@@ -60,53 +61,55 @@ class TestBetaDivergence:
 
 
 class TestFactorize:
-    def test_divergence_nonincreasing(self):
+    def test_divergence_nonincreasing(self, monkeypatch):
         """Multiplicative updates never push the objective uphill."""
+        monkeypatch.setattr(nnmf, "RANK", 4)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 60)
         rng = np.random.default_rng(3)
         v = rng.uniform(0.1, 1.0, size=(20, 30))
-        _, _, hist = nnmf_factorize(v, 4, NnmfConfig(max_iter=60))
+        _, _, hist = nnmf_factorize(v)
         diffs = np.diff(hist)
         assert np.all(diffs <= 1e-8 * np.abs(hist[:-1]) + 1e-12)
 
-    def test_low_rank_recovery(self):
+    def test_low_rank_recovery(self, monkeypatch):
         """An exactly rank-3 matrix is fitted to small relative error."""
+        monkeypatch.setattr(nnmf, "RANK", 3)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 500)
         rng = np.random.default_rng(4)
         w_true = rng.uniform(0.1, 1.0, size=(25, 3))
         h_true = rng.uniform(0.1, 1.0, size=(3, 40))
         v = w_true @ h_true
-        w, h, _ = nnmf_factorize(v, 3, NnmfConfig(max_iter=500))
+        w, h, _ = nnmf_factorize(v)
         rel = np.linalg.norm(w @ h - v) / np.linalg.norm(v)
         assert rel < 0.02
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
+        monkeypatch.setattr(nnmf, "RANK", 2)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 30)
         rng = np.random.default_rng(5)
         v = rng.uniform(0.1, 1.0, size=(15, 20))
-        w1, h1, _ = nnmf_factorize(v, 2, NnmfConfig(seed=42, max_iter=30))
-        w2, h2, _ = nnmf_factorize(v, 2, NnmfConfig(seed=42, max_iter=30))
+        w1, h1, _ = nnmf_factorize(v, seed=42)
+        w2, h2, _ = nnmf_factorize(v, seed=42)
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(h1, h2)
 
-    def test_factors_strictly_positive(self):
+    def test_factors_strictly_positive(self, monkeypatch):
+        monkeypatch.setattr(nnmf, "RANK", 2)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 20)
         rng = np.random.default_rng(6)
         v = rng.uniform(0.0, 1.0, size=(10, 10))
-        w, h, _ = nnmf_factorize(v, 2, NnmfConfig(max_iter=20))
+        w, h, _ = nnmf_factorize(v)
         assert np.all(w > 0)
         assert np.all(h > 0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="rank_per_modality"):
-            NnmfConfig(rank_per_modality=0)
-        with pytest.raises(TypeError, match="beta"):  # the loop is Itakura-Saito only
-            NnmfConfig(beta=0)
 
-
-def _shared_ratio_updates(v, w, h, cfg, learn_w):
+def _shared_ratio_updates(v, w, h, max_iter, tol, learn_w):
     """The update loop written plainly, kept as the exact oracle: after each
     factor update ``wh`` is floored once, and the next update's numerator
     reads ``v / wh * (1 / wh)`` and its denominator ``1 / wh``."""
     wh = np.maximum(w @ h, EPS)
     history = [is_divergence(v, wh)]
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         h = np.maximum(h * (w.T @ (v / wh * (1 / wh))) / np.maximum(w.T @ (1 / wh), EPS), EPS)
         wh = np.maximum(w @ h, EPS)
         if learn_w:
@@ -114,7 +117,7 @@ def _shared_ratio_updates(v, w, h, cfg, learn_w):
             wh = np.maximum(w @ h, EPS)
         history.append(is_divergence(v, wh))
         prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < cfg.tol:
+        if prev > 0 and (prev - cur) / prev < tol:
             break
     return w, h, history
 
@@ -134,40 +137,40 @@ def _reference_update_w(v, w, h, beta=0):
     return np.maximum(w * num / den, EPS)
 
 
-def _power_updates(v, w, h, cfg, learn_w):
+def _power_updates(v, w, h, max_iter, tol, learn_w):
     """The textbook loop, kept as the tolerance oracle: every update forms
     ``w @ h`` itself and raises it to the powers -2 and -1, and so does the
     divergence, three products per iteration.  The shared loop computes
     ``v / wh**2`` as ``v / wh * (1 / wh)``, so only the last bits differ."""
     history = [is_divergence(v, w @ h)]
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         h = _reference_update_h(v, w, h)
         if learn_w:
             w = _reference_update_w(v, w, h)
         history.append(is_divergence(v, w @ h))
         prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < cfg.tol:
+        if prev > 0 and (prev - cur) / prev < tol:
             break
     return w, h, history
 
 
-def _reference_factorize(v, rank, cfg, updates):
+def _reference_factorize(v, rank, seed, max_iter, tol, updates):
     """``nnmf_factorize`` with the update loop ``updates``."""
     v = np.maximum(np.asarray(v, dtype=np.float64), EPS)
     bins, frames = v.shape
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 1.5, size=(bins, rank)) * np.sqrt(v.mean() / rank)
     h = rng.uniform(0.5, 1.5, size=(rank, frames)) * np.sqrt(v.mean() / rank)
-    return updates(v, w, h, cfg, True)
+    return updates(v, w, h, max_iter, tol, True)
 
 
-def _reference_separation(x, bank, cfg, updates):
-    """Separation's activation fit, with the update loop ``updates``, and
-    its soft masks.  Returns (masks, divergence history)."""
+def _reference_separation(x, bank, max_iter, tol, updates):
+    """Separation's activation fit, from seed 0, with the update loop
+    ``updates``, and its soft masks.  Returns (masks, divergence history)."""
     v = np.maximum(stft(x, bank.stft_config).power(), EPS)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
-    _, h, history = updates(v, bank.w, h, cfg, False)
+    _, h, history = updates(v, bank.w, h, max_iter, tol, False)
     powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
     total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
     return {m: powers[m] / total for m in MODALITIES}, history
@@ -176,7 +179,7 @@ def _reference_separation(x, bank, cfg, updates):
 _loop_settings = dict(
     rank=st.integers(min_value=1, max_value=4),
     max_iter=st.integers(min_value=0, max_value=40),
-    tol=st.sampled_from([0.0, NnmfConfig().tol]),
+    tol=st.sampled_from([0.0, nnmf.TOL]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 
@@ -193,9 +196,11 @@ class TestReferenceLoop:
         loop's bit for bit, zero cells (floored at EPS) included."""
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.0, 2.0, size=(bins, frames)) * (rng.random((bins, frames)) > 0.2)
-        cfg = NnmfConfig(max_iter=max_iter, tol=tol, seed=seed)
-        w, h, history = nnmf_factorize(v, rank, cfg)
-        w_ref, h_ref, history_ref = _reference_factorize(v, rank, cfg, _shared_ratio_updates)
+        with patch.multiple(nnmf, RANK=rank, MAX_ITER=max_iter, TOL=tol):
+            w, h, history = nnmf_factorize(v, seed)
+        w_ref, h_ref, history_ref = _reference_factorize(
+            v, rank, seed, max_iter, tol, _shared_ratio_updates
+        )
         np.testing.assert_array_equal(w, w_ref)
         np.testing.assert_array_equal(h, h_ref)
         assert history == history_ref
@@ -208,16 +213,19 @@ class TestReferenceLoop:
     )
     def test_separation_matches_reference_exactly(self, window_len, n, rank, max_iter, tol, seed):
         """Masks and divergence history of a fixed-bank separation equal the
-        plainly written shared loop's bit for bit."""
+        plainly written shared loop's bit for bit; ``seed`` draws the bank
+        and the signal."""
         rng = np.random.default_rng(seed)
         bins = window_len // 2 + 1
         w = rng.uniform(0.01, 1.0, size=(bins, rank * len(MODALITIES)))
         bank = TemplateBank(w=w / w.sum(axis=0), stft_config=StftConfig(window_len, window_len // 2),
                             sample_rate=FS)
         x = rng.standard_normal(n)
-        cfg = NnmfConfig(max_iter=max_iter, tol=tol, seed=seed)
-        res = separate_channel(x, bank, cfg)
-        masks_ref, history_ref = _reference_separation(x, bank, cfg, _shared_ratio_updates)
+        with patch.multiple(nnmf, MAX_ITER=max_iter, TOL=tol):
+            res = separate_channel(x, bank)
+        masks_ref, history_ref = _reference_separation(
+            x, bank, max_iter, tol, _shared_ratio_updates
+        )
         for m in MODALITIES:
             np.testing.assert_array_equal(res.masks[m], masks_ref[m])
         assert res.divergence == history_ref
@@ -235,13 +243,14 @@ def _full_size_start():
 
 class TestPreviousLoop:
     @pytest.mark.parametrize("learn_w", [True, False])
-    def test_matches_previous_loop_exactly(self, learn_w):
+    def test_matches_previous_loop_exactly(self, learn_w, monkeypatch):
         """On a full-size spectrogram (129 bins), factors and divergence
         history equal the plainly written shared loop's bit for bit."""
         v, w, h = _full_size_start()
-        cfg = NnmfConfig(max_iter=30, tol=0.0)
-        got = _multiplicative_updates(v, w, h, cfg, learn_w)
-        want = _shared_ratio_updates(v, w, h, cfg, learn_w)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 30)
+        monkeypatch.setattr(nnmf, "TOL", 0.0)
+        got = _multiplicative_updates(v, w, h, learn_w)
+        want = _shared_ratio_updates(v, w, h, 30, 0.0, learn_w)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2] and len(got[2]) == 31
@@ -257,12 +266,14 @@ class TestPowerLoopOracle:
     rounding step, which any change in the last bits moves."""
 
     @pytest.mark.parametrize("learn_w", [True, False])
-    @pytest.mark.parametrize("cfg", [NnmfConfig(max_iter=30, tol=0.0), NnmfConfig()],
+    @pytest.mark.parametrize("max_iter, tol", [(30, 0.0), (nnmf.MAX_ITER, nnmf.TOL)],
                              ids=["30-iterations", "default"])
-    def test_factors_near_power_loop(self, learn_w, cfg):
+    def test_factors_near_power_loop(self, learn_w, max_iter, tol, monkeypatch):
         v, w, h = _full_size_start()
-        got = _multiplicative_updates(v, w, h, cfg, learn_w)
-        want = _power_updates(v, w, h, cfg, learn_w)
+        monkeypatch.setattr(nnmf, "MAX_ITER", max_iter)
+        monkeypatch.setattr(nnmf, "TOL", tol)
+        got = _multiplicative_updates(v, w, h, learn_w)
+        want = _power_updates(v, w, h, max_iter, tol, learn_w)
         assert len(got[2]) == len(want[2])
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
@@ -272,7 +283,7 @@ class TestPowerLoopOracle:
         src = _sources(duration_s=30.0, seed=12)
         mix = src["eeg"] + src["emg"] + src["eog"]
         res = separate_channel(mix, bank)
-        masks, history = _reference_separation(mix, bank, NnmfConfig(), _power_updates)
+        masks, history = _reference_separation(mix, bank, nnmf.MAX_ITER, nnmf.TOL, _power_updates)
         assert len(res.divergence) == len(history)
         for m in MODALITIES:
             np.testing.assert_allclose(res.masks[m], masks[m], rtol=1e-12, atol=0)
@@ -280,18 +291,18 @@ class TestPowerLoopOracle:
 
 
 class TestTemplateBank:
-    def test_bank_shape_and_normalization(self):
-        bank, history = train_templates(
-            _sources(), FS, cfg=NnmfConfig(rank_per_modality=4, max_iter=50)
-        )
+    def test_bank_shape_and_normalization(self, monkeypatch):
+        monkeypatch.setattr(nnmf, "RANK", 4)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 50)
+        bank, history = train_templates(_sources(), FS)
         assert bank.w.shape[1] == 4 * len(MODALITIES)
         np.testing.assert_allclose(bank.w.sum(axis=0), 1.0, atol=1e-9)
         assert set(history) == set(MODALITIES)
 
-    def test_block_slices(self):
-        bank, _ = train_templates(
-            _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=20)
-        )
+    def test_block_slices(self, monkeypatch):
+        monkeypatch.setattr(nnmf, "RANK", 3)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 20)
+        bank, _ = train_templates(_sources(), FS)
         assert bank.block("eeg") == slice(0, 3)
         assert bank.block("emg") == slice(3, 6)
         assert bank.block("eog") == slice(6, 9)
@@ -321,10 +332,10 @@ class TestTemplateBank:
         with pytest.raises(ValueError, match="missing template sources"):
             train_templates(sources, FS)
 
-    def test_save_load_round_trip(self, tmp_path):
-        bank, _ = train_templates(
-            _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=20)
-        )
+    def test_save_load_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nnmf, "RANK", 3)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 20)
+        bank, _ = train_templates(_sources(), FS)
         path = save_templates(bank, tmp_path / "bank")
         assert sorted(p.name for p in path.iterdir()) == ["header.json", "w.bin"]
         loaded = load_templates(path)
@@ -350,12 +361,12 @@ class TestTemplateBank:
     @pytest.mark.parametrize(
         "field, value", [("rank", 2), ("rank", 4), ("stft", {"window_len": 128, "hop": 64})]
     )
-    def test_load_rejects_payload_header_mismatch(self, tmp_path, field, value):
+    def test_load_rejects_payload_header_mismatch(self, tmp_path, field, value, monkeypatch):
         """A header that disagrees with the payload's shape is refused by
         file name, not turned into all-zero channels at separation."""
-        bank, _ = train_templates(
-            _sources(), FS, cfg=NnmfConfig(rank_per_modality=3, max_iter=5)
-        )
+        monkeypatch.setattr(nnmf, "RANK", 3)
+        monkeypatch.setattr(nnmf, "MAX_ITER", 5)
+        bank, _ = train_templates(_sources(), FS)
         path = save_templates(bank, tmp_path / "bank")
         header = json.loads((path / "header.json").read_text())
         header[field] = value
@@ -412,41 +423,43 @@ def _set_cell(path, at, value):
 
 @pytest.fixture(scope="module")
 def bank():
-    bank, _ = train_templates(
-        _sources(), FS, cfg=NnmfConfig(rank_per_modality=4, max_iter=80)
-    )
+    with patch.multiple(nnmf, RANK=4, MAX_ITER=80):
+        bank, _ = train_templates(_sources(), FS)
     return bank
 
 
 class TestSeparation:
 
-    def test_masks_partition_unity(self, bank):
+    def test_masks_partition_unity(self, bank, monkeypatch):
         """Soft masks over the three modalities sum to one per cell."""
+        monkeypatch.setattr(nnmf, "MAX_ITER", 60)
         src = _sources(seed=7)
         mix = src["eeg"] + src["emg"] + src["eog"]
-        res = separate_channel(mix, bank, NnmfConfig(max_iter=60))
+        res = separate_channel(mix, bank)
         total = sum(res.masks.values())
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
-    def test_outputs_sum_to_mixture(self, bank):
+    def test_outputs_sum_to_mixture(self, bank, monkeypatch):
         """Masked reconstructions add back to the input signal.
 
         The masks partition unity, so the three masked spectrograms sum to
         the mixture's spectrogram exactly; in the time domain the only error
         left is the overlap-add boundary, hence the trimmed comparison.
         """
+        monkeypatch.setattr(nnmf, "MAX_ITER", 60)
         src = _sources(seed=8)
         mix = src["eeg"] + src["emg"] + src["eog"]
-        res = separate_channel(mix, bank, NnmfConfig(max_iter=60))
+        res = separate_channel(mix, bank)
         rebuilt = sum(res.signals.values())
         win = bank.stft_config.window_len
         np.testing.assert_allclose(rebuilt[win:-win], mix[win:-win], atol=1e-8)
 
-    def test_band_separated_mixture_recovered(self, bank):
+    def test_band_separated_mixture_recovered(self, bank, monkeypatch):
         """Each output channel tracks its own source, not the others."""
+        monkeypatch.setattr(nnmf, "MAX_ITER", 100)
         src = _sources(seed=9)
         mix = src["eeg"] + src["emg"] + src["eog"]
-        res = separate_channel(mix, bank, NnmfConfig(max_iter=100))
+        res = separate_channel(mix, bank)
         trim = slice(int(FS), -int(FS))
         for m in MODALITIES:
             out = res.signals[m][trim]
@@ -460,7 +473,8 @@ class TestSeparation:
         with pytest.raises(ValueError, match="w has 124 rows, but a 256-sample STFT window"):
             type(bank)(w=bank.w[:-5], stft_config=bank.stft_config, sample_rate=bank.sample_rate)
 
-    def test_recording_separation_roles(self, bank):
+    def test_recording_separation_roles(self, bank, monkeypatch):
+        monkeypatch.setattr(nnmf, "MAX_ITER", 40)
         src = _sources(seed=11)
         mix = src["eeg"] + src["emg"] + src["eog"]
         rec = Recording(
@@ -471,7 +485,7 @@ class TestSeparation:
                 ChannelRole.MIXED_RIGHT: mix * 0.9,
             },
         )
-        out = separate_recording_nnmf(rec, bank, NnmfConfig(max_iter=40))
+        out = separate_recording_nnmf(rec, bank)
         assert tuple(out.channels) == SEPARATED_ROLES
         assert out.patient_id == "t01"
 

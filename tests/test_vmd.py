@@ -1,6 +1,7 @@
 """Mode recovery, reconstruction, and motion screening for VMD."""
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -33,51 +34,60 @@ def _tones(freqs, amps, duration_s, fs=FS):
 
 
 class TestToneRecovery:
-    def test_three_tone_centers(self):
-        """2/10/40 Hz tones with k=3 land each center within 0.5 Hz."""
+    def test_three_tone_centers(self, monkeypatch):
+        """2/10/40 Hz tones with K=3 land each center within 0.5 Hz."""
+        monkeypatch.setattr(vmd, "K", 3)
         x = _tones([2.0, 10.0, 40.0], [1.0, 1.0, 1.0], 10.0)
-        res = vmd_decompose(x, FS, k=3)
+        res = vmd_decompose(x, FS)
         np.testing.assert_allclose(res.center_freqs_hz, [2.0, 10.0, 40.0], atol=0.5)
 
-    def test_single_tone_reconstruction(self):
+    def test_single_tone_reconstruction(self, monkeypatch):
         """One mode rebuilds a 10 Hz tone with under 5% relative error."""
+        monkeypatch.setattr(vmd, "K", 1)
         x = _tones([10.0], [1.0], 30.0)
-        res = vmd_decompose(x, FS, k=1)
+        res = vmd_decompose(x, FS)
         err = np.linalg.norm(res.modes[0] - x) / np.linalg.norm(x)
         assert err < 0.05
 
-    def test_modes_sorted_by_center(self):
+    def test_modes_sorted_by_center(self, monkeypatch):
+        monkeypatch.setattr(vmd, "K", 3)
         x = _tones([5.0, 30.0, 60.0], [1.0, 0.7, 0.5], 8.0)
-        res = vmd_decompose(x, FS, k=3)
+        res = vmd_decompose(x, FS)
         assert np.all(np.diff(res.center_freqs_hz) >= 0)
 
-    def test_mode_shape_matches_input(self):
+    def test_mode_shape_matches_input(self, monkeypatch):
+        monkeypatch.setattr(vmd, "K", 4)
+        monkeypatch.setattr(vmd, "MAX_ITER", 40)
         rng = np.random.default_rng(3)
         for n in (999, 1000, 2049):
             x = rng.standard_normal(n)
-            res = vmd_decompose(x, FS, k=4, max_iter=40)
+            res = vmd_decompose(x, FS)
             assert res.modes.shape == (4, n)
             assert res.residual.shape == (n,)
 
 
 class TestReconstruction:
-    def test_modes_plus_residual_is_input(self):
+    def test_modes_plus_residual_is_input(self, monkeypatch):
         """The residual is defined so modes + residual returns the input."""
+        monkeypatch.setattr(vmd, "K", 5)
+        monkeypatch.setattr(vmd, "MAX_ITER", 60)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(1200)
-        res = vmd_decompose(x, FS, k=5, max_iter=60)
+        res = vmd_decompose(x, FS)
         np.testing.assert_allclose(res.modes.sum(axis=0) + res.residual, x, atol=1e-12)
 
-    def test_zero_signal_short_circuits(self):
-        res = vmd_decompose(np.zeros(1000), FS, k=3)
+    def test_zero_signal_short_circuits(self, monkeypatch):
+        monkeypatch.setattr(vmd, "K", 3)
+        res = vmd_decompose(np.zeros(1000), FS)
         assert res.converged
         assert res.iterations == 0
         np.testing.assert_allclose(res.modes, 0.0)
         np.testing.assert_allclose(res.residual, 0.0)
 
-    def test_convergence_reported(self):
+    def test_convergence_reported(self, monkeypatch):
+        monkeypatch.setattr(vmd, "K", 1)
         x = _tones([10.0], [1.0], 5.0)
-        res = vmd_decompose(x, FS, k=1)
+        res = vmd_decompose(x, FS)
         assert res.converged
         assert 0 < res.iterations <= 500
 
@@ -159,7 +169,8 @@ class TestReferenceKernel:
         """Modes, centers, iteration count and convergence equal the
         textbook loop's, not merely to a tolerance."""
         x = np.random.default_rng(seed).standard_normal(n)
-        res = vmd_decompose(x, FS, k=k, tol=tol, max_iter=max_iter)
+        with patch.multiple(vmd, K=k, TOL=tol, MAX_ITER=max_iter):
+            res = vmd_decompose(x, FS)
         modes, centers, iterations, converged = _reference_vmd(
             x, FS, k, 2000.0, tol, max_iter
         )
@@ -266,9 +277,9 @@ class TestScaleInvariance:
         for bit and leaves centers, sweeps and convergence alone; float32
         alone would overflow or flush to zero at the ends of the range."""
         x = np.random.default_rng(seed).standard_normal(n)
-        kw = dict(k=4, max_iter=60)
-        base = vmd_decompose(x, FS, **kw)
-        scaled = vmd_decompose(x * 2.0**j, FS, **kw)
+        with patch.multiple(vmd, K=4, MAX_ITER=60):
+            base = vmd_decompose(x, FS)
+            scaled = vmd_decompose(x * 2.0**j, FS)
         assert scaled.modes.tobytes() == np.ldexp(base.modes, j).tobytes()
         assert scaled.residual.tobytes() == np.ldexp(base.residual, j).tobytes()
         assert scaled.center_freqs_hz.tobytes() == base.center_freqs_hz.tobytes()
@@ -285,10 +296,6 @@ class TestValidation:
         x[10] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             vmd_decompose(x, FS)
-
-    def test_bad_mode_count_rejected(self):
-        with pytest.raises(ValueError, match="k must be"):
-            vmd_decompose(np.zeros(100), FS, k=0)
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="too short"):
@@ -318,16 +325,18 @@ def _burst_recording(duration_s=20.0, imu_rate=50.0, seed=0):
 
 
 class TestMotionScreening:
-    def test_burst_mode_flagged(self):
+    def test_burst_mode_flagged(self, monkeypatch):
         """The mode tracking the IMU envelope crosses the r threshold."""
+        monkeypatch.setattr(vmd, "K", 4)
         _, noisy, accel, imu_rate = _burst_recording()
-        res = vmd_decompose(noisy, FS, k=4)
+        res = vmd_decompose(noisy, FS)
         corr = motion_correlation(res, accel, imu_rate)
         assert corr.n_excluded >= 1
         assert np.all(np.abs(corr.r[corr.excluded]) > MOTION_R_THRESHOLD)
 
-    def test_stationary_tone_not_flagged(self):
+    def test_stationary_tone_not_flagged(self, monkeypatch):
         """A constant-envelope tone shows no IMU correlation."""
+        monkeypatch.setattr(vmd, "K", 2)
         rng = np.random.default_rng(5)
         x = _tones([10.0], [1.0], 20.0)
         accel = np.vstack(
@@ -337,23 +346,28 @@ class TestMotionScreening:
                 1.0 + 0.02 * rng.standard_normal(1000),
             ]
         )
-        res = vmd_decompose(x, FS, k=2)
+        res = vmd_decompose(x, FS)
         corr = motion_correlation(res, accel, 50.0)
         assert corr.n_excluded == 0
 
-    def test_report_carries_convergence(self):
+    def test_report_carries_convergence(self, monkeypatch):
         """Each report copies its block's iteration count and convergence."""
+        monkeypatch.setattr(vmd, "K", 4)
         _, noisy, accel, imu_rate = _burst_recording(seed=1)
         for max_iter in (3, 500):
-            res = vmd_decompose(noisy, FS, k=4, max_iter=max_iter)
+            monkeypatch.setattr(vmd, "MAX_ITER", max_iter)
+            res = vmd_decompose(noisy, FS)
             corr = motion_correlation(res, accel, imu_rate)
             assert (corr.iterations, corr.converged) == (res.iterations, res.converged)
         assert corr.converged and corr.iterations < 500
-        capped = motion_correlation(vmd_decompose(noisy, FS, k=4, max_iter=3), accel, imu_rate)
+        monkeypatch.setattr(vmd, "MAX_ITER", 3)
+        capped = motion_correlation(vmd_decompose(noisy, FS), accel, imu_rate)
         assert (capped.iterations, capped.converged) == (3, False)
 
-    def test_accel_shape_rejected(self):
-        res = vmd_decompose(np.ones(500), FS, k=2, max_iter=5)
+    def test_accel_shape_rejected(self, monkeypatch):
+        monkeypatch.setattr(vmd, "K", 2)
+        monkeypatch.setattr(vmd, "MAX_ITER", 5)
+        res = vmd_decompose(np.ones(500), FS)
         with pytest.raises(ValueError, match="3 x M"):
             motion_correlation(res, np.zeros((2, 100)), 50.0)
 
@@ -367,12 +381,13 @@ class TestMotionScreening:
         corr.threshold = -1.0
         assert corr.excluded.all() and corr.n_excluded == 6
 
-    def test_exclusion_subtracts_flagged_modes(self):
+    def test_exclusion_subtracts_flagged_modes(self, monkeypatch):
         """A 20 s channel is one block, whose cross-fade weight is 1, so the
         screen returns exactly the sum of the modes its report keeps."""
+        monkeypatch.setattr(vmd, "K", 4)
         _, noisy, accel, imu_rate = _burst_recording(seed=2)
-        rebuilt, (corr,) = remove_motion_artifacts(noisy, FS, accel, imu_rate, k=4)
-        res = vmd_decompose(noisy, FS, k=4)
+        rebuilt, (corr,) = remove_motion_artifacts(noisy, FS, accel, imu_rate)
+        res = vmd_decompose(noisy, FS)
         np.testing.assert_array_equal(
             corr.excluded, motion_correlation(res, accel, imu_rate).excluded
         )
@@ -390,15 +405,15 @@ class TestAnalyticSignal:
 
 
 class TestRemoveMotionArtifacts:
-    def test_each_zeroed_block_warns_with_its_span(self):
+    def test_each_zeroed_block_warns_with_its_span(self, monkeypatch):
         """Python's default filter shows one warning per distinct message and
         location; the span in the message keeps a second zeroed block visible."""
+        monkeypatch.setattr(vmd, "K", 2)
+        monkeypatch.setattr(vmd, "MAX_ITER", 5)
         _, noisy, accel, imu_rate = _burst_recording(duration_s=60.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            out, _ = remove_motion_artifacts(
-                noisy, FS, accel, imu_rate, threshold=-1.0, k=2, max_iter=5
-            )
+            out, _ = remove_motion_artifacts(noisy, FS, accel, imu_rate, threshold=-1.0)
         assert [str(w.message) for w in caught] == [
             "block 0–30 s: every mode correlates with motion; returning zeros",
             "block 29–60 s: every mode correlates with motion; returning zeros",
@@ -414,8 +429,9 @@ class TestRemoveMotionArtifacts:
         err_after = np.linalg.norm(out - clean)
         assert err_after < 0.5 * err_before
 
-    def test_block_report_count(self):
+    def test_block_report_count(self, monkeypatch):
         """A 90 s signal at 30 s blocks with 1 s overlap gives 3 reports."""
+        monkeypatch.setattr(vmd, "MAX_ITER", 10)
         rng = np.random.default_rng(9)
         x = rng.standard_normal(int(90 * FS))
         accel = np.vstack(
@@ -425,31 +441,33 @@ class TestRemoveMotionArtifacts:
                 1.0 + 0.01 * rng.standard_normal(int(90 * 50)),
             ]
         )
-        out, reports = remove_motion_artifacts(x, FS, accel, 50.0, max_iter=10)
+        out, reports = remove_motion_artifacts(x, FS, accel, 50.0)
         assert len(out) == len(x)
         assert len(reports) == 3
 
     @pytest.mark.parametrize("imu_s", [20.0, 95.0])
-    def test_imu_duration_mismatch_rejected(self, imu_s):
+    def test_imu_duration_mismatch_rejected(self, imu_s, monkeypatch):
         """A 20 s or 95 s IMU track against 90 s of signal is refused at entry
         and the error names both durations."""
+        monkeypatch.setattr(vmd, "MAX_ITER", 2)
         x = np.random.default_rng(9).standard_normal(int(90 * FS))
         accel = np.ones((3, int(imu_s * 50)))
         with pytest.raises(ValueError, match=f"{imu_s:g} s .* 90 s"):
-            remove_motion_artifacts(x, FS, accel, 50.0, max_iter=2)
+            remove_motion_artifacts(x, FS, accel, 50.0)
 
-    def test_imu_within_one_sample_accepted(self):
+    def test_imu_within_one_sample_accepted(self, monkeypatch):
         """An IMU track one sample short of the signal still screens."""
+        monkeypatch.setattr(vmd, "MAX_ITER", 2)
         x = np.random.default_rng(9).standard_normal(int(10 * FS))
         accel = np.ones((3, 10 * 50 - 1))
-        out, reports = remove_motion_artifacts(x, FS, accel, 50.0, max_iter=2)
+        out, reports = remove_motion_artifacts(x, FS, accel, 50.0)
         assert len(out) == len(x) and len(reports) == 1
 
-    def test_overlap_must_fit_block(self):
-        with pytest.raises(ValueError, match="exceed overlap"):
-            remove_motion_artifacts(
-                np.ones(1000), FS, np.ones((3, 200)), 50.0, block_s=1.0, overlap_s=0.6
-            )
+    def test_rate_too_low_for_the_block_grid_rejected(self):
+        """At 0.01 Hz a 30 s block rounds to 0 samples, so no grid can be
+        laid; the error names the rate."""
+        with pytest.raises(ValueError, match=r"sample rate of 0\.01 Hz is too low"):
+            remove_motion_artifacts(np.ones(10), 0.01, np.ones((3, 50)), 0.05)
 
 
 class TestBlockLayout:
@@ -465,7 +483,7 @@ class TestBlockLayout:
         fs, imu_rate = 250.0, 50.0
         lengths = []
 
-        def decompose(seg, fs, **kwargs):  # one zero mode, at no cost
+        def decompose(seg, fs):  # one zero mode, at no cost
             lengths.append(len(seg))
             return VmdResult(np.zeros((1, len(seg))), np.zeros(1), np.zeros(len(seg)), fs, 0, True)
 
@@ -475,9 +493,10 @@ class TestBlockLayout:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vmd, "vmd_decompose", decompose)
             mp.setattr(vmd, "motion_correlation", correlate)
+            mp.setattr(vmd, "BLOCK_S", block / fs)
+            mp.setattr(vmd, "BLOCK_OVERLAP_S", overlap / fs)
             _, reports = _screen_channel(
-                np.zeros(n), fs, np.zeros((3, round(n / fs * imu_rate))), imu_rate,
-                block_s=block / fs, overlap_s=overlap / fs,
+                np.zeros(n), fs, np.zeros((3, round(n / fs * imu_rate))), imu_rate
             )
         spans = [tuple(round(t * fs) for t in r.span_s) for r in reports]
         assert len(spans) == max(1, (n - overlap) // step)
@@ -496,19 +515,18 @@ class TestBlockLayout:
 
 class TestBlockPool:
     """A channel screened on stage A's process pool gives the inline result
-    bit for bit."""
+    bit for bit.  A patched module constant does not reach a pool worker,
+    which is forked from a server that imported ``earpipe.vmd`` itself, so
+    these tests run the decomposition's own settings."""
 
     def test_pool_matches_inline_exactly(self, workers_gone):
         """Three blocks of an odd-length signal (the last one odd too),
         converged and capped, one mode flagged."""
         _, noisy, accel, imu_rate = _burst_recording(duration_s=90.0, seed=3)
         x = np.append(noisy, noisy[-1])
-        kw = dict(k=4, max_iter=60)
-        inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate, **kw)
+        inline, inline_reports = remove_motion_artifacts(x, FS, accel, imu_rate)
         with stage_a_pool(2) as pool:
-            pooled, pooled_reports = pool.submit(
-                _screen_channel, x, FS, accel, imu_rate, **kw
-            ).result()
+            pooled, pooled_reports = pool.submit(_screen_channel, x, FS, accel, imu_rate).result()
         assert len(x) % 2 == 1 and len(inline_reports) == 3
         assert {r.converged for r in inline_reports} == {True, False}
         assert sum(r.n_excluded for r in inline_reports) >= 1
@@ -527,9 +545,9 @@ class TestBlockPool:
         job = (noisy, FS, accel, imu_rate, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _screen_channel(*job, k=2, max_iter=5)
+            _screen_channel(*job)
         with stage_a_pool(2) as pool, pytest.warns(UserWarning, match="every mode") as caught:
-            out, reports = pool.submit(_screen_channel, *job, k=2, max_iter=5).result()
+            out, reports = pool.submit(_screen_channel, *job).result()
             warn_zeroed_blocks(reports, "p00 mixed_left")
         assert len(reports) == 2
         assert sum("every mode" in str(w.message) for w in caught) == 2
@@ -545,10 +563,10 @@ class TestBlockPool:
         x[int(40 * FS)] = np.nan  # in the second of three blocks, 29–59 s
         accel = np.ones((3, 90 * 50))
         with pytest.raises(ValueError) as inline_error:
-            remove_motion_artifacts(x, FS, accel, 50.0, max_iter=5)
+            remove_motion_artifacts(x, FS, accel, 50.0)
         with pytest.raises(ValueError) as pooled_error:
             with stage_a_pool(2) as pool:
-                pool.submit(_screen_channel, x, FS, accel, 50.0, max_iter=5).result()
+                pool.submit(_screen_channel, x, FS, accel, 50.0).result()
         assert type(pooled_error.value) is ValueError
         assert str(pooled_error.value) == str(inline_error.value) == "signal contains NaN or Inf"
         assert workers_gone()
