@@ -150,11 +150,19 @@ def cmd_denoise(args) -> int:
     return 0
 
 
+def _refuse_unused_templates(method: str, templates: str | None, flag: str) -> None:
+    """A template bank given to EMD separation is refused, not dropped."""
+    if method == "emd" and templates is not None:
+        raise ValueError(f"{flag} emd uses no template bank; "
+                         f"drop --templates or choose {flag} nnmf")
+
+
 def cmd_separate(args) -> int:
     from .evaluation import separate_sources
     from .io import load_recording, save_recording
     from .nnmf import load_templates
 
+    _refuse_unused_templates(args.method, args.templates, "--method")
     rec = load_recording(args.input)
     templates = load_templates(args.templates) if args.templates else None
     save_recording(separate_sources(rec, args.method, templates), args.out)
@@ -219,6 +227,7 @@ def _corpus_and_templates(args, cfg: ExperimentConfig):
 
     if args.synthetic is not None and args.corpus is not None:
         raise ValueError("give --corpus DIR or --synthetic N, not both")
+    _refuse_unused_templates(cfg.separation, args.templates, "--separation")
     if args.synthetic is not None:
         if args.synthetic < 2:
             raise ValueError(f"--synthetic must be at least 2, got {args.synthetic}: "

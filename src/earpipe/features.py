@@ -25,7 +25,9 @@ MFCC_FRAMES = 5
 MEL_FILTERS = 26
 MFCC_COEFS = 10
 LOG_EPS = 1e-12
-FEATURE_BATCH = 16  # windows per kernel pass: 16 x 6 x 2500 samples is ~2 MB
+#: Windows per kernel pass.  4 x 6 x 2500 samples is ~0.5 MB, so a pass's
+#: temporaries are reused from the heap whatever the process freed before.
+FEATURE_BATCH = 4
 
 TIME_FEATURE_NAMES = ("mean", "std", "mad", "skew", "kurt", "min", "max", "rms")
 
@@ -223,8 +225,11 @@ def feature_names() -> list[str]:
 def features_for_epochs(epochs: list[LabeledEpoch], fs: float) -> np.ndarray:
     """n x 348 feature matrix, computed in batched passes over the windows.
 
-    Windows go through the kernel ``FEATURE_BATCH`` at a time, which bounds
-    the kernel's temporaries; a row does not depend on its batch.
+    Windows go through the kernel ``FEATURE_BATCH`` at a time.  Small
+    passes keep the kernel's temporaries small enough for the heap to
+    reuse, so stage B runs at one speed whether its recordings were
+    synthesized or loaded.  A row does not depend on its batch or on the
+    batch size.
     """
     out = np.empty((len(epochs), len(feature_names())))
     for lo in range(0, len(epochs), FEATURE_BATCH):

@@ -373,12 +373,17 @@ def _tone_comb(n: int, fs: float, lo: float, hi: float) -> np.ndarray:
     independent of frame placement.  Phases follow the Schroeder rule,
     which keeps the crest factor near that of a single sinusoid instead
     of letting the lines ever peak together.
+
+    The lines are added one at a time, in line order, into one n-sample
+    sum, so the comb costs a few n-sample arrays rather than one per line.
     """
     freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, TONE_SPACING_HZ)
     k = np.arange(len(freqs))
     phases = -np.pi * k * (k + 1) / len(freqs)
     t = np.arange(n) / fs
-    x = np.sum(np.sin(2 * np.pi * freqs[:, None] * t + phases[:, None]), axis=0)
+    x = np.sin(2 * np.pi * freqs[0] * t + phases[0])
+    for freq, phase in zip(freqs[1:], phases[1:]):
+        x += np.sin(2 * np.pi * freq * t + phase)
     rms = np.sqrt(np.mean(x**2))
     return x / rms if rms > 0 else x
 

@@ -204,6 +204,24 @@ class TestExperimentCommands:
         assert "--corpus" in err["message"] and "--synthetic" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--axis", "stride"]],
+                             ids=["evaluate", "sweep"])
+    def test_templates_with_emd_refused(self, capsys, tmp_path, monkeypatch, command):
+        """A template bank given to EMD separation is refused by name before
+        a corpus is built, not dropped without a word."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus or bank was built")
+
+        monkeypatch.setattr("earpipe.corpus.make_synthetic_corpus", refuse)
+        monkeypatch.setattr("earpipe.nnmf.load_templates", refuse)
+        code = main([*command, "--synthetic", "2", "--separation", "emd", "--motion", "off",
+                     "--templates", str(tmp_path / "no-bank"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--templates" in err["message"] and "--separation emd" in err["message"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestSnrCommand:
     def test_single_mode_default_bands(self, artifacts, capsys):
@@ -405,6 +423,18 @@ class TestFailureReporting:
         ])
         assert code == 2
         assert "templates" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_emd_separation_refuses_templates(self, artifacts, capsys, tmp_path):
+        """``separate --method emd`` refuses a bank it would not use."""
+        code = main([
+            "separate", "--in", str(artifacts["raw"]), "--method", "emd",
+            "--templates", str(artifacts["bank"]), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--templates" in err["message"] and "--method emd" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_denoise_without_imu_names_patient(self, capsys, tmp_path):
         rec = Recording(patient_id="noimu7", channels={r: np.zeros(2500) for r in MIXED_ROLES})

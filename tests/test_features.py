@@ -1,11 +1,14 @@
 """Window geometry, labeling, feature math, balancing, and normalization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dct
 from scipy.signal import get_window
 
+from earpipe import features
 from earpipe.features import (
     LOG_EPS,
     MEL_FILTERS,
@@ -426,10 +429,11 @@ def _reference_channel_features(x, fs):
 
 
 @st.composite
-def _epoch_batches(draw):
-    """(fs, epochs): 0, 1 or many random 10 s windows at a common rate."""
+def _epoch_batches(draw, sizes=(0, 1, 7)):
+    """(fs, epochs): random 10 s windows at a common rate, as many as one of
+    ``sizes`` (by default 0, 1 or many)."""
     fs = draw(st.sampled_from([200.0, 250.0, 256.0]))
-    n = draw(st.sampled_from([0, 1, 7]))
+    n = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.floats(1e-3, 1e3))
     w = int(round(WINDOW_S * fs))
@@ -468,3 +472,16 @@ class TestBatchedFeatureProperties:
         order = data.draw(st.permutations(range(len(epochs))))
         out = features_for_epochs([epochs[i] for i in order], fs)
         np.testing.assert_array_equal(out, features_for_epochs(epochs, fs)[list(order)])
+
+    @settings(max_examples=10, deadline=None)
+    @given(_epoch_batches(sizes=(9,)))
+    def test_rows_do_not_depend_on_the_batch_size(self, batch):
+        """Nine windows cut into passes of 1, 3, 4 or 16 give the same rows
+        bit for bit, whichever pass and place in it a window lands in."""
+        fs, epochs = batch
+        rows = []
+        for size in (1, 3, 4, 16):
+            with mock.patch.object(features, "FEATURE_BATCH", size):
+                rows.append(features_for_epochs(epochs, fs))
+        for out in rows[1:]:
+            np.testing.assert_array_equal(out, rows[0])

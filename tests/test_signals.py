@@ -6,12 +6,17 @@ exact, seeds must reproduce byte-identical output, and annotated intervals
 must match the components that created them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earpipe.corpus import patient_spec
 from earpipe.signals import (
+    BIOPOTENTIAL_RATE_HZ,
     COMPONENTS,
+    TONE_SPACING_HZ,
     ChannelRole,
     MIXED_ROLES,
     Recording,
@@ -20,6 +25,7 @@ from earpipe.signals import (
     SynthComponent,
     SynthesisSpec,
     _spike_wave_period,
+    _tone_comb,
     render_sources,
     separate_mixed,
     synthesize_recording,
@@ -449,6 +455,49 @@ class TestMotionImuCoupling:
         rec = synthesize_recording(spec)
         mag = np.linalg.norm(rec.imu, axis=0)
         np.testing.assert_allclose(mag, 1.0, atol=0.1)
+
+
+def _all_lines_comb(n, fs, lo, hi):
+    """The tone comb built as one lines x n array summed over its lines,
+    kept as the oracle of the line-at-a-time ``_tone_comb``."""
+    freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, TONE_SPACING_HZ)
+    k = np.arange(len(freqs))
+    phases = -np.pi * k * (k + 1) / len(freqs)
+    t = np.arange(n) / fs
+    x = np.sum(np.sin(2 * np.pi * freqs[:, None] * t + phases[:, None]), axis=0)
+    rms = np.sqrt(np.mean(x**2))
+    return x / rms if rms > 0 else x
+
+
+CHEW_BANDS = [(20.0, 60.0), (35.0, 112.0)]  # a slow chew's band and a tonic one's
+
+
+class TestToneComb:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20_000), st.sampled_from(CHEW_BANDS),
+           st.sampled_from([200.0, 250.0, 256.0]))
+    def test_matches_the_all_lines_sum(self, n, band, fs):
+        """Adding the lines one at a time gives the all-lines sum bit for bit."""
+        np.testing.assert_array_equal(_tone_comb(n, fs, *band), _all_lines_comb(n, fs, *band))
+
+    def test_matches_the_all_lines_sum_on_a_long_burst(self):
+        n, (lo, hi) = 150_000, CHEW_BANDS[1]
+        np.testing.assert_array_equal(_tone_comb(n, 250.0, lo, hi),
+                                      _all_lines_comb(n, 250.0, lo, hi))
+
+    def test_synthesis_peak_memory_per_sample(self):
+        """Rendering a corpus patient holds at most 16 float64 values per
+        sample at its peak, sources included, so the comb may not keep one
+        array per line."""
+        spec = patient_spec(0)
+        n = round(spec.duration_s * BIOPOTENTIAL_RATE_HZ)
+        tracemalloc.start()
+        try:
+            render_sources(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) <= 16
 
 
 class TestRenderSources:
