@@ -60,8 +60,7 @@ from .features import (
     parse_ratio,
     segment_recording,
 )
-from .models import MODELS, make_model
-from .models.cnn import TrainConfig
+from .models import EPOCHS, MODELS, make_model
 from .nnmf import TemplateBank, separate_recording_nnmf
 from .preprocess import PreprocessConfig, bandpass_filter, preprocess_recording
 from .signals import ChannelRole, Recording, finite
@@ -236,7 +235,7 @@ class ExperimentConfig:
     motion_threshold: float = MOTION_R_THRESHOLD
     normalization: str = "zscore"
     mains_hz: float = PreprocessConfig.mains_hz
-    cnn_epochs: int = TrainConfig.epochs
+    cnn_epochs: int = EPOCHS
     master_seed: int = 0
 
     def __post_init__(self) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forest import training_set
+from .forest import query_rows, training_set
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,11 @@ class CnnConfig:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+LR = 1e-3  # Adam's step size
+BATCH_SIZE = 32  # training windows per Adam step
+EPOCHS = 350  # passes over the training windows unless the caller asks for fewer
 FOCAL_GAMMA = 2.0  # the focusing exponent training uses
 VAL_FRACTION = 0.2  # share of the training windows held out for validation loss
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 350
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
 
 
 def focal_alpha(counts: np.ndarray) -> np.ndarray:
@@ -222,8 +217,7 @@ class Cnn1d:
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -236,7 +230,7 @@ class Adam:
             self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g**2
             m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
             v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
-            params[k] -= self.cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            params[k] -= LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -250,18 +244,18 @@ class TrainReport:
 class CnnClassifier:
     """Trains :class:`Cnn1d` on raw multichannel windows (not features)."""
 
-    def __init__(self, config: CnnConfig = CnnConfig(), train: TrainConfig = TrainConfig()):
+    def __init__(self, config: CnnConfig = CnnConfig(), epochs: int = EPOCHS, seed: int = 0):
         self.config = config
-        self.train_config = train
+        self.epochs = epochs
+        self.seed = seed
         self.net: Cnn1d | None = None
         self.report = TrainReport()
 
     def fit(self, windows: np.ndarray, y: np.ndarray) -> "CnnClassifier":
-        cfg = self.train_config
         windows, y = training_set(windows, y, ndim=3)
         self.config = replace(self.config, in_channels=windows.shape[1], input_len=windows.shape[2])
-        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-        self.net = Cnn1d(self.config, seed=cfg.seed)
+        seeds = np.random.SeedSequence(self.seed).spawn(4)
+        self.net = Cnn1d(self.config, seed=self.seed)
         split_rng = np.random.default_rng(seeds[0])
         drop_rng = np.random.default_rng(seeds[1])
         epoch_rng = np.random.default_rng(seeds[2])
@@ -275,13 +269,13 @@ class CnnClassifier:
 
         alpha = focal_alpha(np.bincount(y[train_idx], minlength=self.config.n_classes))
         self.report = TrainReport(alpha=alpha)
-        opt = Adam(self.net.params, cfg)
+        opt = Adam(self.net.params)
 
-        for _ in range(cfg.epochs):
+        for _ in range(self.epochs):
             perm = epoch_rng.permutation(train_idx)
             losses = []
-            for lo in range(0, len(perm), cfg.batch_size):
-                batch = perm[lo:lo + cfg.batch_size]
+            for lo in range(0, len(perm), BATCH_SIZE):
+                batch = perm[lo:lo + BATCH_SIZE]
                 logits, cache = self.net.forward(windows[batch], train=True, drop_rng=drop_rng)
                 loss, dlogits = focal_loss(logits, y[batch], alpha, FOCAL_GAMMA)
                 grads = self.net.backward(cache, dlogits)
@@ -298,7 +292,7 @@ class CnnClassifier:
     def predict(self, windows: np.ndarray) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        windows = np.asarray(windows, dtype=np.float64)
+        windows = query_rows(windows, None)
         out = []
         for lo in range(0, len(windows), 256):
             logits, _ = self.net.forward(windows[lo:lo + 256])

@@ -21,16 +21,10 @@ minimum cannot settle, so the search stays linear in the number of cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 10
-    max_depth: int = 100
-    seed: int = 0
+N_TREES = 10  # trees in a forest, each grown from its own bootstrap resample
+MAX_DEPTH = 100  # levels below the root that a tree may split
 
 
 def gini(labels: np.ndarray) -> float:
@@ -72,6 +66,25 @@ def training_set(x: np.ndarray, y: np.ndarray, ndim: int = 2) -> tuple[np.ndarra
     if outside.size:
         raise ValueError(f"fit needs labels in {{0, 1}}, got {outside.tolist()}")
     return x, y.astype(int)
+
+
+def query_rows(x: np.ndarray, width: int | None) -> np.ndarray:
+    """``x`` as float rows to label, once every value is finite and each row
+    is ``width`` features wide, the width the model was fitted on.
+
+    ``width`` None skips the width check: the CNN's forward pass names a
+    window of the wrong shape itself.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if width is not None and (x.ndim != 2 or x.shape[1] != width):
+        raise ValueError(
+            f"predict needs rows of the {width} features the model was fitted on, "
+            f"got x of shape {x.shape}"
+        )
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ValueError(f"predict needs finite x: {bad} of {x.size} values are NaN or infinite")
+    return x
 
 
 def _scan(scores: np.ndarray, start: float) -> tuple[int, float]:
@@ -122,8 +135,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, feat_ids: np.ndarray) -> tuple[int
 
 
 class DecisionTree:
-    def __init__(self, max_depth: int = 100, rng: np.random.Generator | None = None):
-        self.max_depth = max_depth
+    def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng or np.random.default_rng(0)
         self.nodes: np.ndarray | None = None
 
@@ -138,7 +150,7 @@ class DecisionTree:
     def _grow(self, x: np.ndarray, y: np.ndarray, depth: int, rows: list[list[float]]) -> None:
         """Append the subtree of ``(x, y)`` to ``rows``: its root, then left, then right."""
         feature = -1
-        if depth < self.max_depth and len(y) >= 2 and len(np.unique(y)) > 1:
+        if depth < MAX_DEPTH and len(y) >= 2 and len(np.unique(y)) > 1:
             feat_ids = np.sort(self.rng.choice(self.n_features, self.m_features, replace=False))
             feature, threshold, _ = _best_split(x, y, feat_ids)
         mask = x[:, feature] <= threshold if feature >= 0 else None
@@ -166,20 +178,20 @@ class DecisionTree:
 
 
 class RandomForestClassifier:
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        self.config = config
+    def __init__(self, seed: int = 0):
+        self.seed = seed
         self.trees: list[DecisionTree] = []
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         # split scores count class 1 against the rest, which is Gini only for two classes
         x, y = training_set(x, y)
         n = len(y)
-        seeds = np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees)
+        seeds = np.random.SeedSequence(self.seed).spawn(N_TREES)
         self.trees = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
             pick = rng.integers(0, n, size=n)
-            tree = DecisionTree(max_depth=self.config.max_depth, rng=rng)
+            tree = DecisionTree(rng)
             tree.fit(x[pick], y[pick])
             self.trees.append(tree)
         return self
@@ -187,5 +199,5 @@ class RandomForestClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise RuntimeError("classifier is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = query_rows(x, self.trees[0].n_features)
         return majority_vote(np.stack([t.predict(x) for t in self.trees], axis=1))

@@ -14,21 +14,16 @@ Labels are handled internally as -1/+1; the public interface speaks 0/1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import training_set
+from .forest import query_rows, training_set
 
+C = 20.0  # box bound on each multiplier
+GAMMA = 0.5  # RBF kernel width, in 1 / squared feature units
+TOL = 1e-3  # largest KKT violation gap that fit accepts as solved
 _TINY = 1e-12  # multipliers this close to 0 or C count as at the bound
 MAX_ITER = 200_000  # SMO steps before fit gives up on the tolerance and warns
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    c: float = 20.0
-    gamma: float = 0.5
-    tol: float = 1e-3
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,8 +54,8 @@ def _violations(
 
 
 class SvmClassifier:
-    def __init__(self, config: SvmConfig = SvmConfig()):
-        self.config = config
+    def __init__(self):
+        self.gamma_: float | None = None  # the kernel width the fit used
         self.alpha: np.ndarray | None = None
         self.b: float = 0.0
         self.support_: np.ndarray | None = None
@@ -72,14 +67,14 @@ class SvmClassifier:
         if len(np.unique(y01)) < 2:
             raise ValueError("fit needs both classes 0 and 1 present")
         ys = np.where(y01 == 1, 1.0, -1.0)
-        c = self.config.c
-        kernel = rbf_kernel(x, x, self.config.gamma)
+        gamma = GAMMA
+        kernel = rbf_kernel(x, x, gamma)
 
         alpha = np.zeros(len(ys))
         grad = -np.ones(len(ys))  # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
         for _ in range(MAX_ITER):
-            viol, up, low = _violations(alpha, ys, grad, c)
+            viol, up, low = _violations(alpha, ys, grad, C)
             if not up.any() or not low.any():
                 break
             up_vals = np.where(up, viol, -np.inf)
@@ -87,27 +82,28 @@ class SvmClassifier:
             i = int(np.argmax(up_vals))
             j = int(np.argmin(low_vals))
             gap = up_vals[i] - low_vals[j]
-            if gap <= self.config.tol:
+            if gap <= TOL:
                 break
 
             curvature = max(kernel[i, i] + kernel[j, j] - 2 * kernel[i, j], _TINY)
-            room_i = c - alpha[i] if ys[i] > 0 else alpha[i]
-            room_j = alpha[j] if ys[j] > 0 else c - alpha[j]
+            room_i = C - alpha[i] if ys[i] > 0 else alpha[i]
+            room_j = alpha[j] if ys[j] > 0 else C - alpha[j]
             t = min(gap / curvature, room_i, room_j)  # the clip below only absorbs rounding
             old_i, old_j = alpha[i], alpha[j]
-            alpha[i] = min(max(old_i + ys[i] * t, 0.0), c)
-            alpha[j] = min(max(old_j - ys[j] * t, 0.0), c)
+            alpha[i] = min(max(old_i + ys[i] * t, 0.0), C)
+            alpha[j] = min(max(old_j - ys[j] * t, 0.0), C)
             grad += ys * (kernel[:, i] * (ys[i] * (alpha[i] - old_i))
                           + kernel[:, j] * (ys[j] * (alpha[j] - old_j)))
         else:
             warnings.warn("SMO hit the iteration cap before reaching tolerance", stacklevel=2)
 
         # bias from the final violation bounds (midpoint of the KKT interval)
-        viol, up, low = _violations(alpha, ys, grad, c)
+        viol, up, low = _violations(alpha, ys, grad, C)
         m_up = viol[up].max() if up.any() else 0.0
         m_low = viol[low].min() if low.any() else 0.0
         self.b = float((m_up + m_low) / 2.0)
 
+        self.gamma_ = gamma
         self.alpha = alpha
         keep = alpha > _TINY
         self.support_ = np.where(keep)[0]
@@ -118,8 +114,8 @@ class SvmClassifier:
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         if self._sv_x is None:
             raise RuntimeError("classifier is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        k = rbf_kernel(x, self._sv_x, self.config.gamma)
+        x = query_rows(x, self._sv_x.shape[1])
+        k = rbf_kernel(x, self._sv_x, self.gamma_)
         return k @ self._sv_coef + self.b
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -3,32 +3,31 @@
 import hashlib
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from earpipe.models import cnn, forest, knn, make_model, svm
 from earpipe.models.cnn import (
     Adam,
     Cnn1d,
     CnnClassifier,
     CnnConfig,
-    TrainConfig,
     focal_alpha,
     focal_loss,
 )
 from earpipe.models.forest import (
     DecisionTree,
-    ForestConfig,
     RandomForestClassifier,
     _best_split,
     _scan,
     gini,
     majority_vote,
 )
-from earpipe.models.knn import KnnClassifier, KnnConfig
-from earpipe.models import make_model
-from earpipe.models.svm import SvmClassifier, SvmConfig, rbf_kernel
+from earpipe.models.knn import KnnClassifier
+from earpipe.models.svm import SvmClassifier, rbf_kernel
 
 
 def _blobs(n_per=20, gap=4.0, seed=0):
@@ -66,10 +65,11 @@ class TestRbfKernel:
 
 
 class _RejectsBadTrainingSets:
-    """The training-set checks every classifier shares; ``classifier`` builds
-    one, and ``rows`` turns a feature matrix into what its ``fit`` takes.  A
-    shape in a message is the feature matrix's; the test reads it as the
-    shape that ``rows`` makes of it."""
+    """The training-set and query checks every classifier shares;
+    ``classifier`` builds one, and ``rows`` turns a feature matrix into what
+    its ``fit`` and ``predict`` take.  A shape in a training-set message is
+    the feature matrix's; the test reads it as the shape that ``rows`` makes
+    of it."""
 
     @staticmethod
     def rows(x):
@@ -92,28 +92,51 @@ class _RejectsBadTrainingSets:
         with pytest.raises(ValueError, match=message):
             self.classifier().fit(rows, y)
 
+    @staticmethod
+    def wrong_width(fitted, given):
+        """The error for two query rows ``given`` wide to a model fitted on ``fitted``."""
+        return rf"rows of the {fitted} features the model was fitted on, got x of shape \(2, {given}\)"
+
+    def _fitted(self):
+        """A model fitted on 40 rows of 4 features."""
+        x, y = _blobs()
+        return self.classifier().fit(self.rows(np.hstack([x, x])), y)
+
+    @pytest.mark.parametrize("query, message", [
+        ([[4.0] * 4, [np.nan, 4.0, 4.0, 4.0]], r"predict needs finite x: 1 of 8 values are NaN or infinite"),
+        ([[np.inf, 4.0, 4.0, -np.inf], [4.0, 4.0, 4.0, np.nan]], r"finite x: 3 of 8 values"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_query_rejected(self, query, message):
+        with pytest.raises(ValueError, match=message):
+            self._fitted().predict(self.rows(np.array(query)))
+
+    @pytest.mark.parametrize("width", [5, 3])
+    def test_query_of_another_width_rejected(self, width):
+        with pytest.raises(ValueError, match=self.wrong_width(4, width)):
+            self._fitted().predict(self.rows(np.ones((2, width))))
+
 
 class TestSvm(_RejectsBadTrainingSets):
     classifier = SvmClassifier
     def test_separable_blobs(self):
         x, y = _blobs()
-        model = SvmClassifier(SvmConfig(gamma=0.5, c=20.0)).fit(x, y)
+        model = SvmClassifier().fit(x, y)
         np.testing.assert_array_equal(model.predict(x), y)
 
     def test_xor_needs_kernel(self):
         """The RBF machine solves a problem no linear boundary can."""
         x, y = _xor()
-        model = SvmClassifier(SvmConfig(gamma=0.5, c=20.0)).fit(x, y)
+        model = SvmClassifier().fit(x, y)
         assert np.mean(model.predict(x) == y) == 1.0
 
     def test_margin_conditions_hold(self):
         """Unbounded support vectors sit on the margin: y * f(x) near 1."""
         x, y = _blobs(seed=3)
-        cfg = SvmConfig(gamma=0.5, c=20.0, tol=1e-4)
-        model = SvmClassifier(cfg).fit(x, y)
+        with mock.patch.object(svm, "TOL", 1e-4):
+            model = SvmClassifier().fit(x, y)
         ys = np.where(y == 1, 1.0, -1.0)
         f = model.decision_function(x)
-        free = (model.alpha > 1e-8) & (model.alpha < cfg.c - 1e-8)
+        free = (model.alpha > 1e-8) & (model.alpha < svm.C - 1e-8)
         assert free.any()
         np.testing.assert_allclose(ys[free] * f[free], 1.0, atol=5e-3)
 
@@ -144,7 +167,8 @@ class TestSvm(_RejectsBadTrainingSets):
         K_00 + K_11 - 2 K_01 = 2 - 2 exp(-gamma d^2) and falls with slope 2:
         one exact step reaches the minimum, or the box stops it at C."""
         x = np.array([[0.0], [1.3]])
-        model = SvmClassifier(SvmConfig(gamma=gamma, c=c)).fit(x, np.array([0, 1]))
+        with mock.patch.object(svm, "GAMMA", gamma), mock.patch.object(svm, "C", c):
+            model = SvmClassifier().fit(x, np.array([0, 1]))
         expected = min(2.0 / (2.0 - 2.0 * np.exp(-gamma * 1.69)), c)
         np.testing.assert_allclose(model.alpha, [expected, expected], rtol=1e-12, atol=0)
 
@@ -161,10 +185,10 @@ class TestSvm(_RejectsBadTrainingSets):
         x = np.round(rng.standard_normal((n, d)), 1)  # one decimal: tied and repeated points
         y = rng.integers(0, 2, n)
         y[:2] = [0, 1]
-        cfg = SvmConfig(gamma=gamma, c=c)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(svm, "GAMMA", gamma), mock.patch.object(svm, "C", c):
             warnings.simplefilter("always")
-            alpha = SvmClassifier(cfg).fit(x, y).alpha
+            alpha = SvmClassifier().fit(x, y).alpha
         assume(not caught)
         ys = np.where(y == 1, 1.0, -1.0)
         assert np.all((alpha >= 0.0) & (alpha <= c))
@@ -173,7 +197,7 @@ class TestSvm(_RejectsBadTrainingSets):
         viol = -ys * grad
         can_rise = np.where(ys > 0, alpha < c - 1e-12, alpha > 1e-12)
         can_fall = np.where(ys > 0, alpha > 1e-12, alpha < c - 1e-12)
-        assert viol[can_rise].max() - viol[can_fall].min() <= cfg.tol + 1e-9
+        assert viol[can_rise].max() - viol[can_fall].min() <= svm.TOL + 1e-9
 
 
 class TestKnn(_RejectsBadTrainingSets):
@@ -182,36 +206,38 @@ class TestKnn(_RejectsBadTrainingSets):
     def test_small_oracle(self):
         x = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         y = np.array([0, 0, 0, 1, 1])
-        model = KnnClassifier(KnnConfig(k=3)).fit(x, y)
-        np.testing.assert_array_equal(
-            model.predict(np.array([[1.2], [10.4]])), [0, 1]
-        )
+        with mock.patch.object(knn, "K", 3):
+            model = KnnClassifier().fit(x, y)
+            np.testing.assert_array_equal(
+                model.predict(np.array([[1.2], [10.4]])), [0, 1]
+            )
 
     def test_k_one_memorizes(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((30, 3))
         y = rng.integers(0, 2, 30)
-        model = KnnClassifier(KnnConfig(k=1)).fit(x, y)
-        np.testing.assert_array_equal(model.predict(x), y)
+        with mock.patch.object(knn, "K", 1):
+            model = KnnClassifier().fit(x, y)
+            np.testing.assert_array_equal(model.predict(x), y)
 
     def test_distance_tie_takes_earlier_row(self):
         """A query equidistant from both points copies the first one."""
         x = np.array([[0.0], [2.0]])
         y = np.array([1, 0])
-        model = KnnClassifier(KnnConfig(k=1)).fit(x, y)
-        assert model.predict(np.array([[1.0]]))[0] == 1
+        with mock.patch.object(knn, "K", 1):
+            model = KnnClassifier().fit(x, y)
+            assert model.predict(np.array([[1.0]]))[0] == 1
 
     def test_vote_tie_takes_lower_class(self):
         x = np.array([[0.0], [2.0]])
         y = np.array([1, 0])
-        model = KnnClassifier(KnnConfig(k=2)).fit(x, y)
-        assert model.predict(np.array([[0.9]]))[0] == 0
+        with mock.patch.object(knn, "K", 2):
+            model = KnnClassifier().fit(x, y)
+            assert model.predict(np.array([[0.9]]))[0] == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            KnnClassifier(KnnConfig(k=0))
-        with pytest.raises(ValueError, match="training points"):
-            KnnClassifier(KnnConfig(k=5)).fit(np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="at least k=5 training points"):
+            KnnClassifier().fit(np.ones((3, 2)), np.zeros(3))
         with pytest.raises(RuntimeError, match="not fitted"):
             KnnClassifier().predict(np.ones((1, 2)))
 
@@ -262,7 +288,8 @@ class TestForest(_RejectsBadTrainingSets):
         rng = np.random.default_rng(seed)
         x = np.round(rng.standard_normal((n, d)), 1)  # one decimal: tied feature values
         y = rng.integers(0, 2, n)
-        tree = DecisionTree(max_depth=max_depth, rng=rng).fit(x, y)
+        with mock.patch.object(forest, "MAX_DEPTH", max_depth):
+            tree = DecisionTree(rng).fit(x, y)
         nodes = tree.nodes
         inner = nodes[:, 4] < 0
         assert nodes.shape == (len(nodes), 5)
@@ -285,19 +312,21 @@ class TestForest(_RejectsBadTrainingSets):
 
     def test_stump_cannot_solve_xor_but_forest_depth_can(self):
         x, y = _xor(seed=7)
-        stump = RandomForestClassifier(ForestConfig(n_trees=5, max_depth=1, seed=0))
-        deep = RandomForestClassifier(ForestConfig(n_trees=5, max_depth=10, seed=0))
-        acc_stump = np.mean(stump.fit(x, y).predict(x) == y)
-        acc_deep = np.mean(deep.fit(x, y).predict(x) == y)
-        assert acc_deep == 1.0
-        assert acc_stump < 1.0
+        accuracy = {}
+        for max_depth in (1, 10):
+            with mock.patch.object(forest, "N_TREES", 5), \
+                    mock.patch.object(forest, "MAX_DEPTH", max_depth):
+                model = RandomForestClassifier(seed=0).fit(x, y)
+                accuracy[max_depth] = np.mean(model.predict(x) == y)
+        assert accuracy[10] == 1.0
+        assert accuracy[1] < 1.0
 
     def test_reproducible_given_seed(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((50, 5))
         y = rng.integers(0, 2, 50)
-        p1 = RandomForestClassifier(ForestConfig(seed=3)).fit(x, y).predict(x)
-        p2 = RandomForestClassifier(ForestConfig(seed=3)).fit(x, y).predict(x)
+        p1 = RandomForestClassifier(seed=3).fit(x, y).predict(x)
+        p2 = RandomForestClassifier(seed=3).fit(x, y).predict(x)
         np.testing.assert_array_equal(p1, p2)
 
     def test_unfitted_predict_rejected(self):
@@ -517,9 +546,10 @@ class TestCnnNetwork:
 
     def test_adam_minimizes_quadratic(self):
         params = {"w": np.array([5.0, -3.0])}
-        opt = Adam(params, TrainConfig(lr=0.1))
-        for _ in range(300):
-            opt.step(params, {"w": params["w"].copy()})
+        opt = Adam(params)
+        with mock.patch.object(cnn, "LR", 0.1):
+            for _ in range(300):
+                opt.step(params, {"w": params["w"].copy()})
         np.testing.assert_allclose(params["w"], 0.0, atol=1e-3)
 
 
@@ -528,11 +558,16 @@ class TestCnnClassifier(_RejectsBadTrainingSets):
 
     @staticmethod
     def classifier():
-        return CnnClassifier(TINY, TrainConfig(epochs=1))
+        return CnnClassifier(TINY, epochs=1)
 
     @staticmethod
     def rows(x):
         return x[:, None]
+
+    @staticmethod
+    def wrong_width(fitted, given):
+        """The forward pass names a window of the wrong length."""
+        return rf"expected \(batch, 1, {fitted}\), got \(2, 1, {given}\)"
 
     def _dataset(self, n_per=12, seed=14):
         """Class 1 carries a strong tone the other class lacks."""
@@ -547,9 +582,8 @@ class TestCnnClassifier(_RejectsBadTrainingSets):
 
     def test_learns_separable_windows(self):
         x, y = self._dataset()
-        model = CnnClassifier(
-            TINY, TrainConfig(epochs=40, batch_size=8, lr=3e-3, seed=0)
-        ).fit(x, y)
+        with mock.patch.object(cnn, "BATCH_SIZE", 8), mock.patch.object(cnn, "LR", 3e-3):
+            model = CnnClassifier(TINY, epochs=40, seed=0).fit(x, y)
         assert np.mean(model.predict(x) == y) >= 0.9
         assert model.report.epochs_run == 40
         assert len(model.report.train_loss) == 40
@@ -563,7 +597,8 @@ class TestCnnClassifier(_RejectsBadTrainingSets):
         """A config built for 24 samples trains on and predicts 30-sample
         windows, as a corpus at another sampling rate cuts them."""
         x = np.random.default_rng(21).standard_normal((8, 2, 30))
-        model = CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(x, [0, 1] * 4)
+        with mock.patch.object(cnn, "BATCH_SIZE", 4):
+            model = CnnClassifier(TINY, epochs=1).fit(x, [0, 1] * 4)
         assert (model.config.in_channels, model.config.input_len) == (2, 30)
         assert model.predict(x).shape == (8,)
 
@@ -573,13 +608,13 @@ class TestCnnClassifier(_RejectsBadTrainingSets):
     ], ids=["flat", "too-short"])
     def test_unusable_windows_rejected(self, shape, message):
         with pytest.raises(ValueError, match=message):
-            CnnClassifier(TINY, TrainConfig(epochs=1)).fit(np.zeros(shape), [0, 1] * 4)
+            CnnClassifier(TINY, epochs=1).fit(np.zeros(shape), [0, 1] * 4)
 
     def test_single_class_split_rejected(self):
         x = np.zeros((10, 2, 24))
         y = np.zeros(10, dtype=int)
         with pytest.raises(ValueError, match="both classes"):
-            CnnClassifier(TINY, TrainConfig(epochs=1)).fit(x, y)
+            CnnClassifier(TINY, epochs=1).fit(x, y)
 
 
 class TestFittedModels:
@@ -589,13 +624,15 @@ class TestFittedModels:
         and the CNN's parameters."""
         x, y = _blobs(n_per=6, seed=19)
         w = np.random.default_rng(20).standard_normal((8, 2, 24))
-        svm = SvmClassifier().fit(x, y)
-        assert svm._sv_x.shape == (8, 2)
-        assert svm._sv_coef.shape == (8,)
-        forest = RandomForestClassifier(ForestConfig(n_trees=2, max_depth=3, seed=5)).fit(x, y)
-        assert [t.nodes.shape for t in forest.trees] == [(3, 5), (3, 5)]
-        cnn = CnnClassifier(TINY, TrainConfig(epochs=1, batch_size=4)).fit(w, [0, 1] * 4)
-        assert {name: p.shape for name, p in cnn.net.params.items()} == {
+        machine = SvmClassifier().fit(x, y)
+        assert machine._sv_x.shape == (8, 2)
+        assert machine._sv_coef.shape == (8,)
+        with mock.patch.object(forest, "N_TREES", 2), mock.patch.object(forest, "MAX_DEPTH", 3):
+            trees = RandomForestClassifier(seed=5).fit(x, y).trees
+        assert [t.nodes.shape for t in trees] == [(3, 5), (3, 5)]
+        with mock.patch.object(cnn, "BATCH_SIZE", 4):
+            net = CnnClassifier(TINY, epochs=1).fit(w, [0, 1] * 4).net
+        assert {name: p.shape for name, p in net.params.items()} == {
             "conv0_b": (3,), "conv0_w": (3, 2, 3), "conv1_b": (4,), "conv1_w": (4, 3, 3),
             "fc0_b": (6,), "fc0_w": (6, 24), "out_b": (2,), "out_w": (2, 6),
         }
@@ -606,12 +643,39 @@ class TestFittedModels:
         rng = np.random.default_rng(21)
         x = np.round(rng.standard_normal((24, 3)), 1)  # one decimal: tied feature values
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
-        model = RandomForestClassifier(ForestConfig(n_trees=3, seed=4)).fit(x, y)
+        with mock.patch.object(forest, "N_TREES", 3):
+            model = RandomForestClassifier(seed=4).fit(x, y)
         digest = hashlib.sha256(b"".join(t.nodes.tobytes() for t in model.trees)).hexdigest()
         assert digest == "b50ca3de9e518d6aeb12bc33c32731c57f8d90a10adbfeda9ec2ec7fd7a47b18"
 
+    @pytest.mark.parametrize("kind, fitted, predictions", [
+        ("svm", "0529bc0a145548818494f71359462149d9d16fb8ffd576a0c46c339673a4ab80",
+         "635ac5f3875ce023fd8623406c56b1e22efc66af943946c395b744b00e9c995a"),
+        ("knn", None, "b0695e28b1aa9579adf38d192878bce0953010476f1768e7e1cc356299967006"),
+        ("rfc", "ff21cdda653c2c8531d30480304a3a11911ca780abe4281bf41ca0bc95937288",
+         "9373b7b3499705a0a2f94acab0e1f4cee44e57854954a2ee93df60cf2077e536"),
+    ], ids=["svm", "knn", "rfc"])
+    def test_default_fits_pinned(self, kind, fitted, predictions):
+        """Each model as the pipeline builds it hashes as it did when its
+        settings were config fields: the SVM's multipliers, bias and support
+        indices, the forest's node tables (10 trees, depth up to 100), and
+        each model's labels for the training rows and 20 new ones.  Noisy
+        labels on three columns leave 21 of the SVM's 62 multipliers at C."""
+        rng = np.random.default_rng(23)
+        x = np.round(rng.standard_normal((90, 3)), 2)
+        y = (x[:, 0] + x[:, 1] ** 2 + 1.5 * rng.standard_normal(90) > 1).astype(int)
+        queries = np.vstack([x, rng.standard_normal((20, 3))])
+        model = make_model(kind, seed=3).fit(x, y)
+        sha = lambda arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        if kind == "svm":
+            assert sha([model.alpha, np.float64(model.b), model.support_.astype(np.int64)]) == fitted
+        if kind == "rfc":
+            assert sha([t.nodes for t in model.trees]) == fitted
+        assert sha([model.predict(queries).astype(np.int64)]) == predictions
+
     def test_cnn_takes_its_epoch_count(self):
-        assert make_model("cnn", seed=3, cnn_epochs=7).train_config == TrainConfig(epochs=7, seed=3)
+        model = make_model("cnn", seed=3, cnn_epochs=7)
+        assert (model.epochs, model.seed) == (7, 3)
 
     def test_unknown_kind_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"expected one of \['cnn', 'knn', 'rfc', 'svm'\]"):
