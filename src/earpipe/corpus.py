@@ -9,6 +9,14 @@ component definitions, so the dictionaries see both background and
 discharge spectra.  None of those components draws from its random
 stream, so the sources are one fixed set; a corpus's master seed reaches
 its template bank only as the seed of the NNMF training start.
+
+A corpus renders each chew band's tone comb once.  The comb's line sum
+depends only on the band, the sample rate and the sample index, never on
+the patient (its phases follow the Schroeder rule, fixed by the line
+count), so one sum per band, extended to the longest span asked of it,
+serves every patient of a :func:`make_synthetic_corpus` call.  Each
+carrier is a prefix of that sum over its own RMS, with the same bits as a
+comb built for that patient alone.  The sums live for the one call only.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from .signals import (
     Recording,
     SynthComponent,
     SynthesisSpec,
+    _synthesize_recording,
     render_sources,
-    synthesize_recording,
 )
 
 DURATION_S = 90.0
@@ -78,7 +86,11 @@ def patient_spec(index: int, master_seed: int = 0, duration_s: float = DURATION_
 
 
 def make_synthetic_corpus(n_patients: int = 20, master_seed: int = 0) -> list[Recording]:
-    return [synthesize_recording(patient_spec(i, master_seed)) for i in range(n_patients)]
+    """``synthesize_recording(patient_spec(i, master_seed))`` for each patient
+    i, bit for bit, with one chew line sum per band shared by all of them."""
+    comb_sums: dict = {}
+    return [_synthesize_recording(patient_spec(i, master_seed), comb_sums)
+            for i in range(n_patients)]
 
 
 def template_sources() -> dict[str, np.ndarray]:

@@ -195,12 +195,22 @@ def separate_channel(x: np.ndarray, bank: TemplateBank) -> SeparationResult:
     rng = np.random.default_rng(ACTIVATION_SEED)
     h = rng.uniform(0.5, 1.5, size=(bank.w.shape[1], v.shape[1]))
     _, h, history = _multiplicative_updates(v, bank.w, h, learn_w=False)
+    del v  # the fit is done; freeing it here lowers the peak below
 
-    powers = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
+    # each modality's power is divided into its own mask in place, and the
+    # total adds them in the order sum() does, so the masks keep their bits
+    # with one array per modality fewer alive
+    masks = {m: bank.w[:, bank.block(m)] @ h[bank.block(m)] for m in MODALITIES}
+    first, *rest = masks.values()
+    total = first.copy()
+    for power in rest:
+        total += power
     # strictly positive by construction (w, h are floored); the tiny guard
     # only dodges literal zero so the masks still sum to one everywhere
-    total = np.maximum(sum(powers.values()), np.finfo(float).tiny)
-    masks = {m: powers[m] / total for m in MODALITIES}
+    np.maximum(total, np.finfo(float).tiny, out=total)
+    for mask in masks.values():
+        mask /= total
+    del total  # not needed by the inverse transforms, which set the peak
     signals = {m: istft(replace(spec, values=masks[m] * spec.values)) for m in MODALITIES}
     return SeparationResult(signals=signals, masks=masks, divergence=history)
 

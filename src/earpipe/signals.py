@@ -365,7 +365,25 @@ def _bandlimited_noise(rng: np.random.Generator, n: int, fs: float, lo: float, h
     return y / rms if rms > 0 else y
 
 
-def _tone_comb(n: int, fs: float, lo: float, hi: float) -> np.ndarray:
+def _line_sum(i0: int, i1: int, fs: float, lo: float, hi: float) -> np.ndarray:
+    """Sum of the tone comb's lines over samples ``i0`` to ``i1``, not normalized.
+
+    The lines are added one at a time, in line order, into one sum, so the
+    comb costs a few arrays of its span rather than one per line.  Each
+    sample's value depends only on its index, ``fs`` and the band, never on
+    ``i0`` or ``i1``.
+    """
+    freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, TONE_SPACING_HZ)
+    k = np.arange(len(freqs))
+    phases = -np.pi * k * (k + 1) / len(freqs)
+    t = np.arange(i0, i1) / fs
+    x = np.sin(2 * np.pi * freqs[0] * t + phases[0])
+    for freq, phase in zip(freqs[1:], phases[1:]):
+        x += np.sin(2 * np.pi * freq * t + phase)
+    return x
+
+
+def _tone_comb(n: int, fs: float, lo: float, hi: float, sums: dict | None = None) -> np.ndarray:
     """Unit-RMS sum of equal-amplitude tones filling [lo, hi] Hz.
 
     Lines ``TONE_SPACING_HZ`` apart sit on a 0.5 Hz grid so any 2 s frame holds
@@ -374,28 +392,37 @@ def _tone_comb(n: int, fs: float, lo: float, hi: float) -> np.ndarray:
     which keeps the crest factor near that of a single sinusoid instead
     of letting the lines ever peak together.
 
-    The lines are added one at a time, in line order, into one n-sample
-    sum, so the comb costs a few n-sample arrays rather than one per line.
+    ``sums`` maps ``(fs, lo, hi)`` to the line sum from sample 0 that
+    earlier calls rendered; a call for more samples extends it, and a call
+    for fewer reads its first ``n``.  The phases depend only on the line
+    count, and sample i sits at ``i / fs`` whatever ``n`` is, so each sample
+    of the sum has the same bits however long it was made: a shared sum
+    gives each caller exactly the comb it would have built alone.  The comb
+    is that prefix over its own RMS, a new array, so writing into it leaves
+    the sum as it was.
     """
-    freqs = np.arange(np.ceil(lo / 0.5) * 0.5, hi + 1e-9, TONE_SPACING_HZ)
-    k = np.arange(len(freqs))
-    phases = -np.pi * k * (k + 1) / len(freqs)
-    t = np.arange(n) / fs
-    x = np.sin(2 * np.pi * freqs[0] * t + phases[0])
-    for freq, phase in zip(freqs[1:], phases[1:]):
-        x += np.sin(2 * np.pi * freq * t + phase)
+    sums = {} if sums is None else sums
+    key = (fs, lo, hi)
+    x = sums.get(key)
+    if x is None:
+        x = sums[key] = _line_sum(0, n, fs, lo, hi)
+    elif len(x) < n:
+        x = sums[key] = np.concatenate([x, _line_sum(len(x), n, fs, lo, hi)])
+    x = x[:n]
     rms = np.sqrt(np.mean(x**2))
-    return x / rms if rms > 0 else x
+    return x / rms if rms > 0 else x.copy()
 
 
 def _render_component(
-    comp: SynthComponent, n: int, n_imu: int, rng: np.random.Generator
+    comp: SynthComponent, n: int, n_imu: int, rng: np.random.Generator,
+    comb_sums: dict | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Render one component into its source track.
 
     Returns the track, n samples long (2 x n for ``white_noise``: one
     independent draw per mixed channel), and, for ``motion_burst`` only,
-    its envelope at ``IMU_RATE_HZ``.
+    its envelope at ``IMU_RATE_HZ``.  A chew component cuts its carrier
+    from the line sums in ``comb_sums`` (see :func:`_tone_comb`).
     """
     fs = BIOPOTENTIAL_RATE_HZ
     i0, i1 = _interval(comp, n)
@@ -444,7 +471,7 @@ def _render_component(
         # models the baseline shift of a working muscle.
         lo, hi = (20.0, 60.0) if rate <= 2.0 else (35.0, 112.0)
         burst = np.hanning(int(0.35 * fs))
-        carrier = _tone_comb(seg, fs, lo, hi)
+        carrier = _tone_comb(seg, fs, lo, hi, comb_sums)
         env = np.zeros(seg)
         for pos in _pulse_starts(seg, fs, rate):
             end = min(pos + len(burst), seg)
@@ -500,6 +527,15 @@ def render_sources(spec: SynthesisSpec) -> tuple[dict[str, np.ndarray], np.ndarr
         3 x M accelerometer track in g.
     annotations : list[SeizureAnnotation]
     """
+    return _render_sources(spec, None)
+
+
+def _render_sources(
+    spec: SynthesisSpec, comb_sums: dict | None
+) -> tuple[dict[str, np.ndarray], np.ndarray, list[SeizureAnnotation]]:
+    """:func:`render_sources`, its chew carriers cut from the line sums in
+    ``comb_sums`` (see :func:`_tone_comb`); ``None`` gives each carrier its
+    own sum."""
     n = spec.n_samples
     n_imu = int(round(spec.duration_s * IMU_RATE_HZ))
     seeds = np.random.SeedSequence(spec.seed).spawn(len(spec.components) + 1)
@@ -510,7 +546,7 @@ def render_sources(spec: SynthesisSpec) -> tuple[dict[str, np.ndarray], np.ndarr
     annotations: list[SeizureAnnotation] = []
 
     for comp, seed in zip(spec.components, seeds[:-1]):
-        track, imu_env = _render_component(comp, n, n_imu, np.random.default_rng(seed))
+        track, imu_env = _render_component(comp, n, n_imu, np.random.default_rng(seed), comb_sums)
         name = COMPONENTS[comp.kind][0]
         sources[name] = sources.get(name, np.zeros(n)) + track
         if imu_env is not None:
@@ -536,7 +572,13 @@ def synthesize_recording(spec: SynthesisSpec) -> Recording:
     components are injected into both mixed channels; white noise is drawn
     independently per channel.
     """
-    sources, imu, annotations = render_sources(spec)
+    return _synthesize_recording(spec, None)
+
+
+def _synthesize_recording(spec: SynthesisSpec, comb_sums: dict | None) -> Recording:
+    """:func:`synthesize_recording`, its chew carriers cut from the line sums
+    in ``comb_sums``, as in :func:`_render_sources`."""
+    sources, imu, annotations = _render_sources(spec, comb_sums)
     mixed = np.zeros((2, spec.n_samples))
     for name in ("eeg", "eog", "emg", "motion", "noise"):  # a fixed order fixes the sum's bits
         if name in sources:

@@ -43,10 +43,13 @@ took a sweep from 447-538 to 346-442 us (four runs of each).
 Each sweep reuses what it has already computed, with the same operations
 on the same operands as the textbook loop run at the same precision:
 
-- the k Wiener denominators are built once per sweep as one k x bins
-  array of reciprocals (mode i only reads ``omega[i]`` from before its own
-  update), and a multiply by ``1/d + 0j`` gives the same result as a complex
-  division by ``d`` at a fraction of the cost;
+- the k Wiener denominators are built once per sweep as one contiguous
+  float32 k x bins array of reciprocals (mode i only reads ``omega[i]``
+  from before its own update).  ``num *= recip[i]`` casts the row to
+  exactly ``1/d + 0j`` and runs the complex64 multiply, which gives the
+  same result as a complex division by ``d`` at a fraction of the cost;
+  the reciprocals are taken over contiguous memory, not through the
+  strided real part of a complex array;
 - each mode's change ``u_new - u_old`` updates the running mode sum, and
   its squared norm, ``np.vdot(delta, delta).real`` in single precision, is
   added in double to the convergence numerator;
@@ -198,7 +201,7 @@ def vmd_decompose(x: np.ndarray, fs: float) -> VmdResult:
     # per-sweep buffers; see the module docstring for what each one saves
     u_hat = np.zeros((k, bins), dtype=np.complex64)
     denom = np.empty((k, bins), dtype=np.float32)
-    recip = np.zeros((k, bins), dtype=np.complex64)  # imaginary parts stay 0
+    recip = np.empty((k, bins), dtype=np.float32)
     sum_all = np.empty(bins, dtype=np.complex64)
     num = np.empty(bins, dtype=np.complex64)
     delta = np.empty(bins, dtype=np.complex64)
@@ -213,7 +216,7 @@ def vmd_decompose(x: np.ndarray, fs: float) -> VmdResult:
         np.square(denom, out=denom)
         denom *= 2.0 * ALPHA
         denom += 1.0
-        np.divide(1.0, denom, out=recip.real)
+        np.divide(1.0, denom, out=recip)
         np.sum(u_hat, axis=0, out=sum_all)
         for i in range(k):
             np.subtract(sum_all, u_hat[i], out=num)  # the other modes

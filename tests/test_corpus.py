@@ -1,14 +1,16 @@
 """Determinism and structural guarantees of the synthetic corpus."""
 
 import numpy as np
+import pytest
 
+from earpipe import signals
 from earpipe.corpus import (
     make_synthetic_corpus,
     patient_spec,
     template_sources,
     train_corpus_templates,
 )
-from earpipe.signals import ChannelRole, MIXED_ROLES
+from earpipe.signals import ChannelRole, MIXED_ROLES, synthesize_recording
 
 FS = 250.0
 IMU_RATE = 50.0
@@ -93,6 +95,38 @@ class TestDeterminism:
         s2 = patient_spec(3, master_seed=5)
         assert s1.seed == s2.seed
         assert s1.patient_id == "p03"
+
+
+class TestSharedChewCombs:
+    """A corpus renders each chew band's line sum once, for all patients."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_equals_patients_rendered_alone(self, seed):
+        corpus = make_synthetic_corpus(8, seed)
+        alone = [synthesize_recording(patient_spec(i, seed)) for i in range(8)]
+        for shared, own in zip(corpus, alone):
+            assert shared.patient_id == own.patient_id
+            assert list(shared.channels) == list(own.channels)
+            for role in own.channels:
+                np.testing.assert_array_equal(shared.channels[role], own.channels[role])
+            np.testing.assert_array_equal(shared.imu, own.imu)
+            assert shared.annotations == own.annotations
+
+    def test_each_band_is_evaluated_once(self, monkeypatch):
+        """The slow chew's band is evaluated over the 90 s recording once,
+        the tonic chew's over no more than the longest seizure."""
+        evaluated: dict[tuple[float, float], int] = {}
+        line_sum = signals._line_sum
+
+        def counting(i0, i1, fs, lo, hi):
+            evaluated[lo, hi] = evaluated.get((lo, hi), 0) + i1 - i0
+            return line_sum(i0, i1, fs, lo, hi)
+
+        monkeypatch.setattr(signals, "_line_sum", counting)
+        corpus = make_synthetic_corpus(8)
+        longest = max(round(r.annotations[0].duration_s * FS) for r in corpus)
+        assert evaluated[20.0, 60.0] == int(90.0 * FS)
+        assert evaluated[35.0, 112.0] <= longest
 
 
 class TestTemplates:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -466,6 +467,22 @@ class TestSeparation:
             ref = src[m][trim]
             r = np.corrcoef(out, ref)[0, 1]
             assert r > 0.8, f"{m}: r={r:.3f}"
+
+    def test_peak_memory_per_sample(self, bank, monkeypatch):
+        """Separating a 90 s channel holds at most 16 float64 values per
+        sample at its peak: the powers become the masks in place, and the
+        fitted power spectrogram is freed before them.  Holding the powers,
+        their sum and the masks at once, with the power spectrogram, takes
+        20.3."""
+        monkeypatch.setattr(nnmf, "MAX_ITER", 20)
+        mix = sum(_sources(duration_s=90.0, seed=3).values())
+        tracemalloc.start()
+        try:
+            separate_channel(mix, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * len(mix)) <= 16
 
     def test_bin_mismatch_rejected(self, bank):
         """A dictionary cut short of the STFT's bins is refused when the bank

@@ -485,6 +485,27 @@ class TestToneComb:
         np.testing.assert_array_equal(_tone_comb(n, 250.0, lo, hi),
                                       _all_lines_comb(n, 250.0, lo, hi))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 20_000), min_size=1, max_size=6),
+           st.sampled_from(CHEW_BANDS), st.sampled_from([200.0, 250.0, 256.0]))
+    def test_shared_sum_matches_the_all_lines_sum(self, lengths, band, fs):
+        """One shared line sum, extended and cut in any order, gives each
+        length the comb built alone, bit for bit."""
+        sums = {}
+        for n in lengths + lengths[::-1]:
+            np.testing.assert_array_equal(_tone_comb(n, fs, *band, sums),
+                                          _all_lines_comb(n, fs, *band))
+
+    def test_carrier_does_not_alias_the_shared_sum(self):
+        sums = {}
+        for band in CHEW_BANDS:
+            first = _tone_comb(2_000, 250.0, *band, sums)
+            first[:] = np.nan
+            np.testing.assert_array_equal(_tone_comb(2_000, 250.0, *band, sums),
+                                          _all_lines_comb(2_000, 250.0, *band))
+            np.testing.assert_array_equal(_tone_comb(1_000, 250.0, *band, sums),
+                                          _all_lines_comb(1_000, 250.0, *band))
+
     def test_synthesis_peak_memory_per_sample(self):
         """Rendering a corpus patient holds at most 16 float64 values per
         sample at its peak, sources included, so the comb may not keep one
